@@ -136,16 +136,17 @@ class BlockStore:
                 thread.join()
                 block = pending[i]
                 self.blocks_read += 1
+                if isinstance(block, BlockStoreError):
+                    raise block
             else:
                 block = self._fetch(i)
             thread = None
             if prefetch and i > 0 and self._blocks[i - 1] is None:
                 pending_idx = i - 1
                 pending = {}
-                thread = threading.Thread(
-                    target=lambda k=pending_idx, out=pending: out.__setitem__(
-                        k, self._load_spilled(k)),
-                    daemon=True)
+                thread = threading.Thread(target=self._prefetch,
+                                          args=(pending_idx, pending),
+                                          daemon=True)
                 thread.start()
             self._note_peak(extra_blocks=1 + (1 if thread is not None else 0))
             yield from reversed(block)
@@ -167,6 +168,14 @@ class BlockStore:
         if block is not None:
             return block
         return self._load_spilled(index)
+
+    def _prefetch(self, index: int, out: dict) -> None:
+        """Reader thread: leave the block, or the error that names it, for
+        the consuming thread to take."""
+        try:
+            out[index] = self._load_spilled(index)
+        except BlockStoreError as exc:
+            out[index] = exc
 
     def _load_spilled(self, index: int) -> array.array:
         path = os.path.join(self._spill_dir or "", f"{self.name}.{index}.blk")

@@ -83,9 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def make_problem(args) -> problems.Problem:
+def make_problem(args, name: str) -> problems.Problem:
+    """Problem ``name`` at the sizes given on the command line."""
     kwargs = {}
-    name = args.problem
     if name == "intro":
         if args.length:
             kwargs["length"] = args.length
@@ -178,10 +178,7 @@ def _cross_check(name, grads):
 def cmd_run(args) -> int:
     reports = []
     for name in _problem_names(args):
-        args_problem = args.problem
-        args.problem = name
-        problem = make_problem(args)
-        args.problem = args_problem
+        problem = make_problem(args, name)
         rs, _ = run_strategies(problem, _strategies(args), store_config(args),
                                grad_check=args.grad_check,
                                fd_step=args.fd_step)
@@ -193,10 +190,7 @@ def cmd_run(args) -> int:
 def cmd_verify(args) -> int:
     failed = False
     for name in _problem_names(args):
-        args_problem = args.problem
-        args.problem = name
-        problem = make_problem(args)
-        args.problem = args_problem
+        problem = make_problem(args, name)
         step = args.fd_step or problem.fd_step
         for strategy in STRATEGIES:
             err = gradient_check(problem, strategy=strategy, fd_step=step,
@@ -213,7 +207,7 @@ def cmd_dump(args) -> int:
     if args.tape_file:
         tape = tapefile.load(args.tape_file, **store_config(args))
     else:
-        problem = make_problem(args)
+        problem = make_problem(args, args.problem)
         tape = record_problem(problem, problem.default_point(),
                               mode=args.mode, **store_config(args))
     s, d = tape.dump()
@@ -235,10 +229,7 @@ def cmd_dump(args) -> int:
 def cmd_bench(args) -> int:
     reports = []
     for name in _problem_names(args):
-        args_problem = args.problem
-        args.problem = name
-        problem = make_problem(args)
-        args.problem = args_problem
+        problem = make_problem(args, name)
         for budget in (None, 4, 1):
             cfg = store_config(args)
             if budget is not None:

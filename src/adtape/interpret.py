@@ -1,9 +1,17 @@
 """Back-propagation over a finalized tape: flat, bandwidth-modulo and
 dedicated-L-value strategies, plus the finite-difference gradient check.
 
-All three sweeps share the same reverse consumption of the structure and
-partials streams; they differ only in how a vertex id maps to an adjoint
-slot.  Every slot is zeroed immediately after it is read (reset-after-read),
+The three strategies interpret the same reverse parse of the structure and
+partials streams in one sweep, ``propagate(tape, seed, strategy)``.  They
+differ only in the pair (p_L, W) of the slot map: L-value ``-k`` lives in
+slot ``k-1`` and vertex ``v >= 0`` in slot ``p_L + v % W``.
+
+* flat: (0, |V|), one slot per vertex;
+* bandwidth: (0, max(beta, n, m)), slots reused modulo the bandwidth;
+* lvalue: (p_L, max(beta_R, 1)), dedicated L-value slots plus the
+  remainder modulo the remainder bandwidth.
+
+Every slot is zeroed immediately after it is read (reset-after-read),
 which is what makes slot reuse safe in the modulo strategies.
 """
 
@@ -31,26 +39,27 @@ class SlotCollisionError(TapeError):
     """A modulo slot still holding a live seeded output was clobbered."""
 
 
-def adjoint_slot_count(stats: TapeStats, strategy: str) -> int:
-    """Number of adjoint RAM slots the strategy allocates for this tape."""
+def _slot_map(stats: TapeStats, strategy: str) -> tuple[int, int]:
+    """(p_L, W) of the strategy: L-value ``-k`` maps to slot ``k-1``,
+    vertex ``v >= 0`` to slot ``p_L + v % W``."""
     if strategy == FLAT:
-        _require_mode(stats, DAG, strategy)
-        return stats.num_vertices
+        _require_mode(stats, DAG, f"{strategy} strategy")
+        return 0, stats.num_vertices
     if strategy == BANDWIDTH:
-        _require_mode(stats, DAG, strategy)
-        return max(stats.beta, stats.num_inputs, stats.num_outputs)
+        _require_mode(stats, DAG, f"{strategy} strategy")
+        return 0, max(stats.beta, stats.num_inputs, stats.num_outputs)
     if strategy == LVALUE:
-        _require_mode(stats, DCG, strategy)
-        return stats.p_l + _remainder_slots(stats)
+        _require_mode(stats, DCG, f"{strategy} strategy")
+        # the remainder-bandwidth formula yields 0 when no
+        # remainder-to-remainder edge exists, yet any temporary needs a slot
+        return stats.p_l, max(stats.beta_r, 1)
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def _remainder_slots(stats: TapeStats) -> int:
-    # the remainder-bandwidth formula yields 0 slots when no
-    # remainder-to-remainder edge exists, yet any temporary still needs one
-    if stats.num_remainder == 0:
-        return 0
-    return max(stats.beta_r, 1)
+def adjoint_slot_count(stats: TapeStats, strategy: str) -> int:
+    """Number of adjoint RAM slots the strategy allocates for this tape."""
+    p_l, width = _slot_map(stats, strategy)
+    return p_l + width if stats.num_remainder else p_l
 
 
 def _require_mode(obj, mode: str, what: str) -> None:
@@ -58,59 +67,37 @@ def _require_mode(obj, mode: str, what: str) -> None:
         raise TapeError(f"{what} requires a {mode.upper()} tape, got {obj.mode.upper()}")
 
 
-def _check_seed(tape: Tape, seed: Sequence[float]) -> None:
+def propagate(tape: Tape, seed: Sequence[float], strategy: str,
+              on_step: Callable[[list[float]], None] | None = None,
+              return_slots: bool = False):
+    """Seed the outputs, sweep the tape in reverse and harvest the inputs.
+
+    ``on_step`` sees a copy of the slot vector after every elemental;
+    ``return_slots`` also returns the final slot vector.  A seeded output
+    whose slot is seeded again, or taken by another vertex's result before
+    the output's own result is reached, raises SlotCollisionError rather
+    than silently corrupting adjoints.  Only under the bandwidth strategy
+    can an output share its slot with another vertex, so only its tapes
+    collide.
+    """
+    stats = tape.stats()
+    p_l, width = _slot_map(stats, strategy)
+    tape._require_finalized()
     if len(seed) != tape.m:
         raise SeedError(f"seed length {len(seed)} != {tape.m} outputs")
-
-
-def propagate_flat(tape: Tape, seed: Sequence[float],
-                   on_step: Callable[[list[float]], None] | None = None,
-                   return_slots: bool = False):
-    """One adjoint slot per vertex; seeds outputs, sweeps in reverse,
-    harvests the inputs."""
-    _require_mode(tape, DAG, "flat strategy")
-    tape._require_finalized()
-    _check_seed(tape, seed)
-    vbar = [0.0] * tape.stats().num_vertices
-    for ybar, j in zip(seed, tape.outputs):
-        vbar[j] = ybar
-    for result, preds in tape.reverse_elementals():
-        w = vbar[result]
-        vbar[result] = 0.0
-        for i, d in preds:
-            vbar[i] += w * d
-        if on_step is not None:
-            on_step(list(vbar))
-    grad = [vbar[i] for i in range(tape.n)]
-    return (grad, vbar) if return_slots else grad
-
-
-def propagate_bandwidth(tape: Tape, seed: Sequence[float],
-                        on_step: Callable[[list[float]], None] | None = None,
-                        return_slots: bool = False):
-    """All slot indices taken modulo max(beta, n, m).
-
-    Two seeded outputs mapping to one slot, or an elemental result slot
-    colliding with a still-live seeded output, raise SlotCollisionError
-    rather than silently corrupting adjoints.
-    """
-    _require_mode(tape, DAG, "bandwidth strategy")
-    tape._require_finalized()
-    _check_seed(tape, seed)
-    stats = tape.stats()
-    width = adjoint_slot_count(stats, BANDWIDTH)
-    vbar = [0.0] * width
+    vbar = [0.0] * adjoint_slot_count(stats, strategy)
     live: dict[int, int] = {}  # slot -> seeded output vertex not yet consumed
     for ybar, j in zip(seed, tape.outputs):
-        slot = j % width
+        # ~v == -v - 1 puts L-value -k in slot k-1
+        slot = p_l + j % width if j >= 0 else ~j
         if slot in live:
             raise SlotCollisionError(
                 f"outputs {live[slot]} and {j} both seed slot {slot}")
         live[slot] = j
         vbar[slot] = ybar
     for result, preds in tape.reverse_elementals():
-        slot = result % width
-        if slot in live:
+        slot = p_l + result % width if result >= 0 else ~result
+        if live and slot in live:
             if live[slot] == result:
                 del live[slot]
             else:
@@ -120,55 +107,27 @@ def propagate_bandwidth(tape: Tape, seed: Sequence[float],
         w = vbar[slot]
         vbar[slot] = 0.0
         for i, d in preds:
-            vbar[i % width] += w * d
+            vbar[p_l + i % width if i >= 0 else ~i] += w * d
         if on_step is not None:
             on_step(list(vbar))
-    grad = [vbar[i % width] for i in range(tape.n)]
+    grad = [vbar[p_l + i % width if i >= 0 else ~i] for i in tape.inputs]
     return (grad, vbar) if return_slots else grad
 
 
-def propagate_lvalue(tape: Tape, seed: Sequence[float],
-                     on_step: Callable[[list[float]], None] | None = None,
-                     return_slots: bool = False):
-    """Dedicated slots for L-values, modulo remainder bandwidth for the
-    rest.  L-value ``-k`` maps to slot ``k-1``; remainder vertex ``r`` to
-    slot ``p_l + r % B_R``."""
-    _require_mode(tape, DCG, "lvalue strategy")
-    tape._require_finalized()
-    _check_seed(tape, seed)
-    stats = tape.stats()
-    p_l = stats.p_l
-    b_r = _remainder_slots(stats)
-    vbar = [0.0] * (p_l + b_r)
-    for ybar, j in zip(seed, tape.outputs):
-        vbar[-j - 1] = ybar
-    for result, preds in tape.reverse_elementals():
-        slot = (-result - 1) if result < 0 else p_l + result % b_r
-        w = vbar[slot]
-        vbar[slot] = 0.0
-        for i, d in preds:
-            islot = (-i - 1) if i < 0 else p_l + i % b_r
-            vbar[islot] += w * d
-        if on_step is not None:
-            on_step(list(vbar))
-    grad = [vbar[i] for i in range(tape.n)]
-    return (grad, vbar) if return_slots else grad
+def propagate_flat(tape: Tape, seed: Sequence[float], **kwargs):
+    """``propagate(tape, seed, FLAT)``: one adjoint slot per vertex."""
+    return propagate(tape, seed, FLAT, **kwargs)
 
 
-_PROPAGATORS = {
-    FLAT: propagate_flat,
-    BANDWIDTH: propagate_bandwidth,
-    LVALUE: propagate_lvalue,
-}
+def propagate_bandwidth(tape: Tape, seed: Sequence[float], **kwargs):
+    """``propagate(tape, seed, BANDWIDTH)``: slots modulo max(beta, n, m)."""
+    return propagate(tape, seed, BANDWIDTH, **kwargs)
 
 
-def propagate(tape: Tape, seed: Sequence[float], strategy: str,
-              **kwargs):
-    try:
-        fn = _PROPAGATORS[strategy]
-    except KeyError:
-        raise ValueError(f"unknown strategy {strategy!r}") from None
-    return fn(tape, seed, **kwargs)
+def propagate_lvalue(tape: Tape, seed: Sequence[float], **kwargs):
+    """``propagate(tape, seed, LVALUE)``: dedicated L-value slots, the
+    remainder modulo max(beta_R, 1)."""
+    return propagate(tape, seed, LVALUE, **kwargs)
 
 
 def gradient_check(problem, x: Sequence[float] | None = None,

@@ -5,8 +5,12 @@ A tape owns two append-only streams: the structure stream ``s`` (signed
 of ``s`` is: the input vertex ids first, then for every recorded elemental
 its predecessor ids in operand order, the predecessor count, and the result
 id.  ``d`` carries one local partial derivative per predecessor entry of
-``s``, in the same order.  The stream is parsed backwards during the
-adjoint sweep.
+``s``, in the same order.  ``Tape.reverse_elementals`` is the one reverse
+parser of these streams: the adjoint sweep
+``interpret.propagate(tape, seed, strategy)``, ``Tape.parse`` and
+``Tape.visit_sequence`` all consume it.  The sweep puts the adjoint of
+L-value ``-k`` in slot ``k-1`` and of vertex ``v >= 0`` in slot
+``p_L + v % W``, with (p_L, W) fixed per strategy.
 
 Two recording modes exist:
 
@@ -92,6 +96,12 @@ class Tape:
         return len(self.outputs)
 
     @property
+    def inputs(self) -> range:
+        """Input vertex ids in registration order: ``0..n-1`` on a DAG
+        tape, ``-1..-n`` on a DCG tape."""
+        return range(self.n) if self.mode == DAG else range(-1, -self.n - 1, -1)
+
+    @property
     def s_len(self) -> int:
         return len(self._s)
 
@@ -103,8 +113,9 @@ class Tape:
 
     def register_input(self) -> int:
         self._require_recording()
-        if self.q > 0:
-            raise TapeError("inputs must be registered before the first elemental")
+        if self.q > 0 or self.p_l > self.n:
+            raise TapeError("inputs must be registered before the first "
+                            "elemental or L-value")
         if self.mode == DAG:
             vid = self._next_ssa
             self._next_ssa += 1
@@ -234,57 +245,54 @@ class Tape:
         return self._s.tolist(), self._d.tolist()
 
     def reverse_elementals(self, prefetch: bool | None = None
-                           ) -> Iterator[tuple[int, list[tuple[int, float]]]]:
+                           ) -> Iterator[tuple[int, tuple[tuple[int, float], ...]]]:
         """Parse the streams backwards, yielding (result, preds).
 
-        Predecessors come out in reverse operand order, which is the order
-        the adjoint sweep applies them in.
+        This is the one reverse parser of a tape.  Predecessors come out in
+        reverse operand order, which is the order the adjoint sweep applies
+        them in.  The input ids at the head of ``s`` are not yielded; they
+        are ``self.inputs``.
         """
         self._require_finalized()
         if prefetch is None:
             prefetch = self.prefetch
-        si = self._s.reverse_iter(prefetch=prefetch)
-        di = self._d.reverse_iter(prefetch=prefetch)
+        s_next = self._s.reverse_iter(prefetch=prefetch).__next__
+        d_next = self._d.reverse_iter(prefetch=prefetch).__next__
         for _ in range(self.q):
-            result = next(si)
-            count = next(si)
-            preds = [(next(si), next(di)) for _ in range(count)]
-            yield result, preds
+            result = s_next()
+            count = s_next()
+            # direct paths for the arities overloading records; the rest
+            # (zero-arity overwrites, hand-recorded n-ary) build a list
+            if count == 1:
+                yield result, ((s_next(), d_next()),)
+            elif count == 2:
+                yield result, ((s_next(), d_next()), (s_next(), d_next()))
+            else:
+                yield result, tuple([(s_next(), d_next()) for _ in range(count)])
 
     def parse(self) -> tuple[list[int], list[Elemental]]:
         """Forward-order view: (input ids, elementals with operand order)."""
-        self._require_finalized()
-        elems = []
-        si = self._s.reverse_iter()
-        di = self._d.reverse_iter()
-        for _ in range(self.q):
-            result = next(si)
-            count = next(si)
-            preds = tuple((next(si), next(di)) for _ in range(count))[::-1]
-            elems.append(Elemental(result, preds))
-        inputs = [next(si) for _ in range(self.n)][::-1]
+        elems = [Elemental(result, preds[::-1])
+                 for result, preds in self.reverse_elementals()]
         elems.reverse()
-        return inputs, elems
+        return list(self.inputs), elems
 
     def visit_sequence(self) -> list[int]:
         """Vertex ids in reverse-interpretation order, consecutive
         duplicates collapsed (a result immediately re-read as the next
         predecessor is one visit)."""
-        self._require_finalized()
         seq: list[int] = []
 
         def visit(v):
             if not seq or seq[-1] != v:
                 seq.append(v)
 
-        si = self._s.reverse_iter()
-        for _ in range(self.q):
-            visit(next(si))
-            count = next(si)
-            for _ in range(count):
-                visit(next(si))
-        for _ in range(self.n):
-            visit(next(si))
+        for result, preds in self.reverse_elementals():
+            visit(result)
+            for v, _ in preds:
+                visit(v)
+        for v in reversed(self.inputs):
+            visit(v)
         return seq
 
     def store_stats(self) -> dict:

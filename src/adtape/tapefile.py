@@ -61,7 +61,8 @@ def load(path: str, **store_config) -> Tape:
     d = list(struct.unpack_from(f"<{d_len}d", blob, off))
 
     # parse records backwards (operand lists are delimited by the trailing
-    # count), then replay forwards
+    # count), then replay forwards; this parse bounds-checks untrusted file
+    # bytes before any Tape exists, so it is not Tape.reverse_elementals
     records = []
     si, di = s_len, d_len
     for _ in range(q):

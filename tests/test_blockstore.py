@@ -101,23 +101,25 @@ def test_append_after_seal_rejected(tmp_path):
         store.append([1])
 
 
-def test_corrupt_block_detected(tmp_path):
+@pytest.mark.parametrize("prefetch", [False, True])
+def test_corrupt_block_detected(tmp_path, prefetch):
     store = make_store(tmp_path, block_entries=4, budget_blocks=1)
     store.append(range(12))
     store.seal()
     victim = tmp_path / "s.0.blk"
     victim.write_bytes(b"garbage!" + victim.read_bytes()[8:])
     with pytest.raises(BlockStoreError, match="block 0"):
-        list(store.reverse_iter())
+        list(store.reverse_iter(prefetch=prefetch))
 
 
-def test_missing_block_detected(tmp_path):
+@pytest.mark.parametrize("prefetch", [False, True])
+def test_missing_block_detected(tmp_path, prefetch):
     store = make_store(tmp_path, block_entries=4, budget_blocks=1)
     store.append(range(12))
     store.seal()
     (tmp_path / "s.1.blk").unlink()
     with pytest.raises(BlockStoreError, match="block 1"):
-        list(store.reverse_iter())
+        list(store.reverse_iter(prefetch=prefetch))
 
 
 def test_float_store_round_trip(tmp_path):

@@ -152,6 +152,21 @@ def test_result_clobbering_live_output_detected():
         propagate_bandwidth(t, [1.0, 1.0])
 
 
+def test_lvalue_outputs_read_and_reassigned():
+    # y = 2x; z = 3y; z = 5x: y is read after its last assignment and z is
+    # assigned twice, and neither is a slot collision
+    t = new_tape(DCG)
+    x = t.register_input()
+    y, z = t.declare_lvalue(), t.declare_lvalue()
+    t.record([(x, 2.0)], result=y)
+    t.record([(y, 3.0)], result=z)
+    t.record([(x, 5.0)], result=z)
+    t.register_output(y)
+    t.register_output(z)
+    t.finalize()
+    assert propagate_lvalue(t, [1.0, 1.0]) == [7.0]
+
+
 def test_seed_linearity(intro_dag, intro_dcg):
     for prop, tape in ((propagate_flat, intro_dag),
                        (propagate_bandwidth, intro_dag),

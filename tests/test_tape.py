@@ -2,8 +2,12 @@ import math
 
 import pytest
 
-from adtape import DAG, DCG, FRESH_LVALUE, Tape, TapeError, new_tape, record_problem
+from adtape import (DAG, DCG, FRESH_LVALUE, STRATEGIES, Tape, TapeError,
+                    new_tape, propagate, record_problem)
+from adtape.dot import to_dot
+from adtape.interpret import STRATEGY_MODE
 from adtape.problems import IntroExample
+from adtape.tapefile import load, save
 
 from helpers import reference_bandwidth, reference_parse
 
@@ -47,6 +51,15 @@ def test_input_after_elemental_rejected():
     t.register_input()
     t.record([(0, 1.0)])
     with pytest.raises(TapeError, match="before the first elemental"):
+        t.register_input()
+
+
+def test_input_after_lvalue_rejected():
+    # DCG inputs must be the L-values -1..-n, the slots the gradient is
+    # harvested from
+    t = new_tape(DCG)
+    t.declare_lvalue()
+    with pytest.raises(TapeError, match="before the first elemental or L-value"):
         t.register_input()
 
 
@@ -247,3 +260,20 @@ def test_parse_matches_reference(intro_dcg):
     assert own_inputs == inputs
     assert [(list(p for p, _ in e.preds), e.result) for e in own] == \
         [(p, r) for p, _, r in records]
+
+
+@pytest.mark.parametrize("mode", [DAG, DCG])
+def test_tape_without_elementals(tmp_path, mode):
+    t = new_tape(mode)
+    inputs = [t.register_input() for _ in range(2)]
+    t.register_output(inputs[1])
+    t.finalize()
+    for strategy in STRATEGIES:
+        if STRATEGY_MODE[strategy] == mode:
+            assert propagate(t, [2.5], strategy) == [0.0, 2.5]
+    assert t.parse() == (inputs, [])
+    assert t.visit_sequence() == inputs[::-1]
+    assert f'"{inputs[1]}" [shape=box' in to_dot(t)
+    save(t, str(tmp_path / "t.adtp"))
+    back = load(str(tmp_path / "t.adtp"))
+    assert back.dump() == t.dump() and back.outputs == t.outputs
