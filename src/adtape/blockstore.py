@@ -4,18 +4,26 @@ Entries are fixed-width 8-byte values (signed integers for the structure
 stream, doubles for the partials stream).  The stream is cut into fixed-size
 blocks; once the number of resident full blocks exceeds a configurable
 budget, the oldest resident block is written to disk and dropped from
-memory.  During the reverse sweep blocks are loaded back on demand, newest
-first, optionally with a single background prefetch of the next-older block.
+memory.  Only full blocks ever spill: the budget is at least one block and
+the newest block stays resident.  During the reverse sweep blocks are loaded
+back on demand, newest first, optionally with a single background prefetch of
+the next-older block.
+
+On its first spill a store makes its own fresh ``adtape-<stream>-*``
+directory, under ``spill_dir`` when one is given and under the system temp
+dir otherwise, and that directory is removed along with the store.
 """
 
 from __future__ import annotations
 
 import array
 import os
+import shutil
 import struct
 import sys
 import tempfile
 import threading
+import weakref
 
 ENTRY_BYTES = 8
 DEFAULT_BLOCK_ENTRIES = 65536
@@ -49,20 +57,20 @@ class BlockStore:
         self.name = name
         self.block_entries = block_entries
         self.budget_blocks = budget_blocks
-        self._spill_dir = spill_dir
+        self._spill_root = spill_dir
+        self._spill_dir: str | None = None  # this store's own, made on first spill
         self._blocks: list[array.array | None] = []  # None once spilled
-        self._block_lens: list[int] = []
         self._current = array.array(typecode)
+        self._length = 0
         self._sealed = False
         self._first_resident = 0  # oldest block still in memory
         self.blocks_written = 0
         self.blocks_read = 0
         self.bytes_spilled = 0
         self.peak_resident_bytes = 0
-        self._note_peak(extra_blocks=0)
 
     def __len__(self) -> int:
-        return sum(self._block_lens) + len(self._current)
+        return self._length
 
     # -- recording side -----------------------------------------------------
 
@@ -70,7 +78,9 @@ class BlockStore:
         if self._sealed:
             raise BlockStoreError(f"{self.name}: append after seal")
         cur = self._current
+        before = len(cur)
         cur.extend(entries)
+        self._length += len(cur) - before
         be = self.block_entries
         while len(cur) >= be:
             self._push_block(cur[:be])
@@ -87,22 +97,22 @@ class BlockStore:
 
     def _push_block(self, block: array.array) -> None:
         self._blocks.append(block)
-        self._block_lens.append(len(block))
         self.blocks_written += 1
-        self._enforce_budget()
-
-    def _enforce_budget(self) -> None:
-        if self.budget_blocks is None:
-            return
-        resident = len(self._blocks) - self._first_resident
-        while resident > self.budget_blocks:
+        # one block came in, so at most the oldest resident one goes out
+        if (self.budget_blocks is not None
+                and len(self._blocks) - self._first_resident > self.budget_blocks):
             self._spill(self._first_resident)
             self._first_resident += 1
-            resident -= 1
 
     def _spill(self, index: int) -> None:
         block = self._blocks[index]
         assert block is not None
+        if self._spill_dir is None:
+            if self._spill_root is not None:
+                os.makedirs(self._spill_root, exist_ok=True)
+            self._spill_dir = tempfile.mkdtemp(prefix=f"adtape-{self.name}-",
+                                               dir=self._spill_root)
+            weakref.finalize(self, shutil.rmtree, self._spill_dir, True)
         path = self._block_path(index)
         payload = self._to_le_bytes(block)
         try:
@@ -115,10 +125,6 @@ class BlockStore:
         self._blocks[index] = None
 
     def _block_path(self, index: int) -> str:
-        if self._spill_dir is None:
-            self._spill_dir = tempfile.mkdtemp(prefix="adtape-spill-")
-        else:
-            os.makedirs(self._spill_dir, exist_ok=True)
         return os.path.join(self._spill_dir, f"{self.name}.{index}.blk")
 
     # -- reading side -------------------------------------------------------
@@ -178,7 +184,7 @@ class BlockStore:
             out[index] = exc
 
     def _load_spilled(self, index: int) -> array.array:
-        path = os.path.join(self._spill_dir or "", f"{self.name}.{index}.blk")
+        path = self._block_path(index)
         try:
             with open(path, "rb") as fh:
                 magic, stored = _HEADER.unpack(fh.read(_HEADER.size))
@@ -188,7 +194,7 @@ class BlockStore:
                 f"{self.name}: cannot read block {index}: {exc}") from exc
         if magic != _BLOCK_MAGIC or stored != index:
             raise BlockStoreError(f"{self.name}: corrupt block {index} at {path}")
-        if len(payload) != self._block_lens[index] * ENTRY_BYTES:
+        if len(payload) != self.block_entries * ENTRY_BYTES:  # only full blocks spill
             raise BlockStoreError(f"{self.name}: truncated block {index} at {path}")
         block = array.array(self.typecode)
         block.frombytes(payload)
@@ -207,7 +213,7 @@ class BlockStore:
         }
 
     def resident_entries(self) -> int:
-        return sum(len(b) for b in self._blocks if b is not None) + len(self._current)
+        return self._length - self.bytes_spilled // ENTRY_BYTES
 
     def _note_peak(self, extra_blocks: int) -> None:
         resident = self.resident_entries() + extra_blocks * self.block_entries

@@ -207,6 +207,8 @@ def cmd_dump(args) -> int:
     if args.tape_file:
         tape = tapefile.load(args.tape_file, **store_config(args))
     else:
+        if args.problem == "all":
+            raise ValueError("dump records one problem, not 'all'")
         problem = make_problem(args, args.problem)
         tape = record_problem(problem, problem.default_point(),
                               mode=args.mode, **store_config(args))

@@ -8,7 +8,7 @@ sweep wall time separately; the combined figure is derivable by addition.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 from .blockstore import ENTRY_BYTES
 from .interpret import adjoint_slot_count
@@ -44,26 +44,10 @@ class MemoryReport:
     fd_step: float | None = None
 
     def to_dict(self) -> dict:
-        doc = {
-            "problem": self.problem,
-            "strategy": self.strategy,
-            "n": self.n,
-            "m": self.m,
-            "vertices": self.vertices,
-            "edges": self.edges,
-            "p_l": self.p_l,
-            "beta": self.beta,
-            "beta_r": self.beta_r,
-            "ram_bytes": self.ram_bytes,
-            "sam_bytes": self.sam_bytes,
-            "record_seconds": self.record_seconds,
-            "sweep_seconds": self.sweep_seconds,
-        }
-        if self.grad_check_max_rel_err is not None:
-            doc["grad_check"] = {
-                "max_rel_err": self.grad_check_max_rel_err,
-                "fd_step": self.fd_step,
-            }
+        doc = asdict(self)
+        err, step = doc.pop("grad_check_max_rel_err"), doc.pop("fd_step")
+        if err is not None:
+            doc["grad_check"] = {"max_rel_err": err, "fd_step": step}
         return doc
 
 

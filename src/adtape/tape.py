@@ -64,7 +64,12 @@ class TapeStats:
 
 
 class Tape:
-    """Single-writer recording tape; immutable once finalized."""
+    """Single-writer recording tape; immutable once finalized.
+
+    Under ``budget_blocks`` each stream spills only full blocks, into its own
+    ``adtape-<stream>-*`` directory under ``spill_dir`` (the system temp dir
+    when none is given); the directory is removed along with the tape.
+    """
 
     def __init__(self, mode: str = DAG,
                  block_entries: int = DEFAULT_BLOCK_ENTRIES,

@@ -1,6 +1,11 @@
+import gc
+import tempfile
+
 import pytest
 
+from adtape import DAG, propagate_flat, record_problem
 from adtape.blockstore import ENTRY_BYTES, BlockStore, BlockStoreError
+from adtape.problems import IntroExample
 from adtape.rng import Xorshift
 
 
@@ -101,13 +106,19 @@ def test_append_after_seal_rejected(tmp_path):
         store.append([1])
 
 
-@pytest.mark.parametrize("prefetch", [False, True])
-def test_corrupt_block_detected(tmp_path, prefetch):
+@pytest.mark.parametrize("prefetch,damage", [
+    (False, "header"), (True, "header"), (False, "truncated"), (True, "truncated"),
+], ids=["False", "True", "truncated-False", "truncated-True"])
+def test_corrupt_block_detected(tmp_path, prefetch, damage):
     store = make_store(tmp_path, block_entries=4, budget_blocks=1)
     store.append(range(12))
     store.seal()
-    victim = tmp_path / "s.0.blk"
-    victim.write_bytes(b"garbage!" + victim.read_bytes()[8:])
+    (victim,) = tmp_path.glob("*/s.0.blk")
+    blob = victim.read_bytes()
+    if damage == "header":
+        victim.write_bytes(b"garbage!" + blob[8:])
+    else:
+        victim.write_bytes(blob[:-ENTRY_BYTES])
     with pytest.raises(BlockStoreError, match="block 0"):
         list(store.reverse_iter(prefetch=prefetch))
 
@@ -117,9 +128,39 @@ def test_missing_block_detected(tmp_path, prefetch):
     store = make_store(tmp_path, block_entries=4, budget_blocks=1)
     store.append(range(12))
     store.seal()
-    (tmp_path / "s.1.blk").unlink()
+    (victim,) = tmp_path.glob("*/s.1.blk")
+    victim.unlink()
     with pytest.raises(BlockStoreError, match="block 1"):
         list(store.reverse_iter(prefetch=prefetch))
+
+
+def test_tapes_sharing_a_spill_dir_keep_their_own_blocks(tmp_path):
+    problem = IntroExample(length=6)
+    spill = dict(block_entries=4, budget_blocks=1, spill_dir=str(tmp_path))
+    first = record_problem(problem, [0.7], mode=DAG, **spill)
+    second = record_problem(problem, [1.3], mode=DAG, **spill)
+    assert first.store_stats()["s"]["bytes_spilled"] > 0
+    expected = propagate_flat(record_problem(problem, [0.7], mode=DAG), [1.0])
+    assert propagate_flat(first, [1.0]) == expected
+    assert propagate_flat(second, [1.0]) != expected
+
+
+@pytest.mark.parametrize("given_dir", [True, False])
+def test_dropped_store_removes_its_spill_dir(tmp_path, monkeypatch, given_dir):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    spill = tmp_path / "spill"
+    store = BlockStore("q", name="s", block_entries=4, budget_blocks=1,
+                       spill_dir=str(spill) if given_dir else None)
+    store.append(range(12))
+    store.seal()
+    assert len(list(tmp_path.glob("**/s.0.blk"))) == 1
+    del store
+    gc.collect()
+    if given_dir:
+        assert list(tmp_path.iterdir()) == [spill]
+        assert list(spill.iterdir()) == []
+    else:
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_float_store_round_trip(tmp_path):

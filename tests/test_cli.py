@@ -89,6 +89,12 @@ def test_dump_missing_tape_file_fails(capsys, tmp_path):
     assert code == 2 and "error:" in err
 
 
+def test_dump_all_problems_rejected(capsys):
+    code, out, err = run_cli(capsys, "dump", "--problem", "all")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "'all'" in err
+
+
 def test_unstable_grid_exits_nonzero(capsys):
     code, _, err = run_cli(capsys, "run", "--problem", "bs_fd",
                            "--grid", "101x10")

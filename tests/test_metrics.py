@@ -52,6 +52,9 @@ def test_json_omits_absent_grad_check(intro_dag_stats):
     (entry,) = doc["reports"]
     assert "grad_check" not in entry
     assert entry["ram_bytes"] == 56
+    assert list(entry) == ["problem", "strategy", "n", "m", "vertices",
+                           "edges", "p_l", "beta", "beta_r", "ram_bytes",
+                           "sam_bytes", "record_seconds", "sweep_seconds"]
 
 
 def test_json_includes_grad_check(intro_dag_stats):
@@ -59,6 +62,7 @@ def test_json_includes_grad_check(intro_dag_stats):
                        grad_check_max_rel_err=3e-10, fd_step=1e-6)
     (entry,) = json.loads(emit_json([rep]))["reports"]
     assert entry["grad_check"] == {"max_rel_err": 3e-10, "fd_step": 1e-6}
+    assert list(entry)[-1] == "grad_check"
 
 
 def test_table_layout(intro_dag_stats, intro_dcg_stats):

@@ -101,6 +101,33 @@ def test_blockstore_reverse_is_reversal(data, block_entries, budget):
         assert store.tolist() == data
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=40), max_size=30),
+       st.integers(min_value=1, max_value=16),
+       st.one_of(st.none(), st.integers(min_value=1, max_value=3)),
+       st.booleans())
+def test_blockstore_counts_match_census(chunks, block_entries, budget, prefetch):
+    def resident_census():
+        return (sum(len(b) for b in store._blocks if b is not None)
+                + len(store._current))
+
+    with tempfile.TemporaryDirectory() as tmp:
+        store = BlockStore("q", name="s", block_entries=block_entries,
+                           budget_blocks=budget, spill_dir=tmp)
+        total = 0
+        for size in chunks:
+            # odd sizes arrive as a generator, even ones as a list
+            store.append(iter(range(size)) if size % 2 else list(range(size)))
+            total += size
+            assert len(store) == total
+            assert store.resident_entries() == resident_census()
+        store.seal()
+        assert store.resident_entries() == resident_census()
+        assert sum(1 for _ in store.reverse_iter(prefetch=prefetch)) == total
+        assert len(store) == total
+        assert store.resident_entries() == resident_census()
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 32))
 def test_spilled_sweep_is_bitwise_identical(seed):
