@@ -9,16 +9,19 @@ the newest block stays resident.  During the reverse sweep blocks are loaded
 back on demand, newest first, optionally with a single background prefetch of
 the next-older block.
 
-On its first spill a store makes its own fresh ``adtape-<stream>-*``
-directory, under ``spill_dir`` when one is given and under the system temp
-dir otherwise, and that directory is removed along with the store.
+On its first spill a store creates one ``adtape-<stream>-*.blk`` file, under
+``spill_dir`` when one is given and under the system temp dir otherwise.
+Block ``i`` is the fixed-size record at offset ``i * (16 + 8 * block_entries)``:
+a 16-byte header (magic and block index) followed by the little-endian
+payload.  The store holds one descriptor on that file, written and read with
+positionless ``pwrite``/``pread`` so a prefetch thread can share it, until the
+store is freed; then the descriptor is closed and the file removed.
 """
 
 from __future__ import annotations
 
 import array
 import os
-import shutil
 import struct
 import sys
 import tempfile
@@ -34,6 +37,14 @@ _HEADER = struct.Struct("<8sQ")
 
 class BlockStoreError(Exception):
     pass
+
+
+def _discard(fd: int, path: str) -> None:
+    os.close(fd)
+    try:
+        os.unlink(path)
+    except FileNotFoundError:  # its directory may already be gone
+        pass
 
 
 class BlockStore:
@@ -57,8 +68,10 @@ class BlockStore:
         self.name = name
         self.block_entries = block_entries
         self.budget_blocks = budget_blocks
-        self._spill_root = spill_dir
-        self._spill_dir: str | None = None  # this store's own, made on first spill
+        self._spill_dir = spill_dir
+        self._record_bytes = _HEADER.size + block_entries * ENTRY_BYTES
+        self._fd: int | None = None  # this store's own spill file, made on first spill
+        self._path: str | None = None
         self._blocks: list[array.array | None] = []  # None once spilled
         self._current = array.array(typecode)
         self._length = 0
@@ -107,25 +120,27 @@ class BlockStore:
     def _spill(self, index: int) -> None:
         block = self._blocks[index]
         assert block is not None
-        if self._spill_dir is None:
-            if self._spill_root is not None:
-                os.makedirs(self._spill_root, exist_ok=True)
-            self._spill_dir = tempfile.mkdtemp(prefix=f"adtape-{self.name}-",
-                                               dir=self._spill_root)
-            weakref.finalize(self, shutil.rmtree, self._spill_dir, True)
-        path = self._block_path(index)
-        payload = self._to_le_bytes(block)
+        if self._fd is None:
+            where = self._spill_dir if self._spill_dir is not None else tempfile.gettempdir()
+            try:
+                os.makedirs(where, exist_ok=True)
+                self._fd, self._path = tempfile.mkstemp(
+                    prefix=f"adtape-{self.name}-", suffix=".blk", dir=where)
+            except OSError as exc:
+                raise BlockStoreError(
+                    f"{self.name}: cannot create a spill file in {where}: {exc}") from exc
+            weakref.finalize(self, _discard, self._fd, self._path)
+        record = _HEADER.pack(_BLOCK_MAGIC, index) + self._to_le_bytes(block)
         try:
-            with open(path, "wb") as fh:
-                fh.write(_HEADER.pack(_BLOCK_MAGIC, index))
-                fh.write(payload)
+            written = os.pwrite(self._fd, record, index * self._record_bytes)
         except OSError as exc:
-            raise BlockStoreError(f"{self.name}: spill to {path} failed: {exc}") from exc
+            raise BlockStoreError(
+                f"{self.name}: spill of block {index} to {self._path} failed: {exc}") from exc
+        if written != len(record):
+            raise BlockStoreError(
+                f"{self.name}: short write of block {index} to {self._path}")
         self.bytes_spilled += len(block) * ENTRY_BYTES
         self._blocks[index] = None
-
-    def _block_path(self, index: int) -> str:
-        return os.path.join(self._spill_dir, f"{self.name}.{index}.blk")
 
     # -- reading side -------------------------------------------------------
 
@@ -184,20 +199,19 @@ class BlockStore:
             out[index] = exc
 
     def _load_spilled(self, index: int) -> array.array:
-        path = self._block_path(index)
+        size = self._record_bytes
         try:
-            with open(path, "rb") as fh:
-                magic, stored = _HEADER.unpack(fh.read(_HEADER.size))
-                payload = fh.read()
-        except (OSError, struct.error) as exc:
+            record = os.pread(self._fd, size, index * size)
+        except OSError as exc:
             raise BlockStoreError(
-                f"{self.name}: cannot read block {index}: {exc}") from exc
+                f"{self.name}: cannot read block {index} at {self._path}: {exc}") from exc
+        if len(record) != size:  # only full blocks spill
+            raise BlockStoreError(f"{self.name}: truncated block {index} at {self._path}")
+        magic, stored = _HEADER.unpack_from(record)
         if magic != _BLOCK_MAGIC or stored != index:
-            raise BlockStoreError(f"{self.name}: corrupt block {index} at {path}")
-        if len(payload) != self.block_entries * ENTRY_BYTES:  # only full blocks spill
-            raise BlockStoreError(f"{self.name}: truncated block {index} at {path}")
+            raise BlockStoreError(f"{self.name}: corrupt block {index} at {self._path}")
         block = array.array(self.typecode)
-        block.frombytes(payload)
+        block.frombytes(memoryview(record)[_HEADER.size:])
         if sys.byteorder == "big":
             block.byteswap()
         return block

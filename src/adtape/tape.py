@@ -66,9 +66,11 @@ class TapeStats:
 class Tape:
     """Single-writer recording tape; immutable once finalized.
 
-    Under ``budget_blocks`` each stream spills only full blocks, into its own
-    ``adtape-<stream>-*`` directory under ``spill_dir`` (the system temp dir
-    when none is given); the directory is removed along with the tape.
+    Under ``budget_blocks`` each stream spills only full blocks, as
+    fixed-size records in its own ``adtape-<stream>-*.blk`` file under
+    ``spill_dir`` (the system temp dir when none is given).  A spilling
+    stream holds one descriptor on its file until the tape is freed; then the
+    file is removed.
     """
 
     def __init__(self, mode: str = DAG,

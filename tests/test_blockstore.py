@@ -1,4 +1,6 @@
 import gc
+import os
+import re
 import tempfile
 
 import pytest
@@ -106,6 +108,10 @@ def test_append_after_seal_rejected(tmp_path):
         store.append([1])
 
 
+def record_bytes(store):
+    return 16 + store.block_entries * ENTRY_BYTES
+
+
 @pytest.mark.parametrize("prefetch,damage", [
     (False, "header"), (True, "header"), (False, "truncated"), (True, "truncated"),
 ], ids=["False", "True", "truncated-False", "truncated-True"])
@@ -113,13 +119,16 @@ def test_corrupt_block_detected(tmp_path, prefetch, damage):
     store = make_store(tmp_path, block_entries=4, budget_blocks=1)
     store.append(range(12))
     store.seal()
-    (victim,) = tmp_path.glob("*/s.0.blk")
+    (victim,) = tmp_path.glob("adtape-s-*.blk")
     blob = victim.read_bytes()
     if damage == "header":
         victim.write_bytes(b"garbage!" + blob[8:])
+        expected = "block 0"
     else:
+        # in one file only the last spilled record can be cut short
         victim.write_bytes(blob[:-ENTRY_BYTES])
-    with pytest.raises(BlockStoreError, match="block 0"):
+        expected = "block 1"
+    with pytest.raises(BlockStoreError, match=expected):
         list(store.reverse_iter(prefetch=prefetch))
 
 
@@ -128,10 +137,55 @@ def test_missing_block_detected(tmp_path, prefetch):
     store = make_store(tmp_path, block_entries=4, budget_blocks=1)
     store.append(range(12))
     store.seal()
-    (victim,) = tmp_path.glob("*/s.1.blk")
-    victim.unlink()
+    (victim,) = tmp_path.glob("adtape-s-*.blk")
+    os.truncate(victim, record_bytes(store))
     with pytest.raises(BlockStoreError, match="block 1"):
         list(store.reverse_iter(prefetch=prefetch))
+
+
+def test_spill_file_holds_one_record_per_spilled_block(tmp_path):
+    store = make_store(tmp_path, block_entries=8, budget_blocks=2)
+    store.append(range(83))
+    store.seal()
+    (spill_file,) = tmp_path.glob("adtape-s-*.blk")
+    spilled_blocks = store.bytes_spilled // (ENTRY_BYTES * store.block_entries)
+    assert spilled_blocks == 9  # 11 blocks, the newest 2 resident
+    assert spill_file.stat().st_size == spilled_blocks * record_bytes(store)
+
+
+def test_interleaved_reverse_iters_share_the_spill_file(tmp_path):
+    store = make_store(tmp_path, block_entries=8, budget_blocks=1)
+    data = list(range(200))
+    store.append(data)
+    store.seal()
+    pairs = list(zip(store.reverse_iter(), store.reverse_iter(prefetch=True)))
+    assert pairs == [(x, x) for x in data[::-1]]
+
+
+def test_spill_dir_that_is_a_file_raises_blockstore_error(tmp_path):
+    not_a_dir = tmp_path / "spill"
+    not_a_dir.write_bytes(b"")
+    store = make_store(tmp_path, spill_dir=str(not_a_dir), block_entries=4,
+                       budget_blocks=1)
+    with pytest.raises(BlockStoreError, match=f"s: .*{re.escape(str(not_a_dir))}"):
+        store.append(range(12))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="needs /proc/self/fd to count open descriptors")
+def test_dropped_tapes_close_their_spill_files(tmp_path):
+    problem = IntroExample(length=6)
+    spill = dict(block_entries=4, budget_blocks=1, spill_dir=str(tmp_path))
+    gc.collect()
+    before = len(os.listdir("/proc/self/fd"))
+    for k in range(50):
+        tape = record_problem(problem, [0.5 + k / 100], mode=DAG, **spill)
+        assert tape.store_stats()["s"]["bytes_spilled"] > 0
+        propagate_flat(tape, [1.0])
+        del tape
+    gc.collect()
+    assert len(os.listdir("/proc/self/fd")) == before
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_tapes_sharing_a_spill_dir_keep_their_own_blocks(tmp_path):
@@ -146,14 +200,14 @@ def test_tapes_sharing_a_spill_dir_keep_their_own_blocks(tmp_path):
 
 
 @pytest.mark.parametrize("given_dir", [True, False])
-def test_dropped_store_removes_its_spill_dir(tmp_path, monkeypatch, given_dir):
+def test_dropped_store_removes_its_spill_file(tmp_path, monkeypatch, given_dir):
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     spill = tmp_path / "spill"
     store = BlockStore("q", name="s", block_entries=4, budget_blocks=1,
                        spill_dir=str(spill) if given_dir else None)
     store.append(range(12))
     store.seal()
-    assert len(list(tmp_path.glob("**/s.0.blk"))) == 1
+    assert len(list(tmp_path.glob("**/adtape-s-*.blk"))) == 1
     del store
     gc.collect()
     if given_dir:
