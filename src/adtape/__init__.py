@@ -11,16 +11,15 @@ from .metrics import MemoryReport, account, build_report, emit_report
 from .problems import PROBLEMS, StabilityError, fd_oracle
 from .scalar import (ActiveScalar, Recorder, declare_lvalue, record_problem,
                      run_passive, value_of)
-from .tape import (DAG, DCG, FRESH_LVALUE, REMAINDER, Elemental, Tape,
-                   TapeError, TapeStats, new_tape)
+from .tape import DAG, DCG, REMAINDER, Elemental, Tape, TapeError, TapeStats
 
 __all__ = [
     "ActiveScalar", "BlockStore", "BlockStoreError", "DAG", "DCG",
-    "Elemental", "FRESH_LVALUE", "MemoryReport", "PROBLEMS", "REMAINDER",
+    "Elemental", "MemoryReport", "PROBLEMS", "REMAINDER",
     "Recorder", "SeedError", "SlotCollisionError", "StabilityError",
     "Tape", "TapeError", "TapeStats", "account", "adjoint_slot_count",
     "build_report", "declare_lvalue", "emit_report", "fd_oracle",
-    "gradient_check", "new_tape", "propagate", "propagate_bandwidth",
+    "gradient_check", "propagate", "propagate_bandwidth",
     "propagate_flat", "propagate_lvalue", "record_problem", "run_passive",
     "value_of", "FLAT", "BANDWIDTH", "LVALUE", "STRATEGIES",
 ]

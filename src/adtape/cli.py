@@ -7,6 +7,7 @@ import sys
 import time
 
 from . import metrics, problems, tapefile
+from .blockstore import BlockStoreError
 from .dot import to_dot
 from .interpret import (BANDWIDTH, FLAT, LVALUE, STRATEGIES, STRATEGY_MODE,
                         gradient_check, propagate)
@@ -87,27 +88,27 @@ def make_problem(args, name: str) -> problems.Problem:
     """Problem ``name`` at the sizes given on the command line."""
     kwargs = {}
     if name == "intro":
-        if args.length:
+        if args.length is not None:
             kwargs["length"] = args.length
     elif name == "bs_mc":
-        if args.paths:
+        if args.paths is not None:
             kwargs["paths"] = args.paths
-        if args.steps:
+        if args.steps is not None:
             kwargs["steps"] = args.steps
         if args.seed is not None:
             kwargs["seed"] = args.seed
     elif name == "bs_fd":
-        if args.grid:
+        if args.grid is not None:
             kwargs["ns"], kwargs["nt"] = args.grid
     elif name == "burgers":
-        if args.nx:
+        if args.nx is not None:
             kwargs["nx"] = args.nx
-        if args.nt:
+        if args.nt is not None:
             kwargs["nt"] = args.nt
     elif name == "libor_mc":
-        if args.rates:
+        if args.rates is not None:
             kwargs["rates"] = args.rates
-        if args.paths:
+        if args.paths is not None:
             kwargs["paths"] = args.paths
         if args.seed is not None:
             kwargs["seed"] = args.seed
@@ -116,9 +117,9 @@ def make_problem(args, name: str) -> problems.Problem:
 
 def store_config(args) -> dict:
     cfg = {}
-    if args.block_entries:
+    if args.block_entries is not None:
         cfg["block_entries"] = args.block_entries
-    if args.budget_blocks:
+    if args.budget_blocks is not None:
         cfg["budget_blocks"] = args.budget_blocks
     if args.spill_dir:
         cfg["spill_dir"] = args.spill_dir
@@ -254,7 +255,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.verb](args)
-    except (TapeError, StabilityError, ValueError, OSError) as exc:
+    except (TapeError, BlockStoreError, StabilityError, ValueError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,6 +7,12 @@ across overwrites, assignments record copy elementals), or with no tape at
 all, in which case everything degrades to plain Python floats.  The primal
 value sequence is identical in all three cases.
 
+Each overloaded operation computes its primal value and local partials
+inline and records one elemental: its predecessors are the active operands
+in operand order, and its result is a fresh remainder vertex.  Only
+``Recorder.assign`` on a DCG tape writes an existing L-value.  An operation
+with no active operand records nothing and returns the plain value.
+
 Comparison operators act on primal values and return plain booleans, so
 control flow is frozen per recording.
 """
@@ -39,28 +45,29 @@ class ActiveScalar:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        return _binary(self, other, lambda a, b: a + b, lambda a, b: (1.0, 1.0))
+        return _binary(self, other, self.value + value_of(other), 1.0, 1.0)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return _binary(self, other, lambda a, b: a - b, lambda a, b: (1.0, -1.0))
+        return _binary(self, other, self.value - value_of(other), 1.0, -1.0)
 
     def __rsub__(self, other):
-        return _binary(other, self, lambda a, b: a - b, lambda a, b: (1.0, -1.0))
+        return _binary(other, self, value_of(other) - self.value, 1.0, -1.0)
 
     def __mul__(self, other):
-        return _binary(self, other, lambda a, b: a * b, lambda a, b: (b, a))
+        a, b = self.value, value_of(other)
+        return _binary(self, other, a * b, b, a)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return _binary(self, other, lambda a, b: a / b,
-                       lambda a, b: (1.0 / b, -a / (b * b)))
+        a, b = self.value, value_of(other)
+        return _binary(self, other, a / b, 1.0 / b, -a / (b * b))
 
     def __rtruediv__(self, other):
-        return _binary(other, self, lambda a, b: a / b,
-                       lambda a, b: (1.0 / b, -a / (b * b)))
+        a, b = value_of(other), self.value
+        return _binary(other, self, a / b, 1.0 / b, -a / (b * b))
 
     def __neg__(self):
         return _unary(self, -self.value, -1.0)
@@ -95,28 +102,22 @@ def _is_active(x) -> bool:
     return isinstance(x, ActiveScalar) and x.active
 
 
-def _tape_of(a, b) -> Tape:
-    ta = a.tape if _is_active(a) else None
-    tb = b.tape if _is_active(b) else None
-    if ta is not None and tb is not None and ta is not tb:
-        raise TapeError("operands belong to different tapes")
-    return ta or tb
-
-
-def _binary(a, b, fval, fpart) -> "ActiveScalar | float":
-    av, bv = value_of(a), value_of(b)
-    tape = _tape_of(a, b)
-    v = fval(av, bv)
+def _binary(a, b, v, da, db) -> "ActiveScalar | float":
+    """Record ``v = a op b`` with partials ``da``, ``db`` onto the tape of
+    its active operands, or return ``v`` if neither is active."""
+    tape = None
+    preds = []
+    if isinstance(a, ActiveScalar) and a.active:
+        tape = a.tape
+        preds.append((a.vertex, da))
+    if isinstance(b, ActiveScalar) and b.active:
+        if tape is not None and b.tape is not tape:
+            raise TapeError("operands belong to different tapes")
+        tape = b.tape
+        preds.append((b.vertex, db))
     if tape is None:
         return v
-    da, db = fpart(av, bv)
-    preds = []
-    if _is_active(a):
-        preds.append((a.vertex, da))
-    if _is_active(b):
-        preds.append((b.vertex, db))
-    rid = tape.record(preds)
-    return ActiveScalar(tape, v, rid)
+    return ActiveScalar(tape, v, tape.record(preds))
 
 
 def _unary(a, v, partial) -> "ActiveScalar | float":
@@ -166,13 +167,6 @@ def pow_const(x, c: float):
     return _unary(x, v ** c, c * v ** (c - 1.0))
 
 
-def input(tape: Tape, value: float) -> ActiveScalar:  # noqa: A001 - domain term
-    """Register a differentiated input on the tape."""
-    vid = tape.register_input()
-    return ActiveScalar(tape, float(value), vid,
-                        is_lvalue=(tape.mode == DCG), active=True)
-
-
 def declare_lvalue(tape: Tape, initial: float = 0.0) -> ActiveScalar:
     """Allocate a dedicated L-value id on a DCG tape; passive until the
     first assignment."""
@@ -198,9 +192,12 @@ class Recorder:
         return self.tape.mode if self.tape is not None else None
 
     def input(self, value: float):
+        """Register a differentiated input on the tape (a plain float
+        without one)."""
         if self.tape is None:
             return float(value)
-        return input(self.tape, value)
+        return ActiveScalar(self.tape, float(value), self.tape.register_input(),
+                            is_lvalue=(self.tape.mode == DCG))
 
     def lvalue(self, initial: float = 0.0):
         if self.tape is not None and self.tape.mode == DCG:

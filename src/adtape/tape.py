@@ -32,9 +32,8 @@ from .blockstore import DEFAULT_BLOCK_ENTRIES, BlockStore
 DAG = "dag"
 DCG = "dcg"
 
-#: result kinds accepted by Tape.record besides an explicit L-value id
+#: result kind of Tape.record for a fresh non-L-value vertex
 REMAINDER = "remainder"
-FRESH_LVALUE = "fresh_lvalue"
 
 
 class TapeError(Exception):
@@ -146,23 +145,20 @@ class Tape:
         """Record one elemental; returns the result vertex id.
 
         ``preds`` is the (vertex, partial) list in operand order; duplicate
-        operands are merged with summed partials.  ``result`` is REMAINDER,
-        FRESH_LVALUE (DCG only) or an existing negative L-value id (DCG
-        only).  An empty ``preds`` records a zero-arity overwrite whose
+        operands are merged with summed partials, in first-seen order.
+        ``result`` is ``REMAINDER`` (the next DAG vertex or DCG remainder
+        id) or an existing L-value id ``-k`` (DCG only), which the elemental
+        overwrites.  An empty ``preds`` records a zero-arity overwrite whose
         reverse action only zeroes the result's adjoint slot.
         """
         self._require_recording()
-        order: list[int] = []
         partials: dict[int, float] = {}
         for vid, part in preds:
             if not math.isfinite(part):
                 raise TapeError(f"non-finite partial {part!r} for vertex {vid}")
             self._check_known(vid)
-            if vid in partials:
-                partials[vid] += part
-            else:
-                partials[vid] = part
-                order.append(vid)
+            # not .get(vid, 0.0) + part: that turns a first -0.0 into 0.0
+            partials[vid] = partials[vid] + part if vid in partials else part
 
         if result == REMAINDER:
             if self.mode == DAG:
@@ -171,32 +167,26 @@ class Tape:
             else:
                 rid = self._next_remainder
                 self._next_remainder += 1
-        elif result == FRESH_LVALUE:
-            if self.mode == DAG:
-                rid = None
-            else:
-                self.p_l += 1
-                rid = -self.p_l
         elif isinstance(result, int) and result < 0:
-            rid = result if self.mode == DCG and -result <= self.p_l else None
+            if self.mode != DCG or -result > self.p_l:
+                raise TapeError(f"L-value result {result!r} not allowed on this tape")
+            rid = result
         else:
             raise TapeError(f"bad result kind {result!r}")
-        if rid is None:
-            raise TapeError(f"L-value result {result!r} not allowed on this tape")
 
         if self.mode == DAG:
-            for vid in order:
+            for vid in partials:
                 if rid - vid > self.beta:
                     self.beta = rid - vid
         elif rid >= 0:
-            for vid in order:
+            for vid in partials:
                 if vid >= 0 and rid - vid > self.beta_r:
                     self.beta_r = rid - vid
 
-        self._s.append(order + [len(order), rid])
-        self._d.append(partials[v] for v in order)
+        self._s.append([*partials, len(partials), rid])
+        self._d.append(partials.values())
         self.q += 1
-        self.edge_count += len(order)
+        self.edge_count += len(partials)
         return rid
 
     def register_output(self, vid: int) -> None:
@@ -325,7 +315,3 @@ class Tape:
     def _require_finalized(self) -> None:
         if not self.finalized:
             raise TapeError("tape is not finalized")
-
-
-def new_tape(mode: str = DAG, **store_config) -> Tape:
-    return Tape(mode, **store_config)

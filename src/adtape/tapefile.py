@@ -78,6 +78,9 @@ def load(path: str, **store_config) -> Tape:
         di -= count
     if si != n:
         raise TapeError(f"{path}: structure stream does not start with {n} inputs")
+    inputs = range(n) if mode == DAG else range(-1, -n - 1, -1)
+    if s[:n] != list(inputs):
+        raise TapeError(f"{path}: input ids are not {inputs[0]}..{inputs[-1]}")
     records.reverse()
 
     tape = Tape(mode, **store_config)

@@ -16,7 +16,7 @@ from adtape import (
     FLAT,
     LVALUE,
     SlotCollisionError,
-    new_tape,
+    Tape,
     propagate,
     propagate_bandwidth,
     propagate_flat,
@@ -239,7 +239,7 @@ def test_criterion_10_property_suite():
             assert all(abs(a - b) <= 1e-12 * max(1.0, abs(a), abs(b))
                        for a, b in zip(grads[0], other))
 
-    t = new_tape(DAG)
+    t = Tape(DAG)
     ids = [t.register_input()]
     for _ in range(4):
         ids.append(t.record([(ids[-1], 1.0)]))

@@ -95,6 +95,29 @@ def test_dump_all_problems_rejected(capsys):
     assert err.startswith("error:") and "'all'" in err
 
 
+@pytest.mark.parametrize("option", ["--budget-blocks", "--block-entries"])
+def test_bad_store_option_exits_2(capsys, option):
+    code, out, err = run_cli(capsys, "run", "--problem", "intro", option, "-1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and option[2:].replace("-", "_") in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--problem", "intro", "--budget-blocks", "0"),
+    ("--problem", "intro", "--block-entries", "0"),
+    ("--problem", "intro", "--length", "0"),
+    ("--problem", "bs_mc", "--paths", "0"),
+    ("--problem", "bs_mc", "--steps", "0"),
+    ("--problem", "burgers", "--nx", "0"),
+    ("--problem", "libor_mc", "--rates", "0"),
+    ("--problem", "libor_mc", "--paths", "0"),
+])
+def test_explicit_zero_option_rejected(capsys, argv):
+    code, out, err = run_cli(capsys, "run", *argv, "--strategy", "flat")
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
 def test_unstable_grid_exits_nonzero(capsys):
     code, _, err = run_cli(capsys, "run", "--problem", "bs_fd",
                            "--grid", "101x10")

@@ -8,10 +8,10 @@ from adtape import (
     LVALUE,
     SeedError,
     SlotCollisionError,
+    Tape,
     TapeError,
     adjoint_slot_count,
     gradient_check,
-    new_tape,
     propagate,
     propagate_bandwidth,
     propagate_flat,
@@ -83,7 +83,7 @@ def test_strategies_agree_exactly(intro_dag, intro_dcg):
 
 
 def test_product_rule():
-    t = new_tape(DAG)
+    t = Tape(DAG)
     x, y = t.register_input(), t.register_input()
     r = t.record([(x, 5.0), (y, 3.0)])  # z = x * y at (3, 5)
     t.register_output(r)
@@ -93,7 +93,7 @@ def test_product_rule():
 
 
 def test_pure_copy_tape_slot_count():
-    t = new_tape(DCG)
+    t = Tape(DCG)
     x = t.register_input()
     y = t.declare_lvalue()
     t.record([(x, 1.0)], result=y)
@@ -125,7 +125,7 @@ def test_strategy_mode_mismatch(intro_dag, intro_dcg):
 
 
 def test_seed_collision_on_two_outputs():
-    t = new_tape(DAG)
+    t = Tape(DAG)
     x = t.register_input()
     a = t.record([(x, 1.0)])
     b = t.record([(a, 1.0)])
@@ -139,7 +139,7 @@ def test_seed_collision_on_two_outputs():
 
 
 def test_result_clobbering_live_output_detected():
-    t = new_tape(DAG)
+    t = Tape(DAG)
     x = t.register_input()
     ids = [x]
     for _ in range(4):
@@ -155,7 +155,7 @@ def test_result_clobbering_live_output_detected():
 def test_lvalue_outputs_read_and_reassigned():
     # y = 2x; z = 3y; z = 5x: y is read after its last assignment and z is
     # assigned twice, and neither is a slot collision
-    t = new_tape(DCG)
+    t = Tape(DCG)
     x = t.register_input()
     y, z = t.declare_lvalue(), t.declare_lvalue()
     t.record([(x, 2.0)], result=y)

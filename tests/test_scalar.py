@@ -36,18 +36,24 @@ def test_input_vertices():
 
 
 @pytest.mark.parametrize("op,expected_partials", [
-    (lambda a, b: a + b, (1.0, 1.0)),
-    (lambda a, b: a - b, (1.0, -1.0)),
-    (lambda a, b: a * b, (5.0, 3.0)),
-    (lambda a, b: a / b, (1.0 / 5.0, -3.0 / 25.0)),
+    (lambda a, b: a + b, [(0, 1.0), (1, 1.0)]),
+    (lambda a, b: a - b, [(0, 1.0), (1, -1.0)]),
+    (lambda a, b: a * b, [(0, 5.0), (1, 3.0)]),
+    (lambda a, b: a / b, [(0, 1.0 / 5.0), (1, -3.0 / 25.0)]),
+    # passive left operand: the reflected operators of b
+    (lambda a, b: 2.0 + b, [(1, 1.0)]),
+    (lambda a, b: 2.0 - b, [(1, -1.0)]),
+    (lambda a, b: 2.0 * b, [(1, 2.0)]),
+    (lambda a, b: 2.0 / b, [(1, -2.0 / 25.0)]),
 ])
 def test_binary_partials(op, expected_partials):
     ctx = dag_ctx()
     a, b = ctx.input(3.0), ctx.input(5.0)
-    op(a, b)
-    preds, partials, _ = last_record(ctx.tape)
-    assert preds == [0, 1]
-    assert partials == pytest.approx(list(expected_partials))
+    r = op(a, b)
+    preds, partials, result = last_record(ctx.tape)
+    assert list(zip(preds, partials)) == expected_partials
+    assert result == r.vertex == 2
+    assert r.value == op(3.0, 5.0)
 
 
 def test_square_merges_to_single_edge():

@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from adtape import (DAG, DCG, FRESH_LVALUE, STRATEGIES, Tape, TapeError,
-                    new_tape, propagate, record_problem)
+from adtape import (DAG, DCG, STRATEGIES, Tape, TapeError, propagate,
+                    record_problem)
 from adtape.dot import to_dot
 from adtape.interpret import STRATEGY_MODE
 from adtape.problems import IntroExample
@@ -26,28 +26,28 @@ def intro_dcg():
 
 
 def test_new_tape_empty_state():
-    t = new_tape(DAG)
+    t = Tape(DAG)
     assert t.s_len == 0 and t.d_len == 0 and t.n == 0 and not t.finalized
-    t2 = new_tape(DCG)
+    t2 = Tape(DCG)
     assert t2.p_l == 0 and t2.beta_r == 0
 
 
 def test_new_tapes_are_independent():
-    a, b = new_tape(DAG), new_tape(DAG)
+    a, b = Tape(DAG), Tape(DAG)
     a.register_input()
     assert b.n == 0 and b.s_len == 0
 
 
 def test_register_input_ids():
-    t = new_tape(DAG)
+    t = Tape(DAG)
     assert [t.register_input() for _ in range(3)] == [0, 1, 2]
     assert t.s_len == 3
-    t2 = new_tape(DCG)
+    t2 = Tape(DCG)
     assert [t2.register_input() for _ in range(2)] == [-1, -2]
 
 
 def test_input_after_elemental_rejected():
-    t = new_tape(DAG)
+    t = Tape(DAG)
     t.register_input()
     t.record([(0, 1.0)])
     with pytest.raises(TapeError, match="before the first elemental"):
@@ -57,14 +57,14 @@ def test_input_after_elemental_rejected():
 def test_input_after_lvalue_rejected():
     # DCG inputs must be the L-values -1..-n, the slots the gradient is
     # harvested from
-    t = new_tape(DCG)
+    t = Tape(DCG)
     t.declare_lvalue()
     with pytest.raises(TapeError, match="before the first elemental or L-value"):
         t.register_input()
 
 
 def test_record_appends_operands_count_result():
-    t = new_tape(DAG)
+    t = Tape(DAG)
     t.register_input()
     rid = t.record([(0, COS1)])
     assert rid == 1
@@ -76,7 +76,7 @@ def test_record_appends_operands_count_result():
 
 
 def test_duplicate_operands_merged():
-    t = new_tape(DAG)
+    t = Tape(DAG)
     t.register_input()
     rid = t.record([(0, 0.75), (0, 0.5)])
     t.register_output(rid)
@@ -86,8 +86,20 @@ def test_duplicate_operands_merged():
     assert d == [1.25]
 
 
+def test_first_negative_zero_partial_kept():
+    t = Tape(DAG)
+    t.register_input()
+    t.register_input()
+    rid = t.record([(0, -0.0), (1, 2.0), (0, -0.0)])
+    t.register_output(rid)
+    t.finalize()
+    s, d = t.dump()
+    assert s == [0, 1, 0, 1, 2, 2]
+    assert d == [0.0, 2.0] and math.copysign(1.0, d[0]) == -1.0
+
+
 def test_zero_arity_record():
-    t = new_tape(DCG)
+    t = Tape(DCG)
     t.register_input()
     lv = t.declare_lvalue()
     t.record([], result=lv)
@@ -99,37 +111,28 @@ def test_zero_arity_record():
 
 
 def test_unknown_pred_rejected():
-    t = new_tape(DAG)
+    t = Tape(DAG)
     t.register_input()
     with pytest.raises(TapeError, match="unknown vertex"):
         t.record([(5, 1.0)])
 
 
 def test_non_finite_partial_rejected():
-    t = new_tape(DAG)
+    t = Tape(DAG)
     t.register_input()
     with pytest.raises(TapeError, match="non-finite"):
         t.record([(0, float("nan"))])
 
 
 def test_lvalue_results_rejected_on_dag():
-    t = new_tape(DAG)
+    t = Tape(DAG)
     t.register_input()
-    with pytest.raises(TapeError):
-        t.record([(0, 1.0)], result=FRESH_LVALUE)
     with pytest.raises(TapeError):
         t.record([(0, 1.0)], result=-1)
 
 
-def test_fresh_lvalue_allocation():
-    t = new_tape(DCG)
-    t.register_input()
-    rid = t.record([(-1, 1.0)], result=FRESH_LVALUE)
-    assert rid == -2 and t.p_l == 2
-
-
 def test_remainder_output_rejected_on_dcg():
-    t = new_tape(DCG)
+    t = Tape(DCG)
     t.register_input()
     rid = t.record([(-1, 1.0)])
     assert rid == 0
@@ -138,7 +141,7 @@ def test_remainder_output_rejected_on_dcg():
 
 
 def test_duplicate_output_rejected():
-    t = new_tape(DAG)
+    t = Tape(DAG)
     t.register_input()
     t.register_output(0)
     with pytest.raises(TapeError, match="already registered"):
@@ -146,20 +149,20 @@ def test_duplicate_output_rejected():
 
 
 def test_finalize_requires_outputs():
-    t = new_tape(DAG)
+    t = Tape(DAG)
     t.register_input()
     with pytest.raises(TapeError, match="without outputs"):
         t.finalize()
 
 
 def test_dump_requires_finalize():
-    t = new_tape(DAG)
+    t = Tape(DAG)
     with pytest.raises(TapeError, match="not finalized"):
         t.dump()
 
 
 def test_record_after_finalize_rejected():
-    t = new_tape(DAG)
+    t = Tape(DAG)
     t.register_input()
     t.register_output(0)
     t.finalize()
@@ -201,7 +204,7 @@ def test_intro_dcg_visit_sequence(intro_dcg):
 
 
 def test_single_copy_dcg_tape():
-    t = new_tape(DCG)
+    t = Tape(DCG)
     x = t.register_input()
     y = t.declare_lvalue()
     t.record([(x, 1.0)], result=y)
@@ -264,7 +267,7 @@ def test_parse_matches_reference(intro_dcg):
 
 @pytest.mark.parametrize("mode", [DAG, DCG])
 def test_tape_without_elementals(tmp_path, mode):
-    t = new_tape(mode)
+    t = Tape(mode)
     inputs = [t.register_input() for _ in range(2)]
     t.register_output(inputs[1])
     t.finalize()

@@ -2,7 +2,8 @@ import struct
 
 import pytest
 
-from adtape import DAG, DCG, TapeError, propagate_flat, propagate_lvalue, record_problem
+from adtape import (DAG, DCG, Tape, TapeError, propagate_flat, propagate_lvalue,
+                    record_problem)
 from adtape.rng import Xorshift
 from adtape.tapefile import MAGIC, save, load
 from adtape.problems import IntroExample
@@ -50,8 +51,7 @@ def test_load_into_spilling_store(tmp_path):
 
 
 def test_save_requires_finalized(tmp_path):
-    from adtape import new_tape
-    t = new_tape(DAG)
+    t = Tape(DAG)
     with pytest.raises(TapeError, match="finalized"):
         save(t, str(tmp_path / "t.adtp"))
 
@@ -101,3 +101,17 @@ def test_malformed_stream_rejected(tmp_path):
     p.write_bytes(bytes(blob))
     with pytest.raises(TapeError, match="malformed"):
         load(str(p))
+
+
+@pytest.mark.parametrize("mode", [DAG, DCG])
+def test_bad_input_ids_rejected(tmp_path, mode):
+    tape = record_problem(IntroExample(), [1.0], mode=mode)
+    p = tmp_path / "t.adtp"
+    save(tape, str(p))
+    blob = bytearray(p.read_bytes())
+    first_s = len(blob) - (tape.s_len + tape.d_len) * 8
+    blob[first_s:first_s + 8] = struct.pack("<q", 12345)
+    p.write_bytes(bytes(blob))
+    with pytest.raises(TapeError, match="input ids") as excinfo:
+        load(str(p))
+    assert str(p) in str(excinfo.value)
