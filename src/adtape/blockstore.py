@@ -173,12 +173,21 @@ class BlockStore:
             yield from reversed(block)
 
     def __iter__(self):
+        for block in self._sealed_blocks():
+            yield from block
+
+    def le_blocks(self):
+        """Yield every block, oldest first, as little-endian bytes."""
+        for block in self._sealed_blocks():
+            yield self._to_le_bytes(block)
+
+    def _sealed_blocks(self):
         if not self._sealed:
             raise BlockStoreError(f"{self.name}: iteration before seal")
         for i in range(len(self._blocks)):
             block = self._fetch(i)
             self._note_peak(extra_blocks=1)
-            yield from block
+            yield block
 
     def tolist(self) -> list:
         return list(self)

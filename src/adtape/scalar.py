@@ -61,13 +61,17 @@ class ActiveScalar:
 
     __rmul__ = __mul__
 
+    # the divisor's partial is -v / b from the quotient v: -a / (b * b)
+    # divides by zero once b * b underflows, though v is finite
     def __truediv__(self, other):
-        a, b = self.value, value_of(other)
-        return _binary(self, other, a / b, 1.0 / b, -a / (b * b))
+        b = value_of(other)
+        v = self.value / b
+        return _binary(self, other, v, 1.0 / b, -v / b)
 
     def __rtruediv__(self, other):
-        a, b = value_of(other), self.value
-        return _binary(other, self, a / b, 1.0 / b, -a / (b * b))
+        b = self.value
+        v = value_of(other) / b
+        return _binary(other, self, v, 1.0 / b, -v / b)
 
     def __neg__(self):
         return _unary(self, -self.value, -1.0)
@@ -164,7 +168,11 @@ def pow_const(x, c: float):
     v = value_of(x)
     if v <= 0.0 and c != int(c):
         raise ValueError(f"pow of non-positive value {v} with non-integer exponent {c}")
-    return _unary(x, v ** c, c * v ** (c - 1.0))
+    p = v ** c
+    # from the power: c * v ** (c - 1.0) raises OverflowError where the
+    # partial is only unrepresentable; this way it is inf, which the tape
+    # rejects.  At v == 0 (integer c >= 0 here) the partial is 1 for c == 1.
+    return _unary(x, p, c * (p / v) if v else float(c == 1.0))
 
 
 def declare_lvalue(tape: Tape, initial: float = 0.0) -> ActiveScalar:

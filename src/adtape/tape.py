@@ -234,12 +234,40 @@ class Tape:
             d_len=self.d_len,
         )
 
+    @classmethod
+    def _adopt(cls, stats: TapeStats, s: BlockStore, d: BlockStore,
+               outputs: list[int], prefetch: bool = False) -> "Tape":
+        """A finalized tape over sealed streams ``s`` and ``d`` whose
+        ``stats`` and ``outputs`` the caller derived from them and checked
+        (``tapefile.load``); nothing is recorded."""
+        tape = cls(stats.mode, prefetch=prefetch)
+        tape._s, tape._d = s, d
+        tape.n = stats.num_inputs
+        tape.q = stats.num_elementals
+        tape.edge_count = stats.num_edges
+        tape.beta, tape.beta_r, tape.p_l = stats.beta, stats.beta_r, stats.p_l
+        if stats.mode == DAG:
+            tape._next_ssa = stats.num_vertices
+        else:
+            tape._next_remainder = stats.num_remainder
+        tape.outputs = list(outputs)
+        tape._output_set = set(outputs)
+        tape.finalized = True
+        return tape
+
     # -- reading ------------------------------------------------------------
 
     def dump(self) -> tuple[list[int], list[float]]:
         """Exact stream contents, for golden tests and the CLI."""
         self._require_finalized()
         return self._s.tolist(), self._d.tolist()
+
+    def stream_bytes(self) -> Iterator[bytes]:
+        """The ``s`` stream, then the ``d`` stream, as little-endian bytes,
+        one block at a time."""
+        self._require_finalized()
+        yield from self._s.le_blocks()
+        yield from self._d.le_blocks()
 
     def reverse_elementals(self, prefetch: bool | None = None
                            ) -> Iterator[tuple[int, tuple[tuple[int, float], ...]]]:

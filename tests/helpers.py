@@ -9,7 +9,24 @@ from __future__ import annotations
 
 from adtape import DAG, DCG, Recorder, Tape
 from adtape import scalar as ops
+from adtape.problems import (BlackScholesFD, BlackScholesMC, Burgers,
+                             IntroExample, LiborMC)
 from adtape.rng import Xorshift
+
+#: every problem at a size small enough to record many times per test run
+SMALL_PROBLEMS = {
+    "intro": lambda: IntroExample(length=4),
+    "bs_mc": lambda: BlackScholesMC(steps=3, paths=4),
+    "bs_fd": lambda: BlackScholesFD(ns=8, nt=40),
+    "burgers": lambda: Burgers(nx=6, nt=8),
+    "libor_mc": lambda: LiborMC(rates=5, maturity=2, paths=3),
+}
+
+#: tape store configurations: in memory, and spilling all but one block
+STORES = {
+    "inmem": {},
+    "spilled": {"block_entries": 64, "budget_blocks": 1},
+}
 
 
 def reference_parse(s, d, n, q):

@@ -1,25 +1,34 @@
+import math
+import operator
 import os
+import struct
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from adtape import (
     DAG,
     DCG,
+    Recorder,
+    Tape,
+    TapeError,
     gradient_check,
+    propagate,
     propagate_bandwidth,
     propagate_flat,
     propagate_lvalue,
     record_problem,
     run_passive,
 )
+from adtape import scalar as ops
 from adtape.blockstore import BlockStore
+from adtape.interpret import STRATEGY_MODE
 from adtape.rng import Xorshift
 from adtape.tapefile import load, save
 
-from helpers import RandomProgram, random_dag_tape
+from helpers import SMALL_PROBLEMS, STORES, RandomProgram, random_dag_tape
 
 RTOL = 1e-12
 
@@ -65,16 +74,57 @@ def test_random_programs_primal_is_mode_independent(seed):
     assert run_passive(prog, x) == base  # deterministic replays
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(min_value=0, max_value=2 ** 32))
-def test_random_tapes_round_trip_through_file(seed):
-    tape = random_dag_tape(Xorshift(seed))
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "t.adtp")
-        save(tape, path)
-        back = load(path)
+def spill_to(store, where):
+    return dict(store, spill_dir=where) if store else {}
+
+
+def assert_round_trip(tape, tmp, store):
+    """Saved and loaded into ``store``, ``tape`` comes back with the same
+    streams, statistics and outputs, and bitwise the same gradient under
+    every strategy of its mode."""
+    path = os.path.join(tmp, "t.adtp")
+    save(tape, path)
+    back = load(path, **spill_to(store, os.path.join(tmp, "loaded")))
     assert back.dump() == tape.dump()
     assert back.stats() == tape.stats()
+    assert back.outputs == tape.outputs
+    seed = [1.0 + 0.25 * i for i in range(tape.m)]
+    for strategy, mode in STRATEGY_MODE.items():
+        if mode == tape.mode:
+            assert (bits(propagate(back, seed, strategy))
+                    == bits(propagate(tape, seed, strategy)))
+
+
+def bits(values):
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32), st.sampled_from(sorted(STORES)))
+def test_random_tapes_round_trip_through_file(seed, store):
+    with tempfile.TemporaryDirectory() as tmp:
+        tape = random_dag_tape(Xorshift(seed), **spill_to(STORES[store], tmp))
+        assert_round_trip(tape, tmp, STORES[store])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32), st.sampled_from(sorted(STORES)))
+def test_random_dcg_programs_round_trip_through_file(seed, store):
+    prog = RandomProgram(seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        tape = record_problem(prog, prog.default_point(), mode=DCG,
+                              **spill_to(STORES[store], tmp))
+        assert_round_trip(tape, tmp, STORES[store])
+
+
+@pytest.mark.parametrize("store", sorted(STORES))
+@pytest.mark.parametrize("mode", [DAG, DCG])
+@pytest.mark.parametrize("name", sorted(SMALL_PROBLEMS))
+def test_problem_tapes_round_trip_through_file(name, mode, store, tmp_path):
+    problem = SMALL_PROBLEMS[name]()
+    tape = record_problem(problem, problem.default_point(), mode=mode,
+                          **spill_to(STORES[store], str(tmp_path)))
+    assert_round_trip(tape, str(tmp_path), STORES[store])
 
 
 @settings(max_examples=30, deadline=None)
@@ -138,3 +188,64 @@ def test_spilled_sweep_is_bitwise_identical(seed):
         tight = record_problem(prog, x, mode=DAG, block_entries=8,
                                budget_blocks=1, spill_dir=tmp)
         assert propagate_flat(tight, [1.0]) == propagate_flat(plain, [1.0])
+
+
+DOUBLES = st.floats(allow_nan=False, allow_infinity=False)
+BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+          "truediv": operator.truediv}
+#: name -> (the overloaded elemental, the plain float operation)
+UNARY = {"sin": (ops.sin, math.sin), "cos": (ops.cos, math.cos),
+         "exp": (ops.exp, math.exp), "ln": (ops.ln, math.log),
+         "sqrt": (ops.sqrt, math.sqrt)}
+
+
+def records_as_passive(fn, plain, args, active):
+    """Run ``fn`` on ``args``, the ones flagged in ``active`` as tape
+    inputs.  Wherever ``plain`` gives a finite float, recording gives the
+    same value (with finite partials: ``Tape.record`` raises ``TapeError``
+    on any other), or raises the ``ValueError`` that ``fn`` raises on the
+    same argument without a tape (a domain error, such as ``sqrt(0)``).
+    No bare arithmetic exception escapes."""
+    try:
+        expected = plain(*args)
+    except (ArithmeticError, ValueError):
+        expected = None
+    assume(isinstance(expected, float) and math.isfinite(expected))
+    ctx = Recorder(Tape(DAG))
+    operands = [ctx.input(a) if on else a for a, on in zip(args, active)]
+    try:
+        result = fn(*operands)
+    except TapeError as exc:
+        assert "non-finite partial" in str(exc)
+        return
+    except ValueError:
+        with pytest.raises(ValueError):
+            fn(*args)
+        return
+    assert ctx.tape.q == 1
+    assert repr(float(result)) == repr(expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(BINARY)), DOUBLES, DOUBLES,
+       st.sampled_from([(True, True), (True, False), (False, True)]))
+@example("truediv", 1e-200, 1e-170, (True, False))  # b * b underflows
+def test_binary_elementals_record_where_passive_succeeds(name, a, b, active):
+    # (False, True) runs the reflected operator of a passive left operand
+    records_as_passive(BINARY[name], BINARY[name], (a, b), active)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(UNARY)), DOUBLES)
+def test_unary_elementals_record_where_passive_succeeds(name, x):
+    records_as_passive(*UNARY[name], (x,), (True,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(DOUBLES, st.one_of(st.floats(min_value=-8.0, max_value=8.0),
+                          st.integers(min_value=-8, max_value=8).map(float)))
+@example(1e-200, -1.0)  # v ** (c - 1) overflows, the partial is inf
+@example(0.0, 0.0)
+def test_pow_const_records_where_passive_succeeds(x, c):
+    records_as_passive(lambda v: ops.pow_const(v, c), lambda v: v ** c,
+                       (x,), (True,))

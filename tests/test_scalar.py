@@ -92,6 +92,39 @@ def test_pow_const():
     assert partials[0] == pytest.approx(12.0)
 
 
+def test_pow_const_at_zero():
+    for c, partial in ((0.0, 0.0), (1.0, 1.0), (2.0, 0.0)):
+        ctx = dag_ctx()
+        r = ops.pow_const(ctx.input(0.0), c)
+        assert r.value == 0.0 ** c
+        assert last_record(ctx.tape)[1] == [partial]
+
+
+def test_division_by_tiny_divisor_records():
+    # b * b underflows for |b| below about 1.5e-162; the quotient does not
+    ctx = dag_ctx()
+    x = ctx.input(1e-200)
+    r = x / 1e-170
+    preds, partials, _ = last_record(ctx.tape)
+    assert r.value == 1e-200 / 1e-170
+    assert preds == [0] and partials == [1.0 / 1e-170]
+    ctx = dag_ctx()
+    y = ctx.input(1e-170)
+    r = 1e-200 / y
+    assert r.value == 1e-200 / 1e-170
+    assert last_record(ctx.tape)[1] == [-(1e-200 / 1e-170) / 1e-170]
+
+
+@pytest.mark.parametrize("op", [lambda x: 1.0 / x,
+                                lambda x: ops.pow_const(x, -1.0)],
+                         ids=["rtruediv", "pow_const"])
+def test_unrepresentable_partial_is_tape_error(op):
+    # the quotient 1e200 is finite, its partial -1e400 is not
+    ctx = dag_ctx()
+    with pytest.raises(TapeError, match="non-finite partial"):
+        op(ctx.input(1e-200))
+
+
 def test_neg_partial():
     ctx = dag_ctx()
     a = ctx.input(2.0)

@@ -1,7 +1,12 @@
+import math
+import os
 import struct
+import subprocess
+import sys
 
 import pytest
 
+import adtape
 from adtape import (DAG, DCG, Tape, TapeError, propagate_flat, propagate_lvalue,
                     record_problem)
 from adtape.rng import Xorshift
@@ -9,6 +14,9 @@ from adtape.tapefile import MAGIC, save, load
 from adtape.problems import IntroExample
 
 from helpers import random_dag_tape
+
+#: offset of d_len in the header: magic, version, mode, n, m, q, s_len
+_HEADER_D_LEN = struct.calcsize("<4sIBQQQQ")
 
 
 def round_trip(tape, path):
@@ -115,3 +123,166 @@ def test_bad_input_ids_rejected(tmp_path, mode):
     with pytest.raises(TapeError, match="input ids") as excinfo:
         load(str(p))
     assert str(p) in str(excinfo.value)
+
+
+def write_raw(path, mode, inputs, records, outputs, partial=0.5):
+    """A version-1 tape file holding exactly the given records, each an
+    (operands, result) pair with ``partial`` on every operand."""
+    s, d = list(inputs), []
+    for ops, result in records:
+        s += [*ops, len(ops), result]
+        d += [partial] * len(ops)
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<4sIBQQQQQ", MAGIC, 1, 0 if mode == DAG else 1,
+                             len(inputs), len(outputs), len(records),
+                             len(s), len(d)))
+        fh.write(struct.pack(f"<{len(outputs)}q", *outputs))
+        fh.write(struct.pack(f"<{len(s)}q", *s))
+        fh.write(struct.pack(f"<{len(d)}d", *d))
+
+
+@pytest.mark.parametrize("mode,inputs,records,outputs", [
+    (DAG, [0], [([0], 1), ([0, 1], 2)], [2]),
+    (DCG, [-1], [([-1], 0), ([0], -2), ([-2, 0], 1), ([1], -2)], [-2]),
+    (DCG, [-1], [([], -2), ([-1], -3)], [-3]),
+], ids=["dag", "dcg", "dcg-no-remainder"])
+def test_hand_written_tape_loads(tmp_path, mode, inputs, records, outputs):
+    p = tmp_path / "t.adtp"
+    write_raw(p, mode, inputs, records, outputs)
+    tape = load(str(p))
+    assert tape.q == len(records) and tape.outputs == outputs
+
+
+# (mode, records, outputs, message) on one input: 0 (DAG) or -1 (DCG)
+REJECTED = {
+    "dag-operand-at-result": (DAG, [([1], 1)], [1], "does not follow"),
+    "dag-operand-after-result": (DAG, [([2], 1), ([0], 2)], [2],
+                                 "does not follow"),
+    "dag-skipped-result": (DAG, [([0], 2)], [2], "has result 2, not 1"),
+    "dag-repeated-result": (DAG, [([0], 1), ([1], 1)], [1],
+                            "has result 1, not 2"),
+    "dag-lvalue-result": (DAG, [([0], -1)], [0], "L-value result -1"),
+    "dag-duplicate-operand": (DAG, [([0, 0], 1)], [1], "repeats an operand"),
+    "dcg-skipped-result": (DCG, [([-1], 0), ([0], 2), ([2], -1)], [-1],
+                           "has result 0, not 1"),
+    "dcg-repeated-result": (DCG, [([-1], 0), ([-1], 0), ([0], -1)], [-1],
+                            "has result 0, not -1"),
+    "dcg-first-result-not-0": (DCG, [([-1], 1), ([1], -1)], [-1],
+                               "start at 1"),
+    "dcg-operand-at-result": (DCG, [([0], 0), ([0], -1)], [-1],
+                              "vertex 0 is read before"),
+    "dcg-operand-before-lvalue-result": (
+        DCG, [([-1], 0), ([1], -2), ([-2], 1)], [-2], "vertex 1 is read before"),
+    "dcg-operand-in-trailing-lvalue-results": (
+        DCG, [([-1], 0), ([1], -2), ([-2], -3)], [-3], "vertex 1 is read before"),
+    "dcg-operand-without-remainder": (DCG, [([0], -2)], [-2],
+                                      "vertex 0 is read before"),
+    "dcg-duplicate-operand": (DCG, [([-1, -1], 0), ([0], -1)], [-1],
+                              "repeats an operand"),
+    "dcg-remainder-output": (DCG, [([-1], 0)], [0], "output 0 is not"),
+    "dag-unknown-output": (DAG, [([0], 1)], [2], "output 2 is not"),
+    "duplicate-output": (DAG, [([0], 1)], [1, 1], "registered twice"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED))
+def test_stream_invariant_violations_rejected(tmp_path, case):
+    mode, records, outputs, message = REJECTED[case]
+    p = tmp_path / "t.adtp"
+    write_raw(p, mode, [0] if mode == DAG else [-1], records, outputs)
+    with pytest.raises(TapeError, match=message) as excinfo:
+        load(str(p))
+    assert str(p) in str(excinfo.value)
+
+
+@pytest.mark.parametrize("mode", [DAG, DCG])
+@pytest.mark.parametrize("partial", [math.inf, -math.inf, math.nan])
+def test_non_finite_partial_rejected(tmp_path, mode, partial):
+    p = tmp_path / "t.adtp"
+    inputs, records, outputs = (([0], [([0], 1)], [1]) if mode == DAG
+                                else ([-1], [([-1], -1)], [-1]))
+    write_raw(p, mode, inputs, records, outputs, partial=partial)
+    with pytest.raises(TapeError, match="non-finite partial") as excinfo:
+        load(str(p))
+    assert str(p) in str(excinfo.value)
+
+
+def test_partials_without_elemental_rejected(tmp_path):
+    tape = record_problem(IntroExample(), [1.0], mode=DAG)
+    p = tmp_path / "t.adtp"
+    save(tape, str(p))
+    blob = bytearray(p.read_bytes())
+    blob[_HEADER_D_LEN:_HEADER_D_LEN + 8] = struct.pack("<Q", tape.d_len + 1)
+    p.write_bytes(bytes(blob) + struct.pack("<d", 0.5))
+    with pytest.raises(TapeError, match="1 partials belong to no elemental"):
+        load(str(p))
+
+
+def test_load_never_records(tmp_path, monkeypatch):
+    tape = record_problem(IntroExample(), [1.0], mode=DCG)
+    p = tmp_path / "t.adtp"
+    save(tape, str(p))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("load replayed a record")
+
+    monkeypatch.setattr(Tape, "record", refuse)
+    monkeypatch.setattr(Tape, "register_input", refuse)
+    back = load(str(p))
+    assert back.dump() == tape.dump() and back.stats() == tape.stats()
+
+
+def test_loaded_tape_spills_like_the_recorded_one(tmp_path):
+    store = {"block_entries": 16, "budget_blocks": 1}
+    tape = record_problem(IntroExample(length=20), [0.7], mode=DCG,
+                          spill_dir=str(tmp_path / "rec"), **store)
+    recorded = {k: dict(v) for k, v in tape.store_stats().items()}
+    save(tape, str(tmp_path / "t.adtp"))
+    back = load(str(tmp_path / "t.adtp"), spill_dir=str(tmp_path / "load"),
+                **store)
+    bound = (store["budget_blocks"] + 2) * store["block_entries"] * 8
+    for name, stats in back.store_stats().items():
+        assert stats["blocks_written"] == recorded[name]["blocks_written"]
+        assert stats["bytes_spilled"] == recorded[name]["bytes_spilled"] > 0
+        assert stats["peak_resident_bytes"] <= bound
+
+
+RSS_CHILD = """
+import os, resource, sys
+from adtape import DCG, record_problem
+from adtape.problems import BlackScholesMC
+from adtape.tapefile import load, save
+
+paths, tmp = int(sys.argv[1]), sys.argv[2]
+store = dict(block_entries=4096, budget_blocks=1, spill_dir=tmp)
+problem = BlackScholesMC(paths=paths)
+tape = record_problem(problem, problem.default_point(), mode=DCG, **store)
+path = os.path.join(tmp, "t.adtp")
+save(tape, path)
+back = load(path, **store)
+assert back.stats() == tape.stats()
+print(tape.s_len * 8, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def peak_rss_of_round_trip(paths, tmp_path):
+    """(s-stream bytes, peak RSS bytes) of a child process that records a
+    spilled BlackScholesMC DCG tape, saves it and loads it back."""
+    src = os.path.dirname(os.path.dirname(adtape.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    work = tmp_path / f"paths-{paths}"
+    work.mkdir()
+    out = subprocess.run([sys.executable, "-c", RSS_CHILD, str(paths), str(work)],
+                         env=env, capture_output=True, text=True, check=True)
+    s_bytes, max_rss = map(int, out.stdout.split())
+    # ru_maxrss is in KiB on Linux and in bytes on macOS
+    return s_bytes, max_rss if sys.platform == "darwin" else max_rss * 1024
+
+
+def test_save_and_load_stay_out_of_core(tmp_path):
+    """Peak RSS of record, save and load grows by less than one stream's
+    bytes when the tape grows 10x, so neither direction holds a stream."""
+    _, small = peak_rss_of_round_trip(200, tmp_path)
+    s_bytes, large = peak_rss_of_round_trip(2000, tmp_path)
+    assert large - small < s_bytes, (large - small, s_bytes)
