@@ -9,6 +9,14 @@ the newest block stays resident.  During the reverse sweep blocks are loaded
 back on demand, newest first, optionally with a single background prefetch of
 the next-older block.
 
+Appending extends the open block and nothing more, unless the open block
+fills; only then are full blocks pushed (and maybe spilled).
+``peak_resident_bytes`` is noted just before each push and at seal, not on
+every append: resident entries only grow between pushes, so those notes give
+the same maximum as noting after every append would (until seal, the open
+block's growth since the last push is not counted yet).  While reading, each
+fetched block (and a prefetched one) counts on top of the resident ones.
+
 On its first spill a store creates one ``adtape-<stream>-*.blk`` file, under
 ``spill_dir`` when one is given and under the system temp dir otherwise.
 Block ``i`` is the fixed-size record at offset ``i * (16 + 8 * block_entries)``:
@@ -73,8 +81,8 @@ class BlockStore:
         self._fd: int | None = None  # this store's own spill file, made on first spill
         self._path: str | None = None
         self._blocks: list[array.array | None] = []  # None once spilled
-        self._current = array.array(typecode)
-        self._length = 0
+        self._current = array.array(typecode)  # the open block
+        self._pushed = 0  # entries in pushed blocks, spilled or resident
         self._sealed = False
         self._first_resident = 0  # oldest block still in memory
         self.blocks_written = 0
@@ -83,7 +91,7 @@ class BlockStore:
         self.peak_resident_bytes = 0
 
     def __len__(self) -> int:
-        return self._length
+        return self._pushed + len(self._current)
 
     # -- recording side -----------------------------------------------------
 
@@ -93,16 +101,20 @@ class BlockStore:
         cur = self._current
         before = len(cur)
         cur.extend(entries)
-        self._length += len(cur) - before
         be = self.block_entries
-        while len(cur) >= be:
-            self._push_block(cur[:be])
-            del cur[:be]
-        self._note_peak(extra_blocks=0)
+        if len(cur) >= be:
+            # resident entries only grow between pushes, so the state before
+            # this append is the largest since the last push (seal notes the
+            # state after the last one)
+            self._note_peak(before - len(cur))
+            while len(cur) >= be:
+                self._push_block(cur[:be])
+                del cur[:be]
 
     def seal(self) -> None:
         if self._sealed:
             return
+        self._note_peak()
         if len(self._current):
             self._push_block(self._current)
             self._current = array.array(self.typecode)
@@ -110,6 +122,7 @@ class BlockStore:
 
     def _push_block(self, block: array.array) -> None:
         self._blocks.append(block)
+        self._pushed += len(block)
         self.blocks_written += 1
         # one block came in, so at most the oldest resident one goes out
         if (self.budget_blocks is not None
@@ -169,7 +182,7 @@ class BlockStore:
                                           args=(pending_idx, pending),
                                           daemon=True)
                 thread.start()
-            self._note_peak(extra_blocks=1 + (1 if thread is not None else 0))
+            self._note_peak((2 if thread is not None else 1) * self.block_entries)
             yield from reversed(block)
 
     def __iter__(self):
@@ -186,7 +199,7 @@ class BlockStore:
             raise BlockStoreError(f"{self.name}: iteration before seal")
         for i in range(len(self._blocks)):
             block = self._fetch(i)
-            self._note_peak(extra_blocks=1)
+            self._note_peak(self.block_entries)
             yield block
 
     def tolist(self) -> list:
@@ -236,11 +249,10 @@ class BlockStore:
         }
 
     def resident_entries(self) -> int:
-        return self._length - self.bytes_spilled // ENTRY_BYTES
+        return len(self) - self.bytes_spilled // ENTRY_BYTES
 
-    def _note_peak(self, extra_blocks: int) -> None:
-        resident = self.resident_entries() + extra_blocks * self.block_entries
-        nbytes = resident * ENTRY_BYTES
+    def _note_peak(self, extra_entries: int = 0) -> None:
+        nbytes = (self.resident_entries() + extra_entries) * ENTRY_BYTES
         if nbytes > self.peak_resident_bytes:
             self.peak_resident_bytes = nbytes
 

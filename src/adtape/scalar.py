@@ -109,26 +109,22 @@ def _is_active(x) -> bool:
 def _binary(a, b, v, da, db) -> "ActiveScalar | float":
     """Record ``v = a op b`` with partials ``da``, ``db`` onto the tape of
     its active operands, or return ``v`` if neither is active."""
-    tape = None
-    preds = []
     if isinstance(a, ActiveScalar) and a.active:
         tape = a.tape
-        preds.append((a.vertex, da))
+        if isinstance(b, ActiveScalar) and b.active:
+            if b.tape is not tape:
+                raise TapeError("operands belong to different tapes")
+            return ActiveScalar(tape, v, tape.record_binary(a.vertex, da, b.vertex, db))
+        return ActiveScalar(tape, v, tape.record_unary(a.vertex, da))
     if isinstance(b, ActiveScalar) and b.active:
-        if tape is not None and b.tape is not tape:
-            raise TapeError("operands belong to different tapes")
-        tape = b.tape
-        preds.append((b.vertex, db))
-    if tape is None:
-        return v
-    return ActiveScalar(tape, v, tape.record(preds))
+        return ActiveScalar(b.tape, v, b.tape.record_unary(b.vertex, db))
+    return v
 
 
 def _unary(a, v, partial) -> "ActiveScalar | float":
     if not _is_active(a):
         return v
-    rid = a.tape.record([(a.vertex, partial)])
-    return ActiveScalar(a.tape, v, rid)
+    return ActiveScalar(a.tape, v, a.tape.record_unary(a.vertex, partial))
 
 
 # -- elemental math functions, generic over active/passive scalars ----------
@@ -224,7 +220,7 @@ class Recorder:
         if _is_active(rhs):
             if rhs.tape is not self.tape:
                 raise TapeError("operands belong to different tapes")
-            self.tape.record([(rhs.vertex, 1.0)], result=lhs.vertex)
+            self.tape.record_unary(rhs.vertex, 1.0, lhs.vertex)
             lhs.value = rhs.value
             lhs.active = True
         else:

@@ -23,8 +23,8 @@ Two recording modes exist:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from math import isfinite
 from typing import Iterable, Iterator, NamedTuple
 
 from .blockstore import DEFAULT_BLOCK_ENTRIES, BlockStore
@@ -69,7 +69,14 @@ class Tape:
     fixed-size records in its own ``adtape-<stream>-*.blk`` file under
     ``spill_dir`` (the system temp dir when none is given).  A spilling
     stream holds one descriptor on its file until the tape is freed; then the
-    file is removed.
+    file is removed.  Each stream notes its ``peak_resident_bytes`` just
+    before it pushes full blocks and at seal, not on every record.
+
+    ``record`` takes any operand list, merges repeated operands and can
+    overwrite an L-value; overloading records through ``record_unary`` and
+    ``record_binary``.  All three end in one append core, which checks the
+    operands and partials, numbers the result and writes both streams, so
+    they lay out the same record the same way.
     """
 
     def __init__(self, mode: str = DAG,
@@ -151,42 +158,72 @@ class Tape:
         overwrites.  An empty ``preds`` records a zero-arity overwrite whose
         reverse action only zeroes the result's adjoint slot.
         """
-        self._require_recording()
         partials: dict[int, float] = {}
         for vid, part in preds:
-            if not math.isfinite(part):
-                raise TapeError(f"non-finite partial {part!r} for vertex {vid}")
-            self._check_known(vid)
             # not .get(vid, 0.0) + part: that turns a first -0.0 into 0.0
             partials[vid] = partials[vid] + part if vid in partials else part
-
         if result == REMAINDER:
-            if self.mode == DAG:
-                rid = self._next_ssa
-                self._next_ssa += 1
-            else:
-                rid = self._next_remainder
-                self._next_remainder += 1
-        elif isinstance(result, int) and result < 0:
-            if self.mode != DCG or -result > self.p_l:
-                raise TapeError(f"L-value result {result!r} not allowed on this tape")
-            rid = result
-        else:
+            result = None
+        elif not (isinstance(result, int) and result < 0):
             raise TapeError(f"bad result kind {result!r}")
+        return self._append(tuple(partials), tuple(partials.values()), result)
 
+    def record_unary(self, a: int, da: float, result: int | None = None) -> int:
+        """Record ``result = f(a)`` with partial ``da``; ``result`` is None
+        for a fresh vertex or an existing L-value id ``-k`` (DCG only)."""
+        return self._append((a,), (da,), result)
+
+    def record_binary(self, a: int, da: float, b: int, db: float) -> int:
+        """Record a fresh vertex ``f(a, b)`` with partials ``da``, ``db``;
+        ``a == b`` is one operand with partial ``da + db``."""
+        if a == b:
+            return self._append((a,), (da + db,), None)
+        return self._append((a, b), (da, db), None)
+
+    def _append(self, vids: tuple, parts: tuple, result: int | None) -> int:
+        """The one append core: check the distinct operands ``vids`` and
+        their partials, number the result (None for a fresh vertex), and
+        write the record to both streams."""
+        if self.finalized:
+            raise TapeError("tape is finalized")
+        for part in parts:
+            if not isfinite(part):
+                # index finds part by identity, so a nan too
+                vid = vids[parts.index(part)]
+                raise TapeError(f"non-finite partial {part!r} for vertex {vid}")
         if self.mode == DAG:
-            for vid in partials:
+            hi = self._next_ssa
+            for vid in vids:
+                if not 0 <= vid < hi:
+                    self._check_known(vid)
+            if result is not None:
+                raise TapeError(f"L-value result {result!r} not allowed on this tape")
+            rid = hi
+            self._next_ssa = rid + 1
+            for vid in vids:
                 if rid - vid > self.beta:
                     self.beta = rid - vid
-        elif rid >= 0:
-            for vid in partials:
-                if vid >= 0 and rid - vid > self.beta_r:
-                    self.beta_r = rid - vid
+        else:
+            lo, hi = -self.p_l, self._next_remainder
+            for vid in vids:
+                if not lo <= vid < hi:
+                    self._check_known(vid)
+            if result is None:
+                rid = hi
+                self._next_remainder = rid + 1
+                for vid in vids:
+                    if vid >= 0 and rid - vid > self.beta_r:
+                        self.beta_r = rid - vid
+            elif 0 < -result <= self.p_l:
+                rid = result
+            else:
+                raise TapeError(f"L-value result {result!r} not allowed on this tape")
 
-        self._s.append([*partials, len(partials), rid])
-        self._d.append(partials.values())
+        n = len(vids)
+        self._s.append((*vids, n, rid))
+        self._d.append(parts)
         self.q += 1
-        self.edge_count += len(partials)
+        self.edge_count += n
         return rid
 
     def register_output(self, vid: int) -> None:

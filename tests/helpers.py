@@ -22,10 +22,12 @@ SMALL_PROBLEMS = {
     "libor_mc": lambda: LiborMC(rates=5, maturity=2, paths=3),
 }
 
-#: tape store configurations: in memory, and spilling all but one block
+#: tape store configurations: in memory, spilling all but one block, and
+#: blocks so small that one record's entries can fill more than one
 STORES = {
     "inmem": {},
     "spilled": {"block_entries": 64, "budget_blocks": 1},
+    "tiny": {"block_entries": 3, "budget_blocks": 1},
 }
 
 

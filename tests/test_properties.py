@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from adtape import (
     DAG,
     DCG,
+    REMAINDER,
     Recorder,
     Tape,
     TapeError,
@@ -156,6 +157,8 @@ def test_blockstore_reverse_is_reversal(data, block_entries, budget):
        st.integers(min_value=1, max_value=16),
        st.one_of(st.none(), st.integers(min_value=1, max_value=3)),
        st.booleans())
+# the peak stands just before the append that fills a block and spills one
+@example(chunks=[4, 3, 3], block_entries=4, budget=1, prefetch=False)
 def test_blockstore_counts_match_census(chunks, block_entries, budget, prefetch):
     def resident_census():
         return (sum(len(b) for b in store._blocks if b is not None)
@@ -164,18 +167,55 @@ def test_blockstore_counts_match_census(chunks, block_entries, budget, prefetch)
     with tempfile.TemporaryDirectory() as tmp:
         store = BlockStore("q", name="s", block_entries=block_entries,
                            budget_blocks=budget, spill_dir=tmp)
-        total = 0
+        total = peak = 0
         for size in chunks:
             # odd sizes arrive as a generator, even ones as a list
             store.append(iter(range(size)) if size % 2 else list(range(size)))
             total += size
             assert len(store) == total
             assert store.resident_entries() == resident_census()
+            peak = max(peak, resident_census())
         store.seal()
         assert store.resident_entries() == resident_census()
+        # noted per pushed block and at seal, the peak is still the
+        # maximum over every append
+        assert store.peak_resident_bytes == 8 * peak
         assert sum(1 for _ in store.reverse_iter(prefetch=prefetch)) == total
         assert len(store) == total
         assert store.resident_entries() == resident_census()
+
+
+def replay_through_record(tape, **cfg):
+    """A fresh tape with the inputs and declared L-values of ``tape`` and
+    every elemental of ``tape.parse()`` recorded through ``Tape.record``."""
+    fresh = Tape(tape.mode, **cfg)
+    for _ in tape.inputs:
+        fresh.register_input()
+    for _ in range(tape.p_l - tape.n if tape.mode == DCG else 0):
+        fresh.declare_lvalue()
+    for elem in tape.parse()[1]:
+        result = elem.result if elem.result < 0 else REMAINDER
+        assert fresh.record(elem.preds, result=result) == elem.result
+    for vid in tape.outputs:
+        fresh.register_output(vid)
+    fresh.finalize()
+    return fresh
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32), st.sampled_from([DAG, DCG]),
+       st.sampled_from(sorted(STORES)))
+def test_overloading_and_generic_record_write_one_tape(seed, mode, store):
+    """The arity-1/2 records of overloading and the generic ``record``
+    share one append core, so they lay out the same bytes."""
+    prog = RandomProgram(seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = spill_to(STORES[store], tmp)
+        tape = record_problem(prog, prog.default_point(), mode=mode, **cfg)
+        fresh = replay_through_record(tape, **cfg)
+        (s, d), (fs, fd) = tape.dump(), fresh.dump()
+        assert fs == s and bits(fd) == bits(d)
+        assert fresh.stats() == tape.stats()
 
 
 @settings(max_examples=25, deadline=None)

@@ -4,7 +4,7 @@ import pytest
 
 from adtape import DAG, DCG, Recorder, Tape, TapeError
 from adtape import scalar as ops
-from adtape.scalar import declare_lvalue
+from adtape.scalar import ActiveScalar, declare_lvalue
 
 
 def dag_ctx():
@@ -164,6 +164,45 @@ def test_cross_tape_mix_rejected():
     b = dag_ctx().input(2.0)
     with pytest.raises(TapeError, match="different tapes"):
         a + b
+
+
+#: overloaded operations that record, called as op(ctx, lvalue, x, y)
+OVERLOADED = {
+    "mul": lambda ctx, u, x, y: x * y,
+    "mul_right": lambda ctx, u, x, y: y * x,
+    "square": lambda ctx, u, x, y: x * x,
+    "sin": lambda ctx, u, x, y: ops.sin(x),
+    "assign": lambda ctx, u, x, y: ctx.assign(u, x),  # the DCG copy
+}
+GUARDED = [(mode, op) for mode in (DAG, DCG) for op in OVERLOADED
+           if op != "assign" or mode == DCG]
+
+
+def guarded_setup(mode):
+    ctx = Recorder(Tape(mode))
+    x, y = ctx.input(1.0), ctx.input(2.0)
+    return ctx, ctx.lvalue(), x, y
+
+
+@pytest.mark.parametrize("mode,op", GUARDED)
+def test_overloaded_record_on_finalized_tape_rejected(mode, op):
+    ctx, u, x, y = guarded_setup(mode)
+    ctx.output(x)
+    ctx.tape.finalize()
+    with pytest.raises(TapeError, match="finalized"):
+        OVERLOADED[op](ctx, u, x, y)
+
+
+@pytest.mark.parametrize("vertex", [99, -99])
+@pytest.mark.parametrize("mode,op", GUARDED)
+def test_overloaded_record_of_unknown_vertex_rejected(mode, op, vertex):
+    ctx, u, x, y = guarded_setup(mode)
+    tape = ctx.tape
+    before = (tape.q, tape.s_len, tape.d_len)
+    ghost = ActiveScalar(tape, 1.0, vertex)
+    with pytest.raises(TapeError, match="unknown"):
+        OVERLOADED[op](ctx, u, ghost, y)
+    assert (tape.q, tape.s_len, tape.d_len) == before
 
 
 def test_comparisons_use_primal_values():

@@ -124,6 +124,27 @@ def test_non_finite_partial_rejected():
         t.record([(0, float("nan"))])
 
 
+def test_merged_partial_that_overflows_rejected():
+    # each partial is finite, their sum over the repeated operand is not
+    t = Tape(DAG)
+    t.register_input()
+    with pytest.raises(TapeError, match="non-finite partial inf"):
+        t.record([(0, 1e308), (0, 1e308)])
+    with pytest.raises(TapeError, match="non-finite partial inf"):
+        t.record_binary(0, 1e308, 0, 1e308)
+    assert t.q == 0 and t.s_len == 1
+
+
+@pytest.mark.parametrize("result", [0, 1, -3])
+def test_unary_result_must_be_a_declared_lvalue(result):
+    t = Tape(DCG)
+    x = t.register_input()
+    t.declare_lvalue()
+    with pytest.raises(TapeError, match="not allowed"):
+        t.record_unary(x, 1.0, result)
+    assert t.q == 0
+
+
 def test_lvalue_results_rejected_on_dag():
     t = Tape(DAG)
     t.register_input()
