@@ -17,6 +17,12 @@ the same maximum as noting after every append would (until seal, the open
 block's growth since the last push is not counted yet).  While reading, each
 fetched block (and a prefetched one) counts on top of the resident ones.
 
+Two block generators carry all read accounting: ``reverse_blocks`` (newest
+first, with the optional prefetch) and ``_sealed_blocks`` (oldest first).
+Each counts ``blocks_read`` and notes the peak once per block.  The per-entry
+iterators, ``reverse_iter`` and ``iter(store)``, chain over their blocks with
+``itertools.chain``, so no Python frame is resumed per entry.
+
 On its first spill a store creates one ``adtape-<stream>-*.blk`` file, under
 ``spill_dir`` when one is given and under the system temp dir otherwise.
 Block ``i`` is the fixed-size record at offset ``i * (16 + 8 * block_entries)``:
@@ -35,6 +41,7 @@ import sys
 import tempfile
 import threading
 import weakref
+from itertools import chain
 
 ENTRY_BYTES = 8
 DEFAULT_BLOCK_ENTRIES = 65536
@@ -158,7 +165,13 @@ class BlockStore:
     # -- reading side -------------------------------------------------------
 
     def reverse_iter(self, prefetch: bool = False):
-        """Yield every entry exactly once, last to first."""
+        """Iterate every entry exactly once, last to first."""
+        return chain.from_iterable(map(reversed, self.reverse_blocks(prefetch)))
+
+    def reverse_blocks(self, prefetch: bool = False):
+        """Yield every block, newest first, counting each in ``blocks_read``
+        and noting the peak as it is fetched.  With ``prefetch`` a thread
+        loads the next-older spilled block while this one is consumed."""
         if not self._sealed:
             raise BlockStoreError(f"{self.name}: reverse_iter before seal")
         nblocks = len(self._blocks)
@@ -183,11 +196,10 @@ class BlockStore:
                                           daemon=True)
                 thread.start()
             self._note_peak((2 if thread is not None else 1) * self.block_entries)
-            yield from reversed(block)
+            yield block
 
     def __iter__(self):
-        for block in self._sealed_blocks():
-            yield from block
+        return chain.from_iterable(self._sealed_blocks())
 
     def le_blocks(self):
         """Yield every block, oldest first, as little-endian bytes."""

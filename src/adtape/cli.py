@@ -230,6 +230,9 @@ def cmd_dump(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.budget_blocks is not None:
+        raise ValueError("bench sweeps its own budgets (inf, 4, 1); "
+                         "drop --budget-blocks")
     reports = []
     for name in _problem_names(args):
         problem = make_problem(args, name)

@@ -1,10 +1,12 @@
 """Back-propagation over a finalized tape: flat, bandwidth-modulo and
 dedicated-L-value strategies, plus the finite-difference gradient check.
 
-The three strategies interpret the same reverse parse of the structure and
-partials streams in one sweep, ``propagate(tape, seed, strategy)``.  They
-differ only in the pair (p_L, W) of the slot map: L-value ``-k`` lives in
-slot ``k-1`` and vertex ``v >= 0`` in slot ``p_L + v % W``.
+The three strategies share one sweep, ``propagate(tape, seed, strategy)``,
+which reads the record layout of the structure and partials streams itself,
+newest record first, through ``Tape.reverse_streams``: no object is built
+per record.  The strategies differ only in the pair (p_L, W) of the slot
+map: L-value ``-k`` lives in slot ``k-1`` and vertex ``v >= 0`` in slot
+``p_L + v % W``.
 
 * flat: (0, |V|), one slot per vertex;
 * bandwidth: (0, max(beta, n, m)), slots reused modulo the bandwidth;
@@ -82,7 +84,7 @@ def propagate(tape: Tape, seed: Sequence[float], strategy: str,
     """
     stats = tape.stats()
     p_l, width = _slot_map(stats, strategy)
-    tape._require_finalized()
+    s_next, d_next = tape.reverse_streams()
     if len(seed) != tape.m:
         raise SeedError(f"seed length {len(seed)} != {tape.m} outputs")
     vbar = [0.0] * adjoint_slot_count(stats, strategy)
@@ -95,7 +97,11 @@ def propagate(tape: Tape, seed: Sequence[float], strategy: str,
                 f"outputs {live[slot]} and {j} both seed slot {slot}")
         live[slot] = j
         vbar[slot] = ybar
-    for result, preds in tape.reverse_elementals():
+    # each record reads back as result, operand count, then the operands
+    # (from s) with their partials (from d) in reverse operand order
+    for _ in range(tape.q):
+        result = s_next()
+        count = s_next()
         slot = p_l + result % width if result >= 0 else ~result
         if live and slot in live:
             if live[slot] == result:
@@ -106,8 +112,20 @@ def propagate(tape: Tape, seed: Sequence[float], strategy: str,
                     f"{live[slot]} in slot {slot}")
         w = vbar[slot]
         vbar[slot] = 0.0
-        for i, d in preds:
-            vbar[p_l + i % width if i >= 0 else ~i] += w * d
+        # straight-line paths for the arities overloading records; the loop
+        # takes zero-arity overwrites and hand-recorded n-ary records
+        if count == 1:
+            i = s_next()
+            vbar[p_l + i % width if i >= 0 else ~i] += w * d_next()
+        elif count == 2:
+            i = s_next()
+            vbar[p_l + i % width if i >= 0 else ~i] += w * d_next()
+            i = s_next()
+            vbar[p_l + i % width if i >= 0 else ~i] += w * d_next()
+        else:
+            for _ in range(count):
+                i = s_next()
+                vbar[p_l + i % width if i >= 0 else ~i] += w * d_next()
         if on_step is not None:
             on_step(list(vbar))
     grad = [vbar[p_l + i % width if i >= 0 else ~i] for i in tape.inputs]

@@ -5,11 +5,13 @@ A tape owns two append-only streams: the structure stream ``s`` (signed
 of ``s`` is: the input vertex ids first, then for every recorded elemental
 its predecessor ids in operand order, the predecessor count, and the result
 id.  ``d`` carries one local partial derivative per predecessor entry of
-``s``, in the same order.  ``Tape.reverse_elementals`` is the one reverse
-parser of these streams: the adjoint sweep
-``interpret.propagate(tape, seed, strategy)``, ``Tape.parse`` and
-``Tape.visit_sequence`` all consume it.  The sweep puts the adjoint of
-L-value ``-k`` in slot ``k-1`` and of vertex ``v >= 0`` in slot
+``s``, in the same order.  ``Tape.reverse_streams`` opens both streams
+backwards, newest entry first.  The adjoint sweep
+``interpret.propagate(tape, seed, strategy)`` reads this record layout
+itself through it, with no object per record; ``Tape.reverse_elementals``
+turns each record into ``(result, preds)`` for ``Tape.parse``,
+``Tape.visit_sequence`` and the DOT rendering.  The sweep puts the adjoint
+of L-value ``-k`` in slot ``k-1`` and of vertex ``v >= 0`` in slot
 ``p_L + v % W``, with (p_L, W) fixed per strategy.
 
 Two recording modes exist:
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .blockstore import DEFAULT_BLOCK_ENTRIES, BlockStore
 
@@ -306,20 +308,36 @@ class Tape:
         yield from self._s.le_blocks()
         yield from self._d.le_blocks()
 
-    def reverse_elementals(self, prefetch: bool | None = None
-                           ) -> Iterator[tuple[int, tuple[tuple[int, float], ...]]]:
-        """Parse the streams backwards, yielding (result, preds).
+    def reverse_streams(self, prefetch: bool | None = None
+                        ) -> tuple[Callable[[], int], Callable[[], float]]:
+        """``(s_next, d_next)``: the ``__next__`` of a reverse iterator over
+        each stream, newest entry first (``prefetch`` defaults to
+        ``self.prefetch``).
 
-        This is the one reverse parser of a tape.  Predecessors come out in
-        reverse operand order, which is the order the adjoint sweep applies
-        them in.  The input ids at the head of ``s`` are not yielded; they
-        are ``self.inputs``.
+        Each record reads back as its result id, its operand count, then
+        that many operand ids from ``s_next`` each paired with its partial
+        from ``d_next``, in reverse operand order; the ``n`` input ids
+        remain at the end of ``s``.  The adjoint sweep and
+        ``reverse_elementals`` read the records through these two callables.
         """
         self._require_finalized()
         if prefetch is None:
             prefetch = self.prefetch
-        s_next = self._s.reverse_iter(prefetch=prefetch).__next__
-        d_next = self._d.reverse_iter(prefetch=prefetch).__next__
+        return (self._s.reverse_iter(prefetch).__next__,
+                self._d.reverse_iter(prefetch).__next__)
+
+    def reverse_elementals(self, prefetch: bool | None = None
+                           ) -> Iterator[tuple[int, tuple[tuple[int, float], ...]]]:
+        """Parse the streams backwards, yielding (result, preds).
+
+        Predecessors come out in reverse operand order, which is the order
+        the adjoint sweep applies them in.  The input ids at the head of
+        ``s`` are not yielded; they are ``self.inputs``.  ``parse``,
+        ``visit_sequence``, ``dot`` and the benchmark's per-layer drain read
+        the tape through this; the sweep reads the same records straight
+        from ``reverse_streams``.
+        """
+        s_next, d_next = self.reverse_streams(prefetch)
         for _ in range(self.q):
             result = s_next()
             count = s_next()

@@ -143,6 +143,14 @@ def test_bench_intro_budgets(capsys):
     assert names == ["intro[budget=inf]", "intro[budget=4]", "intro[budget=1]"]
 
 
+def test_bench_rejects_budget_blocks(capsys):
+    # bench chooses its budgets; a given one would silently change its rows
+    code, out, err = run_cli(capsys, "bench", "--problem", "intro",
+                             "--strategy", "flat", "--budget-blocks", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--budget-blocks" in err
+
+
 def test_run_with_spill_budget(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "run", "--problem", "intro",
                            "--block-entries", "8", "--budget-blocks", "1",

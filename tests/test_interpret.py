@@ -1,3 +1,8 @@
+import gc
+import os
+import re
+import threading
+
 import pytest
 
 from adtape import (
@@ -18,7 +23,10 @@ from adtape import (
     propagate_lvalue,
     record_problem,
 )
+from adtape.blockstore import BlockStoreError
 from adtape.problems import IntroExample
+
+from helpers import STORES, RandomProgram
 
 INTRO_GRAD = 0.4823553972640679
 
@@ -198,3 +206,84 @@ def test_gradient_check_intro():
 def test_gradient_check_reuses_supplied_tape(intro_dag):
     err = gradient_check(IntroExample(), x=[1.0], tape=intro_dag)
     assert err < 1e-9
+
+
+def spilled_chain(tmp_path, length, prefetch, outputs=(-1,), edge=None):
+    """x -> v1 -> ... -> v_length on a DAG tape of 4-entry blocks with one
+    resident, so nearly every block of both streams is on disk; ``edge``
+    ``(u, v)`` makes vertex ``v`` read vertex ``u`` too."""
+    t = Tape(DAG, block_entries=4, budget_blocks=1, spill_dir=str(tmp_path),
+             prefetch=prefetch)
+    ids = [t.register_input()]
+    for k in range(length):
+        preds = [(ids[-1], 1.0 + k / 64)]
+        if edge is not None and edge[1] == len(ids):
+            preds.append((ids[edge[0]], 0.5))
+        ids.append(t.record(preds))
+    for k in outputs:
+        t.register_output(ids[k])
+    t.finalize()
+    return t
+
+
+@pytest.mark.parametrize("prefetch", [False, True])
+@pytest.mark.parametrize("stream", ["s", "d"])
+def test_sweep_reports_corrupt_block(tmp_path, stream, prefetch):
+    tape = spilled_chain(tmp_path, 20, prefetch)
+    (victim,) = tmp_path.glob(f"adtape-{stream}-*.blk")
+    blob = victim.read_bytes()
+    victim.write_bytes(b"garbage!" + blob[8:])
+    with pytest.raises(BlockStoreError,
+                       match=re.escape(f"{stream}: corrupt block 0 at {victim}")):
+        propagate_flat(tape, [1.0])
+
+
+@pytest.mark.parametrize("prefetch", [False, True])
+@pytest.mark.parametrize("stream", ["s", "d"])
+def test_sweep_reports_missing_block(tmp_path, stream, prefetch):
+    tape = spilled_chain(tmp_path, 20, prefetch)
+    store = tape._s if stream == "s" else tape._d
+    spilled = store.bytes_spilled // (8 * store.block_entries)
+    record_bytes = 16 + 8 * store.block_entries
+    (victim,) = tmp_path.glob(f"adtape-{stream}-*.blk")
+    os.truncate(victim, (spilled - 1) * record_bytes)
+    with pytest.raises(BlockStoreError,
+                       match=re.escape(
+                           f"{stream}: truncated block {spilled - 1} at {victim}")):
+        propagate_flat(tape, [1.0])
+
+
+@pytest.mark.parametrize("prefetch", [False, True])
+def test_on_step_sees_one_copy_per_elemental_on_tiny_blocks(tmp_path, prefetch):
+    prog = RandomProgram(7)
+    x = prog.default_point()
+    tiny = record_problem(prog, x, mode=DCG, spill_dir=str(tmp_path),
+                          prefetch=prefetch, **STORES["tiny"])
+    plain = record_problem(prog, x, mode=DCG)
+    assert tiny.store_stats()["d"]["bytes_spilled"] > 0
+    seen, expected = [], []
+    grad, slots = propagate_lvalue(tiny, [1.0], on_step=seen.append,
+                                   return_slots=True)
+    assert propagate_lvalue(plain, [1.0], on_step=expected.append) == grad
+    assert len(seen) == tiny.q
+    assert seen == expected
+    assert seen[-1] == slots and seen[-1] is not slots
+    assert len({id(state) for state in seen}) == tiny.q
+
+
+@pytest.mark.parametrize("prefetch", [False, True])
+def test_collision_mid_sweep_leaves_no_reader_behind(tmp_path, prefetch):
+    # the edge 1 -> 22 makes the width max(beta, n, m) = 21, so vertex 22
+    # takes the slot of seeded output 1 halfway down the chain, while older
+    # blocks are still on disk
+    tape = spilled_chain(tmp_path, 42, prefetch, outputs=(1, -1), edge=(1, 22))
+    threads = set(threading.enumerate())
+    with pytest.raises(SlotCollisionError, match="vertex 22 clobbers"):
+        propagate_bandwidth(tape, [1.0, 1.0])
+    assert tape._s.blocks_read < tape._s.blocks_written
+    for thread in set(threading.enumerate()) - threads:
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    del tape
+    gc.collect()
+    assert list(tmp_path.iterdir()) == []

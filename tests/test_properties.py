@@ -3,6 +3,7 @@ import operator
 import os
 import struct
 import tempfile
+from collections import deque
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -25,11 +26,12 @@ from adtape import (
 )
 from adtape import scalar as ops
 from adtape.blockstore import BlockStore
-from adtape.interpret import STRATEGY_MODE
+from adtape.interpret import STRATEGY_MODE, _slot_map, adjoint_slot_count
 from adtape.rng import Xorshift
 from adtape.tapefile import load, save
 
-from helpers import SMALL_PROBLEMS, STORES, RandomProgram, random_dag_tape
+from helpers import (SMALL_PROBLEMS, STORES, RandomProgram, random_dag_tape,
+                     reference_parse)
 
 RTOL = 1e-12
 
@@ -228,6 +230,109 @@ def test_spilled_sweep_is_bitwise_identical(seed):
         tight = record_problem(prog, x, mode=DAG, block_entries=8,
                                budget_blocks=1, spill_dir=tmp)
         assert propagate_flat(tight, [1.0]) == propagate_flat(plain, [1.0])
+
+
+def reference_sweep(tape, seed, strategy):
+    """(gradient, final slots) of ``strategy`` computed from
+    ``reference_parse`` of the dumped streams: the slot map and the order of
+    the slot arithmetic of ``propagate``, none of its stream reading."""
+    p_l, width = _slot_map(tape.stats(), strategy)
+
+    def slot(v):
+        return p_l + v % width if v >= 0 else -v - 1
+
+    inputs, records = reference_parse(*tape.dump(), tape.n, tape.q)
+    vbar = [0.0] * adjoint_slot_count(tape.stats(), strategy)
+    for ybar, j in zip(seed, tape.outputs):
+        vbar[slot(j)] = ybar
+    for preds, partials, result in reversed(records):
+        w = vbar[slot(result)]
+        vbar[slot(result)] = 0.0
+        for v, d in zip(reversed(preds), reversed(partials)):
+            vbar[slot(v)] += w * d
+    return [vbar[slot(i)] for i in inputs], vbar
+
+
+def swept_blocks(store, head_entries=0):
+    """Blocks of ``store`` a sweep reads: all of them, except blocks at the
+    head of ``s`` that hold input ids only, since no record reaches them."""
+    be = store.block_entries
+    return -(-len(store) // be) - head_entries // be
+
+
+def assert_sweep_matches_reference(make_tape):
+    """Every strategy of the tape's mode sweeps ``make_tape()`` bitwise
+    like ``reference_sweep``; each sweep reads every block holding a record
+    once, and notes the same peak as plain drains of an identical tape."""
+    tape, twin = make_tape(), make_tape()
+    for store in (twin._s, twin._d):
+        deque(store.reverse_iter(twin.prefetch), maxlen=0)
+    rng = Xorshift(tape.q)
+    seed = [2.0 * rng.uniform() - 1.0 for _ in range(tape.m)]
+    swept = {}
+    for strategy, mode in STRATEGY_MODE.items():
+        if mode != tape.mode:
+            continue
+        before = tape._s.blocks_read, tape._d.blocks_read
+        swept[strategy] = propagate(tape, seed, strategy, return_slots=True)
+        assert tape._s.blocks_read - before[0] == swept_blocks(tape._s, tape.n)
+        assert tape._d.blocks_read - before[1] == swept_blocks(tape._d)
+        for mine, plain in ((tape._s, twin._s), (tape._d, twin._d)):
+            assert mine.peak_resident_bytes == plain.peak_resident_bytes
+    for strategy, (grad, slots) in swept.items():
+        ref_grad, ref_slots = reference_sweep(tape, seed, strategy)
+        assert bits(grad) == bits(ref_grad)
+        assert bits(slots) == bits(ref_slots)
+
+
+@pytest.mark.parametrize("prefetch", [False, True])
+@pytest.mark.parametrize("store", sorted(STORES))
+@pytest.mark.parametrize("source", ["random_dag", "program_dag", "program_dcg"])
+@settings(max_examples=12, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32))
+def test_sweep_matches_reference(source, store, prefetch, seed):
+    """``random_dag`` tapes hold records of arity 1 to 3 (the n-ary loop);
+    ``tiny`` blocks cut records across blocks in both streams."""
+    cfg = dict(STORES[store], prefetch=prefetch)
+    if source == "random_dag":
+        assert_sweep_matches_reference(
+            lambda: random_dag_tape(Xorshift(seed), **cfg))
+    else:
+        prog = RandomProgram(seed)
+        mode = DAG if source == "program_dag" else DCG
+        assert_sweep_matches_reference(
+            lambda: record_problem(prog, prog.default_point(), mode=mode, **cfg))
+
+
+def zero_arity_tape(mode, **cfg):
+    """Two inputs, a zero-arity record and a ternary one; on a DCG tape the
+    zero-arity record overwrites an L-value that was read before."""
+    tape = Tape(mode, **cfg)
+    x, y = tape.register_input(), tape.register_input()
+    if mode == DCG:
+        a, b = tape.declare_lvalue(), tape.declare_lvalue()
+        tape.record([(x, 2.0), (y, -0.5)], result=a)
+        tape.record([(a, 3.0)], result=b)
+        tape.record([], result=a)
+        t = tape.record([(x, 0.7), (a, 1.1), (y, -2.0)])
+        tape.record([(t, 1.5), (b, 0.25)], result=b)
+        outputs = [a, b]
+    else:
+        c = tape.record([])
+        t = tape.record([(x, 2.0), (c, 1.5), (y, 1.0)])
+        outputs = [tape.record([(t, 0.5), (x, -1.0)])]
+    for v in outputs:
+        tape.register_output(v)
+    tape.finalize()
+    return tape
+
+
+@pytest.mark.parametrize("prefetch", [False, True])
+@pytest.mark.parametrize("store", sorted(STORES))
+@pytest.mark.parametrize("mode", [DAG, DCG])
+def test_zero_arity_sweep_matches_reference(mode, store, prefetch):
+    assert_sweep_matches_reference(
+        lambda: zero_arity_tape(mode, **STORES[store], prefetch=prefetch))
 
 
 DOUBLES = st.floats(allow_nan=False, allow_infinity=False)
