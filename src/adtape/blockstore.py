@@ -9,13 +9,16 @@ the newest block stays resident.  During the reverse sweep blocks are loaded
 back on demand, newest first, optionally with a single background prefetch of
 the next-older block.
 
-Appending extends the open block and nothing more, unless the open block
-fills; only then are full blocks pushed (and maybe spilled).
-``peak_resident_bytes`` is noted just before each push and at seal, not on
-every append: resident entries only grow between pushes, so those notes give
-the same maximum as noting after every append would (until seal, the open
-block's growth since the last push is not counted yet).  While reading, each
-fetched block (and a prefetched one) counts on top of the resident ones.
+Writing has two halves.  A writer puts entries straight into ``open_block``
+(an ``array.array`` that stays the same object until seal), and only once it
+holds a full block calls ``push_full(added)``, which cuts the full blocks
+off its front and pushes them (and maybe spills).  ``append`` does both for
+a chunk of any size.  ``peak_resident_bytes`` is noted by ``push_full``,
+just before it pushes, and at seal, not on every write: resident entries
+only grow between pushes, so those notes give the same maximum as noting
+after every write would (until seal, the open block's growth since the last
+push is not counted yet).  While reading, each fetched block (and a
+prefetched one) counts on top of the resident ones.
 
 Two block generators carry all read accounting: ``reverse_blocks`` (newest
 first, with the optional prefetch) and ``_sealed_blocks`` (oldest first).
@@ -102,30 +105,50 @@ class BlockStore:
 
     # -- recording side -----------------------------------------------------
 
+    @property
+    def open_block(self) -> array.array:
+        """The array the next entries go into.  It stays the same object
+        until ``seal``, which pushes it as the last block; a writer that
+        fills it directly calls ``push_full`` once it holds a full block
+        and never writes to it after seal."""
+        return self._current
+
     def append(self, entries) -> None:
         if self._sealed:
             raise BlockStoreError(f"{self.name}: append after seal")
         cur = self._current
         before = len(cur)
         cur.extend(entries)
-        be = self.block_entries
-        if len(cur) >= be:
-            # resident entries only grow between pushes, so the state before
-            # this append is the largest since the last push (seal notes the
-            # state after the last one)
-            self._note_peak(before - len(cur))
-            while len(cur) >= be:
-                self._push_block(cur[:be])
-                del cur[:be]
+        if len(cur) >= self.block_entries:
+            self.push_full(len(cur) - before)
+
+    def push_full(self, added: int) -> None:
+        """Push every full block at the front of the open block, into which
+        the last write put ``added`` entries."""
+        if self._sealed:
+            raise BlockStoreError(f"{self.name}: push after seal")
+        # resident entries only grow between pushes, so the state before
+        # the last write is the largest since the last push (seal notes the
+        # state after the last one)
+        self._note_peak(-added)
+        cur, be = self._current, self.block_entries
+        while len(cur) >= be:
+            # cut before pushing: a failed spill must not leave the block in
+            # both the pushed list and the open block
+            block = cur[:be]
+            del cur[:be]
+            self._push_block(block)
 
     def seal(self) -> None:
         if self._sealed:
             return
+        # sealed before the push: a failed spill must not leave the pushed
+        # last block open for writing
+        self._sealed = True
         self._note_peak()
         if len(self._current):
-            self._push_block(self._current)
-            self._current = array.array(self.typecode)
-        self._sealed = True
+            block, self._current = self._current, array.array(self.typecode)
+            self._push_block(block)
 
     def _push_block(self, block: array.array) -> None:
         self._blocks.append(block)

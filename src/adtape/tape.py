@@ -76,9 +76,14 @@ class Tape:
 
     ``record`` takes any operand list, merges repeated operands and can
     overwrite an L-value; overloading records through ``record_unary`` and
-    ``record_binary``.  All three end in one append core, which checks the
-    operands and partials, numbers the result and writes both streams, so
-    they lay out the same record the same way.
+    ``record_binary``.  All three hand one append core an operand list and
+    a partials list.  The core checks them and numbers the result, writes
+    the record into each stream's open block with one ``array.fromlist``
+    (which writes all of a list or none of it), and only then commits the
+    counters, so a rejected record leaves the tape as it was.  It enters a
+    store (``BlockStore.push_full``) only when that store's open block
+    fills.  ``finalize`` closes the tape before it seals the streams, so no
+    record reaches a sealed block, even when a seal fails.
     """
 
     def __init__(self, mode: str = DAG,
@@ -88,15 +93,21 @@ class Tape:
                  prefetch: bool = False):
         if mode not in (DAG, DCG):
             raise TapeError(f"unknown tape mode {mode!r}")
+        store = {"block_entries": block_entries, "budget_blocks": budget_blocks,
+                 "spill_dir": spill_dir}
+        self._init_state(mode, BlockStore("q", name="s", **store),
+                         BlockStore("d", name="d", **store), prefetch)
+
+    def _init_state(self, mode: str, s: BlockStore, d: BlockStore,
+                    prefetch: bool) -> None:
+        """An empty recording tape over the streams ``s`` and ``d``."""
         self.mode = mode
         self.prefetch = prefetch
-        self._s = BlockStore("q", name="s", block_entries=block_entries,
-                             budget_blocks=budget_blocks, spill_dir=spill_dir)
-        self._d = BlockStore("d", name="d", block_entries=block_entries,
-                             budget_blocks=budget_blocks, spill_dir=spill_dir)
+        self._s, self._d = s, d
+        self._s_open, self._d_open = s.open_block, d.open_block
+        self._s_full, self._d_full = s.block_entries, d.block_entries
         self.n = 0
         self.q = 0
-        self.edge_count = 0
         self.beta = 0
         self.beta_r = 0
         self.p_l = 0
@@ -115,6 +126,11 @@ class Tape:
         """Input vertex ids in registration order: ``0..n-1`` on a DAG
         tape, ``-1..-n`` on a DCG tape."""
         return range(self.n) if self.mode == DAG else range(-1, -self.n - 1, -1)
+
+    @property
+    def edge_count(self) -> int:
+        """One partial per edge, so the length of ``d``."""
+        return len(self._d)
 
     @property
     def s_len(self) -> int:
@@ -161,71 +177,89 @@ class Tape:
         reverse action only zeroes the result's adjoint slot.
         """
         partials: dict[int, float] = {}
-        for vid, part in preds:
-            # not .get(vid, 0.0) + part: that turns a first -0.0 into 0.0
-            partials[vid] = partials[vid] + part if vid in partials else part
+        try:
+            for vid, part in preds:
+                # not .get(vid, 0.0) + part: that turns a first -0.0 into 0.0
+                partials[vid] = partials[vid] + part if vid in partials else part
+        except (TypeError, ValueError) as exc:
+            raise TapeError(f"bad (vertex, partial) pair: {exc}") from None
         if result == REMAINDER:
             result = None
         elif not (isinstance(result, int) and result < 0):
             raise TapeError(f"bad result kind {result!r}")
-        return self._append(tuple(partials), tuple(partials.values()), result)
+        return self._append(list(partials), list(partials.values()), result)
 
     def record_unary(self, a: int, da: float, result: int | None = None) -> int:
         """Record ``result = f(a)`` with partial ``da``; ``result`` is None
         for a fresh vertex or an existing L-value id ``-k`` (DCG only)."""
-        return self._append((a,), (da,), result)
+        return self._append([a], [da], result)
 
     def record_binary(self, a: int, da: float, b: int, db: float) -> int:
         """Record a fresh vertex ``f(a, b)`` with partials ``da``, ``db``;
         ``a == b`` is one operand with partial ``da + db``."""
         if a == b:
-            return self._append((a,), (da + db,), None)
-        return self._append((a, b), (da, db), None)
+            return self._append([a], [da + db], None)
+        return self._append([a, b], [da, db], None)
 
-    def _append(self, vids: tuple, parts: tuple, result: int | None) -> int:
+    def _append(self, vids: list, parts: list, result: int | None) -> int:
         """The one append core: check the distinct operands ``vids`` and
-        their partials, number the result (None for a fresh vertex), and
-        write the record to both streams."""
+        their partials, number the result (None for a fresh vertex), write
+        the record into both open blocks, then commit the counters and push
+        any block that filled."""
         if self.finalized:
             raise TapeError("tape is finalized")
-        for part in parts:
-            if not isfinite(part):
-                # index finds part by identity, so a nan too
-                vid = vids[parts.index(part)]
-                raise TapeError(f"non-finite partial {part!r} for vertex {vid}")
-        if self.mode == DAG:
-            hi = self._next_ssa
-            for vid in vids:
-                if not 0 <= vid < hi:
-                    self._check_known(vid)
-            if result is not None:
-                raise TapeError(f"L-value result {result!r} not allowed on this tape")
-            rid = hi
-            self._next_ssa = rid + 1
-            for vid in vids:
-                if rid - vid > self.beta:
-                    self.beta = rid - vid
-        else:
-            lo, hi = -self.p_l, self._next_remainder
-            for vid in vids:
-                if not lo <= vid < hi:
-                    self._check_known(vid)
-            if result is None:
-                rid = hi
-                self._next_remainder = rid + 1
+        dag = self.mode == DAG
+        s_open = self._s_open
+        try:
+            for part in parts:
+                if not isfinite(part):
+                    # index finds part by identity, so a nan too
+                    vid = vids[parts.index(part)]
+                    raise TapeError(f"non-finite partial {part!r} for vertex {vid}")
+            if dag:
+                if result is not None:
+                    raise TapeError(f"L-value result {result!r} not allowed on this tape")
+                rid = self._next_ssa
+                beta = self.beta
                 for vid in vids:
-                    if vid >= 0 and rid - vid > self.beta_r:
-                        self.beta_r = rid - vid
-            elif 0 < -result <= self.p_l:
-                rid = result
+                    if not 0 <= vid < rid:
+                        self._check_known(vid)
+                    if rid - vid > beta:
+                        beta = rid - vid
             else:
-                raise TapeError(f"L-value result {result!r} not allowed on this tape")
+                lo, hi = -self.p_l, self._next_remainder
+                beta = self.beta_r
+                for vid in vids:
+                    if not lo <= vid < hi:
+                        self._check_known(vid)
+                    if vid >= 0 and hi - vid > beta:
+                        beta = hi - vid
+                if result is None:
+                    rid = hi
+                elif 0 < -result <= self.p_l:
+                    rid = result
+                else:
+                    raise TapeError(f"L-value result {result!r} not allowed on this tape")
+            n = len(vids)
+            s_open.fromlist([*vids, n, rid])
+        except (TypeError, OverflowError) as exc:
+            raise TapeError(f"bad record {vids!r} with partials {parts!r}: "
+                            f"{exc}") from None
+        d_open = self._d_open
+        d_open.fromlist(parts)  # isfinite has converted every partial already
 
-        n = len(vids)
-        self._s.append((*vids, n, rid))
-        self._d.append(parts)
+        # the record is written: commit the counters
+        if dag:
+            self._next_ssa = rid + 1
+            self.beta = beta
+        elif result is None:
+            self._next_remainder = rid + 1
+            self.beta_r = beta
         self.q += 1
-        self.edge_count += n
+        if len(s_open) >= self._s_full:
+            self._s.push_full(n + 2)
+        if len(d_open) >= self._d_full:
+            self._d.push_full(n)
         return rid
 
     def register_output(self, vid: int) -> None:
@@ -244,9 +278,11 @@ class Tape:
             raise TapeError("cannot finalize a tape without inputs")
         if not self.outputs:
             raise TapeError("cannot finalize a tape without outputs")
+        # closed first: seal pushes the open blocks that records are written
+        # into, so even a seal that fails must leave no record path to them
+        self.finalized = True
         self._s.seal()
         self._d.seal()
-        self.finalized = True
         return self.stats()
 
     def stats(self) -> TapeStats:
@@ -279,11 +315,10 @@ class Tape:
         """A finalized tape over sealed streams ``s`` and ``d`` whose
         ``stats`` and ``outputs`` the caller derived from them and checked
         (``tapefile.load``); nothing is recorded."""
-        tape = cls(stats.mode, prefetch=prefetch)
-        tape._s, tape._d = s, d
+        tape = cls.__new__(cls)
+        tape._init_state(stats.mode, s, d, prefetch)
         tape.n = stats.num_inputs
         tape.q = stats.num_elementals
-        tape.edge_count = stats.num_edges
         tape.beta, tape.beta_r, tape.p_l = stats.beta, stats.beta_r, stats.p_l
         if stats.mode == DAG:
             tape._next_ssa = stats.num_vertices

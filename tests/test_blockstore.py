@@ -108,6 +108,67 @@ def test_append_after_seal_rejected(tmp_path):
         store.append([1])
 
 
+def test_writes_after_seal_rejected_with_blocks_pushed(tmp_path):
+    store = make_store(tmp_path, block_entries=4, budget_blocks=1)
+    store.append(range(10))
+    store.seal()
+    with pytest.raises(BlockStoreError, match="append after seal"):
+        store.append([1])
+    with pytest.raises(BlockStoreError, match="push after seal"):
+        store.push_full(1)
+    assert store.tolist() == list(range(10))
+
+
+def test_open_block_writes_push_like_append(tmp_path):
+    # the same entries written straight into the open block, with
+    # push_full called when it holds a full block, give the same store
+    chunks = [[1, 2, 3], [4, 5, 6, 7, 8, 9, 10, 11, 12], [13], [14, 15]]
+    stores = [make_store(tmp_path, block_entries=4, budget_blocks=1)
+              for _ in range(2)]
+    for chunk in chunks:
+        stores[0].append(chunk)
+        cur = stores[1].open_block
+        cur.fromlist(chunk)
+        if len(cur) >= 4:
+            stores[1].push_full(len(chunk))
+        assert stores[1].open_block is cur
+    for store in stores:
+        store.seal()
+    assert stores[0].stats() == stores[1].stats()
+    assert stores[0].tolist() == stores[1].tolist() == list(range(1, 16))
+
+
+def failing_spill(index):
+    raise BlockStoreError(f"s: spill of block {index} failed")
+
+
+def test_failed_spill_keeps_each_entry_once(tmp_path, monkeypatch):
+    store = make_store(tmp_path, block_entries=4, budget_blocks=1)
+    store.append(range(4))
+    with monkeypatch.context() as patch:
+        patch.setattr(store, "_spill", failing_spill)
+        # block 1 is cut and pushed; spilling block 0 then fails
+        with pytest.raises(BlockStoreError, match="spill of block 0"):
+            store.append(range(4, 9))
+    assert len(store) == 9 and store.resident_entries() == 9
+    store.append(range(9, 13))
+    store.seal()
+    assert store.tolist() == list(range(13))
+    assert list(store.reverse_iter()) == list(range(12, -1, -1))
+
+
+def test_failed_seal_leaves_the_store_sealed(tmp_path, monkeypatch):
+    store = make_store(tmp_path, block_entries=4, budget_blocks=1)
+    store.append(range(6))
+    monkeypatch.setattr(store, "_spill", failing_spill)
+    # the 2-entry tail is pushed; spilling block 0 then fails
+    with pytest.raises(BlockStoreError, match="spill of block 0"):
+        store.seal()
+    with pytest.raises(BlockStoreError, match="append after seal"):
+        store.append([6])
+    assert store.tolist() == list(range(6))
+
+
 def record_bytes(store):
     return 16 + store.block_entries * ENTRY_BYTES
 

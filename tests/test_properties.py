@@ -1,6 +1,7 @@
 import math
 import operator
 import os
+import random
 import struct
 import tempfile
 from collections import deque
@@ -185,6 +186,72 @@ def test_blockstore_counts_match_census(chunks, block_entries, budget, prefetch)
         assert sum(1 for _ in store.reverse_iter(prefetch=prefetch)) == total
         assert len(store) == total
         assert store.resident_entries() == resident_census()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([DAG, DCG]), st.integers(min_value=1, max_value=3),
+       # (arity, seed) per record; arity 0 is a zero-arity record and one
+       # above block_entries - 2 is a record longer than a block
+       st.lists(st.tuples(st.integers(min_value=0, max_value=20),
+                          st.integers(min_value=0, max_value=2 ** 32)), max_size=30),
+       st.integers(min_value=1, max_value=16),
+       st.one_of(st.none(), st.integers(min_value=1, max_value=2)))
+@example(mode=DAG, ninputs=3, records=[(2, 0), (3, 1), (20, 2)] * 4,
+         block_entries=4, budget=1)
+def test_record_path_matches_a_census_through_append(mode, ninputs, records,
+                                                     block_entries, budget):
+    """Records written straight into the open blocks leave each stream
+    exactly as writing the same entries through ``BlockStore.append`` does,
+    and the peak each stream notes is the maximum of its resident census."""
+    def resident_census(store):
+        return (sum(len(b) for b in store._blocks if b is not None)
+                + len(store._current))
+
+    def note_census():
+        for name, store in stores.items():
+            peaks[name] = max(peaks[name], resident_census(store))
+
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = {"block_entries": block_entries, "budget_blocks": budget,
+               "spill_dir": tmp}
+        tape = Tape(mode, **cfg)
+        stores = {"s": tape._s, "d": tape._d}
+        ref = {"s": BlockStore("q", name="s", **cfg),
+               "d": BlockStore("d", name="d", **cfg)}
+        peaks = {"s": 0, "d": 0}
+        ids = []
+        for _ in range(ninputs):
+            ids.append(tape.register_input())
+            ref["s"].append([ids[-1]])
+            note_census()
+        for arity, seed in records:
+            rng = random.Random(seed)
+            ops = rng.sample(ids, min(arity, len(ids)))
+            parts = [rng.uniform(-2.0, 2.0) for _ in ops]
+            if mode == DCG and seed % 3 == 0:  # overwrite an input L-value
+                rid = tape.record(list(zip(ops, parts)), result=-1 - seed % ninputs)
+            elif len(ops) == 1:
+                rid = tape.record_unary(ops[0], parts[0])
+            elif len(ops) == 2:
+                rid = tape.record_binary(ops[0], parts[0], ops[1], parts[1])
+            else:
+                rid = tape.record(list(zip(ops, parts)))
+            ref["s"].append([*ops, len(ops), rid])
+            ref["d"].append(parts)
+            if rid not in ids:
+                ids.append(rid)
+            note_census()
+            assert [len(stores[k]) for k in ref] == [len(ref[k]) for k in ref]
+        tape.register_output(ids[-1] if mode == DAG else -1)
+        tape.finalize()
+        for name, store in ref.items():
+            store.seal()
+            assert len(stores[name]) == len(store)
+            assert stores[name].stats() == store.stats()
+            assert stores[name].peak_resident_bytes == 8 * peaks[name]
+        s, d = tape.dump()
+        assert s == ref["s"].tolist() and bits(d) == bits(ref["d"].tolist())
+        assert tape.store_stats() == {k: store.stats() for k, store in ref.items()}
 
 
 def replay_through_record(tape, **cfg):

@@ -4,9 +4,10 @@ import pytest
 
 from adtape import (DAG, DCG, STRATEGIES, Tape, TapeError, propagate,
                     record_problem)
+from adtape.blockstore import BlockStore, BlockStoreError
 from adtape.dot import to_dot
 from adtape.interpret import STRATEGY_MODE
-from adtape.problems import IntroExample
+from adtape.problems import IntroExample, LiborMC
 from adtape.tapefile import load, save
 
 from helpers import reference_bandwidth, reference_parse
@@ -189,6 +190,106 @@ def test_record_after_finalize_rejected():
     t.finalize()
     with pytest.raises(TapeError, match="finalized"):
         t.record([(0, 1.0)])
+
+
+def recording_state(t):
+    return (t.q, t.n, t.beta, t.beta_r, t.p_l, t.s_len, t.d_len,
+            t.stats().num_vertices, t.edge_count)
+
+
+#: records every mode rejects, as calls on a tape with inputs x, y and one
+#: elemental z (on DCG: L-values x, y and remainder z = 0)
+BAD_RECORDS = {
+    "float-operand": lambda t, x, y, z: t.record([(x, 1.0), (0.5, 1.0)]),
+    "str-operand": lambda t, x, y, z: t.record([("a", 1.0)]),
+    "none-operand": lambda t, x, y, z: t.record_unary(None, 1.0),
+    "unhashable-operand": lambda t, x, y, z: t.record([([x], 1.0)]),
+    "not-a-pair": lambda t, x, y, z: t.record([(x, 1.0), (y, 1.0, 2.0)]),
+    "float-binary-operand": lambda t, x, y, z: t.record_binary(x, 1.0, 0.5, 1.0),
+    "str-partial": lambda t, x, y, z: t.record([(x, 1.0), (y, "1.0")]),
+    "none-partial": lambda t, x, y, z: t.record_binary(x, 1.0, z, None),
+    "huge-int-partial": lambda t, x, y, z: t.record_unary(z, 10 ** 400),
+    "nan-partial": lambda t, x, y, z: t.record_binary(x, 1.0, y, math.nan),
+    "unknown-operand": lambda t, x, y, z: t.record([(x, 1.0), (z + 5, 1.0)]),
+    "bad-result": lambda t, x, y, z: t.record_unary(x, 1.0, 7),
+}
+
+
+@pytest.mark.parametrize("mode", [DAG, DCG])
+@pytest.mark.parametrize("bad", sorted(BAD_RECORDS))
+def test_rejected_record_leaves_the_tape_unchanged(mode, bad):
+    # 3-entry blocks: the rejected record would cross a block boundary
+    def recorded(reject):
+        t = Tape(mode, block_entries=3)
+        x, y = t.register_input(), t.register_input()
+        z = t.record_binary(x, 0.5, y, 2.0)
+        if reject:
+            before = recording_state(t)
+            with pytest.raises(TapeError):
+                BAD_RECORDS[bad](t, x, y, z)
+            assert recording_state(t) == before
+        # the next record is numbered and laid out as if nothing happened
+        w = t.record_binary(z, 1.5, x, -1.0)
+        if mode == DCG:
+            t.record_unary(w, 1.0, x)
+        t.register_output(w if mode == DAG else x)
+        t.finalize()
+        return t
+
+    t, clean = recorded(True), recorded(False)
+    assert t.dump() == clean.dump() and t.stats() == clean.stats()
+
+
+def test_failed_finalize_leaves_no_record_path(tmp_path, monkeypatch):
+    # 4-entry blocks, one resident: sealing d pushes its 1-entry tail and
+    # must spill the full block before it, which fails here
+    t = Tape(DAG, block_entries=4, budget_blocks=1, spill_dir=str(tmp_path))
+    v = t.register_input()
+    for _ in range(5):
+        v = t.record_unary(v, 2.0)
+    t.register_output(v)
+
+    def boom(index):
+        raise BlockStoreError(f"d: spill of block {index} failed")
+
+    monkeypatch.setattr(t._d, "_spill", boom)
+    with pytest.raises(BlockStoreError, match="spill of block 0"):
+        t.finalize()
+    for write in (lambda: t.record_unary(v, 1.0), lambda: t.record([]),
+                  lambda: t.record_binary(0, 1.0, v, 1.0), t.register_input):
+        with pytest.raises(TapeError, match="tape is finalized"):
+            write()
+    # s sealed with its blocks intact, d kept its unspilled block resident
+    assert t.dump() == ([0, 0, 1, 1, 1, 1, 2, 2, 1, 3, 3, 1, 4, 4, 1, 5],
+                        [2.0] * 5)
+
+
+@pytest.mark.parametrize("mode", [DAG, DCG])
+def test_recording_enters_the_store_once_per_block(monkeypatch, mode):
+    """Records go straight into the open blocks; a store is entered to push
+    a full block and, through ``append``, for an input registration."""
+    calls = {"append": 0, "push_full": 0}
+
+    def counted(name):
+        method = getattr(BlockStore, name)
+
+        def call(store, *args):
+            calls[name] += 1
+            return method(store, *args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(BlockStore, name, counted(name))
+    problem = LiborMC(rates=5, maturity=2, paths=3)
+    tape = record_problem(problem, problem.default_point(), mode=mode,
+                          block_entries=64)
+    s, d = tape._s, tape._d
+    assert calls["append"] == tape.n
+    # every record is shorter than a block, so each push pushes one; seal
+    # pushes the last, partly filled, block of each stream
+    assert calls["push_full"] == sum(store.blocks_written - (len(store) % 64 > 0)
+                                     for store in (s, d)) > 0
+    assert calls["append"] + calls["push_full"] < tape.q / 5
 
 
 # -- golden values from the worked single-input chain -----------------------

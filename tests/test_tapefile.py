@@ -232,6 +232,19 @@ def test_load_never_records(tmp_path, monkeypatch):
     assert back.dump() == tape.dump() and back.stats() == tape.stats()
 
 
+@pytest.mark.parametrize("mode", [DAG, DCG])
+def test_loaded_tape_rejects_writes(tmp_path, mode):
+    back = round_trip(record_problem(IntroExample(), [1.0], mode=mode),
+                      tmp_path / "t.adtp")
+    before = back.dump()
+    x = back.inputs[0]
+    for write in (lambda: back.record([(x, 1.0)]), lambda: back.record_unary(x, 1.0),
+                  lambda: back.record_binary(x, 1.0, x, 2.0), back.register_input):
+        with pytest.raises(TapeError, match="tape is finalized"):
+            write()
+    assert back.dump() == before
+
+
 def test_loaded_tape_spills_like_the_recorded_one(tmp_path):
     store = {"block_entries": 16, "budget_blocks": 1}
     tape = record_problem(IntroExample(length=20), [0.7], mode=DCG,
