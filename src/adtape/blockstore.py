@@ -6,8 +6,8 @@ blocks; once the number of resident full blocks exceeds a configurable
 budget, the oldest resident block is written to disk and dropped from
 memory.  Only full blocks ever spill: the budget is at least one block and
 the newest block stays resident.  During the reverse sweep blocks are loaded
-back on demand, newest first, optionally with a single background prefetch of
-the next-older block.
+back on demand, newest first, optionally with a read-ahead hint to the kernel
+for the next-older block.
 
 Writing has two halves.  A writer puts entries straight into ``open_block``
 (an ``array.array`` that stays the same object until seal), and only once it
@@ -17,11 +17,11 @@ a chunk of any size.  ``peak_resident_bytes`` is noted by ``push_full``,
 just before it pushes, and at seal, not on every write: resident entries
 only grow between pushes, so those notes give the same maximum as noting
 after every write would (until seal, the open block's growth since the last
-push is not counted yet).  While reading, each fetched block (and a
-prefetched one) counts on top of the resident ones.
+push is not counted yet).  While reading, each fetched block counts on top
+of the resident ones; a hinted block waits in the page cache, not here.
 
 Two block generators carry all read accounting: ``reverse_blocks`` (newest
-first, with the optional prefetch) and ``_sealed_blocks`` (oldest first).
+first, with the optional hint) and ``_sealed_blocks`` (oldest first).
 Each counts ``blocks_read`` and notes the peak once per block.  The per-entry
 iterators, ``reverse_iter`` and ``iter(store)``, chain over their blocks with
 ``itertools.chain``, so no Python frame is resumed per entry.
@@ -31,8 +31,8 @@ On its first spill a store creates one ``adtape-<stream>-*.blk`` file, under
 Block ``i`` is the fixed-size record at offset ``i * (16 + 8 * block_entries)``:
 a 16-byte header (magic and block index) followed by the little-endian
 payload.  The store holds one descriptor on that file, written and read with
-positionless ``pwrite``/``pread`` so a prefetch thread can share it, until the
-store is freed; then the descriptor is closed and the file removed.
+positionless ``pwrite``/``pread`` so interleaved iterators can share it, until
+the store is freed; then the descriptor is closed and the file removed.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ import os
 import struct
 import sys
 import tempfile
-import threading
 import weakref
 from itertools import chain
 
@@ -51,6 +50,7 @@ DEFAULT_BLOCK_ENTRIES = 65536
 
 _BLOCK_MAGIC = b"ADTPBLK\x00"
 _HEADER = struct.Struct("<8sQ")
+_HAS_FADVISE = hasattr(os, "posix_fadvise")
 
 
 class BlockStoreError(Exception):
@@ -193,32 +193,21 @@ class BlockStore:
 
     def reverse_blocks(self, prefetch: bool = False):
         """Yield every block, newest first, counting each in ``blocks_read``
-        and noting the peak as it is fetched.  With ``prefetch`` a thread
-        loads the next-older spilled block while this one is consumed."""
+        and noting the peak as it is fetched.  With ``prefetch``, each fetch
+        is followed by a ``POSIX_FADV_WILLNEED`` hint for the next-older
+        block when it is on disk, so the kernel reads it into the page cache
+        while this block is consumed; without ``os.posix_fadvise`` (macOS,
+        Windows) the blocks are read plainly."""
         if not self._sealed:
             raise BlockStoreError(f"{self.name}: reverse_iter before seal")
-        nblocks = len(self._blocks)
-        pending: dict[int, array.array] = {}
-        thread = None
-        pending_idx = -1
-        for i in range(nblocks - 1, -1, -1):
-            if i == pending_idx and thread is not None:
-                thread.join()
-                block = pending[i]
-                self.blocks_read += 1
-                if isinstance(block, BlockStoreError):
-                    raise block
-            else:
-                block = self._fetch(i)
-            thread = None
-            if prefetch and i > 0 and self._blocks[i - 1] is None:
-                pending_idx = i - 1
-                pending = {}
-                thread = threading.Thread(target=self._prefetch,
-                                          args=(pending_idx, pending),
-                                          daemon=True)
-                thread.start()
-            self._note_peak((2 if thread is not None else 1) * self.block_entries)
+        hint = prefetch and _HAS_FADVISE
+        size = self._record_bytes
+        for i in range(len(self._blocks) - 1, -1, -1):
+            block = self._fetch(i)
+            if hint and i > 0 and self._blocks[i - 1] is None:
+                os.posix_fadvise(self._fd, (i - 1) * size, size,
+                                 os.POSIX_FADV_WILLNEED)
+            self._note_peak(self.block_entries)
             yield block
 
     def __iter__(self):
@@ -246,14 +235,6 @@ class BlockStore:
         if block is not None:
             return block
         return self._load_spilled(index)
-
-    def _prefetch(self, index: int, out: dict) -> None:
-        """Reader thread: leave the block, or the error that names it, for
-        the consuming thread to take."""
-        try:
-            out[index] = self._load_spilled(index)
-        except BlockStoreError as exc:
-            out[index] = exc
 
     def _load_spilled(self, index: int) -> array.array:
         size = self._record_bytes

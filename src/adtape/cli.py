@@ -56,7 +56,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--fd-step", type=_positive_float)
         p.add_argument("--block-entries", type=int)
         p.add_argument("--budget-blocks", type=int)
-        p.add_argument("--prefetch", action="store_true")
+        p.add_argument("--prefetch", action="store_true",
+                       help="while sweeping, ask the kernel to read each "
+                            "next-older spilled block ahead")
         p.add_argument("--spill-dir")
         p.add_argument("--format", default="table", choices=["table", "json"])
 

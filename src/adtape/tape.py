@@ -346,8 +346,9 @@ class Tape:
     def reverse_streams(self, prefetch: bool | None = None
                         ) -> tuple[Callable[[], int], Callable[[], float]]:
         """``(s_next, d_next)``: the ``__next__`` of a reverse iterator over
-        each stream, newest entry first (``prefetch`` defaults to
-        ``self.prefetch``).
+        each stream, newest entry first.  With ``prefetch`` (default
+        ``self.prefetch``) each store hints the kernel to read its
+        next-older spilled block ahead (``BlockStore.reverse_blocks``).
 
         Each record reads back as its result id, its operand count, then
         that many operand ids from ``s_next`` each paired with its partial

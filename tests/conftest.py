@@ -20,3 +20,18 @@ def no_leaked_spill_files():
     leaked = sorted(_spill_entries(tmpdir) - before)
     if leaked:
         pytest.fail(f"spill files leaked into {tmpdir}: {leaked}")
+
+
+@pytest.fixture
+def fadvise_calls(monkeypatch):
+    """The arguments of every ``os.posix_fadvise`` call, recorded instead of
+    made; the hint is enabled as on a platform that has the call."""
+    from adtape import blockstore
+
+    calls = []
+    monkeypatch.setattr(os, "posix_fadvise", lambda *args: calls.append(args),
+                        raising=False)
+    monkeypatch.setattr(os, "POSIX_FADV_WILLNEED",
+                        getattr(os, "POSIX_FADV_WILLNEED", 3), raising=False)
+    monkeypatch.setattr(blockstore, "_HAS_FADVISE", True)
+    return calls

@@ -2,10 +2,13 @@ import gc
 import os
 import re
 import tempfile
+import threading
+from collections import deque
+from itertools import islice
 
 import pytest
 
-from adtape import DAG, propagate_flat, record_problem
+from adtape import DAG, blockstore, propagate_flat, record_problem
 from adtape.blockstore import ENTRY_BYTES, BlockStore, BlockStoreError
 from adtape.problems import IntroExample
 from adtape.rng import Xorshift
@@ -83,6 +86,63 @@ def test_prefetch_matches_plain_iteration(tmp_path):
     store.append(data)
     store.seal()
     assert list(store.reverse_iter(prefetch=True)) == data[::-1]
+
+
+def twin_stores(tmp_path, n, **kw):
+    """Two sealed stores holding ``range(n)`` the same way."""
+    stores = [make_store(tmp_path, **kw) for _ in range(2)]
+    for store in stores:
+        store.append(range(n))
+        store.seal()
+    return stores
+
+
+def test_prefetching_reads_start_no_thread_and_hold_one_block(tmp_path, monkeypatch):
+    started = []
+    start = threading.Thread.start
+
+    def counted_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    plain, hinted = twin_stores(tmp_path, 30, block_entries=4, budget_blocks=1)
+    deque(plain.reverse_iter(), maxlen=0)
+    threads = set(threading.enumerate())
+    entries = hinted.reverse_iter(prefetch=True)
+    head = list(islice(entries, 14))  # part-way through block 4 of 8
+    assert set(threading.enumerate()) == threads and started == []
+    assert head + list(entries) == list(range(29, -1, -1))
+    # the hinted block waits in the page cache, so the peak is the plain one
+    assert hinted.peak_resident_bytes == plain.peak_resident_bytes
+    assert hinted.stats() == plain.stats()
+
+
+@pytest.mark.parametrize("budget", [1, 3])
+def test_prefetch_hints_each_spilled_block_once(tmp_path, fadvise_calls, budget):
+    store = make_store(tmp_path, block_entries=4, budget_blocks=budget)
+    store.append(range(30))  # 8 blocks, the newest one partial
+    store.seal()
+    list(store.reverse_iter())
+    assert fadvise_calls == []
+    assert list(store.reverse_iter(prefetch=True)) == list(range(29, -1, -1))
+    # every spilled block has a newer one, after whose fetch it is hinted;
+    # resident blocks are never hinted
+    size = record_bytes(store)
+    spilled = store.bytes_spilled // (ENTRY_BYTES * store.block_entries)
+    assert spilled == 8 - budget
+    assert fadvise_calls == [(store._fd, i * size, size, os.POSIX_FADV_WILLNEED)
+                             for i in range(spilled - 1, -1, -1)]
+
+
+def test_prefetch_without_fadvise_reads_plainly(tmp_path, monkeypatch):
+    monkeypatch.delattr(os, "posix_fadvise", raising=False)
+    # what the import-time check finds on a platform without the call
+    monkeypatch.setattr(blockstore, "_HAS_FADVISE", hasattr(os, "posix_fadvise"))
+    plain, hinted = twin_stores(tmp_path, 30, block_entries=4, budget_blocks=1)
+    assert (list(hinted.reverse_iter(prefetch=True))
+            == list(plain.reverse_iter()) == list(range(29, -1, -1)))
+    assert hinted.stats() == plain.stats()
 
 
 def test_peak_resident_budget_bound(tmp_path):

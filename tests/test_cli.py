@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from adtape import cli
 from adtape.cli import main
 
 GOLDEN_S = "0 0 1 1 1 1 2 2 0 2 3 3 1 4 4 1 5 5 0 2 6"
@@ -157,3 +158,31 @@ def test_run_with_spill_budget(capsys, tmp_path):
                            "--spill-dir", str(tmp_path), "--format", "json")
     assert code == 0
     assert json.loads(out)["reports"][0]["ram_bytes"] == 56
+
+
+def test_run_prefetch_matches_plain_reads(capsys, monkeypatch, tmp_path,
+                                          fadvise_calls):
+    gradients = []
+    sweep = cli.propagate
+
+    def recorded_sweep(*args):
+        gradients.append(sweep(*args))
+        return gradients[-1]
+
+    monkeypatch.setattr(cli, "propagate", recorded_sweep)
+    argv = ["run", "--problem", "intro", "--block-entries", "4",
+            "--budget-blocks", "1", "--spill-dir", str(tmp_path),
+            "--format", "json"]
+    runs = []
+    for extra in ([], ["--prefetch"]):
+        code, out, _ = run_cli(capsys, *argv, *extra)
+        assert code == 0
+        nbytes = [{k: v for k, v in r.items() if k.endswith("_bytes")}
+                  for r in json.loads(out)["reports"]]
+        runs.append((nbytes, gradients[:], len(fadvise_calls)))
+        gradients.clear()
+    (plain_bytes, plain_grads, plain_hints), (bytes_, grads, hints) = runs
+    assert bytes_ == plain_bytes and all(r["sam_bytes"] for r in bytes_)
+    assert grads == plain_grads and len(grads) == 3
+    # only the prefetching run hints
+    assert plain_hints == 0 and hints > 0

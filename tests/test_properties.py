@@ -82,13 +82,15 @@ def spill_to(store, where):
     return dict(store, spill_dir=where) if store else {}
 
 
-def assert_round_trip(tape, tmp, store):
+def assert_round_trip(tape, tmp, store, prefetch=False):
     """Saved and loaded into ``store``, ``tape`` comes back with the same
     streams, statistics and outputs, and bitwise the same gradient under
-    every strategy of its mode."""
+    every strategy of its mode, swept with ``prefetch`` or without."""
     path = os.path.join(tmp, "t.adtp")
     save(tape, path)
-    back = load(path, **spill_to(store, os.path.join(tmp, "loaded")))
+    back = load(path, prefetch=prefetch,
+                **spill_to(store, os.path.join(tmp, "loaded")))
+    assert back.prefetch is prefetch
     assert back.dump() == tape.dump()
     assert back.stats() == tape.stats()
     assert back.outputs == tape.outputs
@@ -104,11 +106,13 @@ def bits(values):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(min_value=0, max_value=2 ** 32), st.sampled_from(sorted(STORES)))
-def test_random_tapes_round_trip_through_file(seed, store):
+@given(st.integers(min_value=0, max_value=2 ** 32), st.sampled_from(sorted(STORES)),
+       st.booleans())
+@example(seed=5, store="tiny", prefetch=True)
+def test_random_tapes_round_trip_through_file(seed, store, prefetch):
     with tempfile.TemporaryDirectory() as tmp:
         tape = random_dag_tape(Xorshift(seed), **spill_to(STORES[store], tmp))
-        assert_round_trip(tape, tmp, STORES[store])
+        assert_round_trip(tape, tmp, STORES[store], prefetch)
 
 
 @settings(max_examples=30, deadline=None)
