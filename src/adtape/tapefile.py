@@ -1,32 +1,40 @@
 """Binary tape files, streamed in both directions.
 
-Little-endian layout: magic ``ADTP``, version u32, mode u8 (0 = DAG,
-1 = DCG), n u64, m u64, q u64, s_len u64, d_len u64, the ordered output
-list (m x i64), then the s entries (i64 each) and the d entries (f64 each).
+Little-endian layout (version 2): magic ``ADTP``, version u32, mode u8
+(0 = DAG, 1 = DCG), n u64, m u64, q u64, s_len u64, d_len u64, p_L u64 (the
+L-value count, inputs included; 0 on a DAG tape), the ordered output list
+(m x i64), then the s entries (i64 each) and the d entries (f64 each).
+A version-1 header ends at d_len; such files still load, with p_L derived
+from the streams, which misses an L-value that was declared but never
+written or read.
 
 ``save`` writes each stream one block at a time, and ``load`` reads it back
 in block-sized chunks straight into the new tape's block stores, so neither
 holds a whole stream in memory and a loaded tape spills under its budget
-exactly like a recorded one.  The file carries no graph statistics: ``load``
-re-derives them in one backward pass over the loaded streams, which also
-checks every invariant that recording enforces, and never replays a record.
+exactly like a recorded one.  Apart from p_L the file carries no graph
+statistics: ``load`` re-derives them in one backward pass over the loaded
+streams, which also checks every invariant that recording enforces, and
+never replays a record.
 """
 
 from __future__ import annotations
 
 import array
-import math
 import os
 import struct
 import sys
+from math import isfinite
 
 from .blockstore import ENTRY_BYTES, BlockStore
 from .tape import DAG, DCG, Tape, TapeError, TapeStats
 
 MAGIC = b"ADTP"
-VERSION = 1
+VERSION = 2
 
+#: the header up to d_len, which every version starts with
 _HEADER = struct.Struct("<4sIBQQQQQ")
+#: the field version 2 appends to it
+_P_L = struct.Struct("<Q")
 _MODE_BYTE = {DAG: 0, DCG: 1}
 _BYTE_MODE = {0: DAG, 1: DCG}
 
@@ -37,6 +45,7 @@ def save(tape: Tape, path: str) -> None:
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, _MODE_BYTE[tape.mode],
                               tape.n, tape.m, tape.q, tape.s_len, tape.d_len))
+        fh.write(_P_L.pack(tape.p_l))
         fh.write(struct.pack(f"<{tape.m}q", *tape.outputs))
         fh.writelines(tape.stream_bytes())
 
@@ -45,11 +54,12 @@ def load(path: str, prefetch: bool = False, **store_config) -> Tape:
     """Load a finalized tape, streaming each stream into a ``BlockStore``
     built from ``store_config`` one block at a time.
 
-    The statistics (beta, beta_r, p_l, the vertex and edge counts) are
-    derived from the streams, never read from the file, in one backward
-    pass that rejects, with a ``TapeError`` naming ``path``, any stream
-    that recording could not have produced.  Under ``budget_blocks`` the
-    loaded tape spills as it loads, just as a recorded tape does.
+    The statistics (beta, beta_r, the vertex and edge counts, and p_l of
+    a version-1 file) are derived from the streams, never read from the
+    file, in one backward pass that rejects, with a ``TapeError`` naming
+    ``path``, any stream that recording could not have produced.  Under
+    ``budget_blocks`` the loaded tape spills as it loads, just as a
+    recorded tape does.
     """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
@@ -58,12 +68,18 @@ def load(path: str, prefetch: bool = False, **store_config) -> Tape:
         magic, version, mode_byte, n, m, q, s_len, d_len = _HEADER.unpack(head)
         if magic != MAGIC:
             raise TapeError(f"{path}: not a tape file")
-        if version != VERSION:
+        if version not in (1, VERSION):
             raise TapeError(f"{path}: unsupported version {version}")
         if mode_byte not in _BYTE_MODE:
             raise TapeError(f"{path}: unknown mode byte {mode_byte}")
+        p_l = None  # version 1: derived from the streams
+        if version == VERSION:
+            field = fh.read(_P_L.size)
+            if len(field) != _P_L.size:
+                raise TapeError(f"{path}: truncated tape file")
+            (p_l,) = _P_L.unpack(field)
         size = os.fstat(fh.fileno()).st_size
-        expected = _HEADER.size + (m + s_len + d_len) * ENTRY_BYTES
+        expected = fh.tell() + (m + s_len + d_len) * ENTRY_BYTES
         if size != expected:
             raise TapeError(f"{path}: size mismatch ({size} != {expected})")
         if n < 1 or m < 1:
@@ -76,7 +92,8 @@ def load(path: str, prefetch: bool = False, **store_config) -> Tape:
         _read_stream(fh, d, d_len, path)
     s.seal()
     d.seal()
-    stats = _derive_stats(path, _BYTE_MODE[mode_byte], n, q, s, d, outputs)
+    stats = _derive_stats(path, _BYTE_MODE[mode_byte], n, q, s, d, outputs,
+                          p_l)
     return Tape._adopt(stats, s, d, outputs, prefetch=prefetch)
 
 
@@ -93,28 +110,45 @@ def _read_array(fh, typecode: str, count: int, path: str) -> array.array:
 
 def _read_stream(fh, store: BlockStore, count: int, path: str) -> None:
     step = store.block_entries
+    partials = store.typecode == "d"
     for start in range(0, count, step):
         chunk = _read_array(fh, store.typecode, min(step, count - start), path)
-        # a partials chunk: recording never writes a non-finite partial
-        if store.typecode == "d" and not all(map(math.isfinite, chunk)):
-            bad = next(x for x in chunk if not math.isfinite(x))
+        # recording never writes a non-finite partial.  An inf or nan makes
+        # the chunk's sum non-finite, so only such a chunk (or one whose
+        # finite entries overflow the sum) takes the exact per-entry scan
+        if partials and not isfinite(sum(chunk)) and not all(map(isfinite, chunk)):
+            bad = next(x for x in chunk if not isfinite(x))
             raise TapeError(f"{path}: non-finite partial {bad!r}")
         store.append(chunk)
 
 
 def _derive_stats(path: str, mode: str, n: int, q: int, s: BlockStore,
-                  d: BlockStore, outputs: list[int]) -> TapeStats:
+                  d: BlockStore, outputs: list[int],
+                  stored_p_l: int | None) -> TapeStats:
     """Walk the records backwards, as the sweep does, checking that each
     operand count fits the streams, that results are numbered as recording
     numbers them (DAG vertex ``n+k`` for elemental ``k``; DCG remainder
     ids ``0..R-1`` in order, L-value results only on DCG tapes), that every
     operand is defined before it is read and appears once, and that every
     partial belongs to an elemental; then that the ``n`` input ids come
-    first and the outputs are distinct known vertices (L-values on a DCG
-    tape).  ``_read_stream`` has already checked that the partials are
-    finite, as they arrived."""
+    first, that no L-value lies beyond ``stored_p_l`` (None for a file
+    that does not store p_L) and that the outputs are distinct known
+    vertices (L-values on a DCG tape).  ``_read_stream`` has already
+    checked that the partials are finite, as they arrived."""
     def bad(what):
         return TapeError(f"{path}: {what}")
+
+    def operands(count, k):
+        """The operands of a zero-arity or n-ary record."""
+        ops = [s_next() for _ in range(count)]
+        if len(set(ops)) != count:
+            raise bad(f"elemental {k} repeats an operand")
+        return ops
+
+    def bad_dag_result(result, k):
+        if result < 0:
+            return bad(f"L-value result {result} on a DAG tape")
+        return bad(f"elemental {k} has result {result}, not {n + k}")
 
     s_next = s.reverse_iter().__next__
     s_left, d_left = len(s), len(d)
@@ -134,24 +168,42 @@ def _derive_stats(path: str, mode: str, n: int, q: int, s: BlockStore,
         d_left -= count
         if count < 0 or s_left < n or d_left < 0:
             raise bad("malformed structure stream")
+        # straight-line paths for the arities overloading records, as in
+        # interpret.propagate; zero-arity and n-ary records take a list
+        if dag:
+            if count == 1:
+                lo = hi = s_next()
+            elif count == 2:
+                lo = s_next()
+                hi = s_next()
+                if lo > hi:
+                    lo, hi = hi, lo
+                elif lo == hi:
+                    raise bad(f"elemental {k} repeats an operand")
+            else:
+                ops = operands(count, k)
+                if not ops:
+                    if result != n + k:
+                        raise bad_dag_result(result, k)
+                    continue
+                lo, hi = min(ops), max(ops)
+            if result != n + k:
+                raise bad_dag_result(result, k)
+            if lo < 0 or hi >= result:
+                raise bad(f"elemental {k} reads a vertex it does not follow")
+            if result - lo > beta:
+                beta = result - lo
+            continue
         if count == 1:
             ops = (s_next(),)
-        else:
-            ops = [s_next() for _ in range(count)]
-            if len(set(ops)) != count:
+        elif count == 2:
+            a = s_next()
+            b = s_next()
+            if a == b:
                 raise bad(f"elemental {k} repeats an operand")
-        if dag:
-            if result < 0:
-                raise bad(f"L-value result {result} on a DAG tape")
-            if result != n + k:
-                raise bad(f"elemental {k} has result {result}, not {n + k}")
-            if ops:
-                first = min(ops)
-                if first < 0 or max(ops) >= result:
-                    raise bad(f"elemental {k} reads a vertex it does not follow")
-                if result - first > beta:
-                    beta = result - first
-            continue
+            ops = (a, b)
+        else:
+            ops = operands(count, k)
         if result >= 0:
             if oldest is None:
                 if trailing > result:
@@ -185,6 +237,8 @@ def _derive_stats(path: str, mode: str, n: int, q: int, s: BlockStore,
     if [s_next() for _ in range(n)] != list(reversed(inputs)):
         raise bad(f"input ids are not {inputs[0]}..{inputs[-1]}")
     if dag:
+        if stored_p_l:
+            raise bad(f"p_L is {stored_p_l} on a DAG tape")
         num_remainder = num_vertices = n + q
         p_l = 0
     else:
@@ -192,6 +246,10 @@ def _derive_stats(path: str, mode: str, n: int, q: int, s: BlockStore,
             raise bad(f"remainder vertex {trailing} is read before it is recorded")
         if oldest is not None and oldest != 0:
             raise bad(f"remainder ids start at {oldest}, not 0")
+        if stored_p_l is not None:
+            if p_l > stored_p_l:
+                raise bad(f"L-value {-p_l} lies beyond p_L {stored_p_l}")
+            p_l = stored_p_l
         num_remainder = youngest + 1
         num_vertices = p_l + num_remainder
     for v in outputs:

@@ -116,12 +116,19 @@ def test_random_tapes_round_trip_through_file(seed, store, prefetch):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(min_value=0, max_value=2 ** 32), st.sampled_from(sorted(STORES)))
-def test_random_dcg_programs_round_trip_through_file(seed, store):
+@given(st.integers(min_value=0, max_value=2 ** 32), st.sampled_from(sorted(STORES)),
+       st.integers(min_value=0, max_value=3))
+@example(seed=7, store="inmem", unused=2)
+def test_random_dcg_programs_round_trip_through_file(seed, store, unused):
+    """Also with ``unused`` L-values declared after the program ran, which
+    no record writes or reads."""
     prog = RandomProgram(seed)
     with tempfile.TemporaryDirectory() as tmp:
-        tape = record_problem(prog, prog.default_point(), mode=DCG,
-                              **spill_to(STORES[store], tmp))
+        tape = Tape(DCG, **spill_to(STORES[store], tmp))
+        prog.run(Recorder(tape), prog.default_point())
+        for _ in range(unused):
+            tape.declare_lvalue()
+        tape.finalize()
         assert_round_trip(tape, tmp, STORES[store])
 
 
@@ -289,6 +296,48 @@ def test_overloading_and_generic_record_write_one_tape(seed, mode, store):
         (s, d), (fs, fd) = tape.dump(), fresh.dump()
         assert fs == s and bits(fd) == bits(d)
         assert fresh.stats() == tape.stats()
+
+
+def sweep_outcome(tape, strategy):
+    """The gradient bytes of a unit-seeded sweep, or the error it raised."""
+    try:
+        return bits(propagate(tape, [1.0] * tape.m, strategy))
+    except TapeError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32), st.sampled_from([DAG, DCG]),
+       st.integers(min_value=0),
+       st.one_of(st.integers(min_value=-40, max_value=40),
+                 st.integers(min_value=-2 ** 63, max_value=2 ** 63 - 1)))
+def test_corrupted_tape_file_fails_cleanly(seed, mode, where, value):
+    """With one ``s`` entry of a saved tape overwritten by any i64, ``load``
+    raises ``TapeError`` or returns a tape that sweeps bitwise as the tape
+    recorded from its streams does, never another exception."""
+    if mode == DAG:
+        tape = random_dag_tape(Xorshift(seed))
+    else:
+        prog = RandomProgram(seed)
+        tape = record_problem(prog, prog.default_point(), mode=DCG)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.adtp")
+        save(tape, path)
+        s_start = os.path.getsize(path) - (tape.s_len + tape.d_len) * 8
+        with open(path, "r+b") as fh:
+            fh.seek(s_start + where % tape.s_len * 8)
+            fh.write(struct.pack("<q", value))
+        try:
+            back = load(path)
+        except TapeError:
+            return
+    rebuilt = replay_through_record(back)
+    (s, d), (rs, rd) = back.dump(), rebuilt.dump()
+    assert rs == s and bits(rd) == bits(d)
+    assert rebuilt.stats() == back.stats()
+    for strategy, strategy_mode in STRATEGY_MODE.items():
+        if strategy_mode == mode:
+            assert sweep_outcome(back, strategy) == sweep_outcome(rebuilt, strategy)
 
 
 @settings(max_examples=25, deadline=None)

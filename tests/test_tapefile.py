@@ -7,8 +7,9 @@ import sys
 import pytest
 
 import adtape
-from adtape import (DAG, DCG, Tape, TapeError, propagate_flat, propagate_lvalue,
-                    record_problem)
+from adtape import (DAG, DCG, LVALUE, Tape, TapeError, propagate_flat,
+                    propagate_lvalue, record_problem)
+from adtape.interpret import adjoint_slot_count
 from adtape.rng import Xorshift
 from adtape.tapefile import MAGIC, save, load
 from adtape.problems import IntroExample
@@ -125,32 +126,105 @@ def test_bad_input_ids_rejected(tmp_path, mode):
     assert str(p) in str(excinfo.value)
 
 
-def write_raw(path, mode, inputs, records, outputs, partial=0.5):
-    """A version-1 tape file holding exactly the given records, each an
-    (operands, result) pair with ``partial`` on every operand."""
-    s, d = list(inputs), []
+def write_raw(path, mode, inputs, records, outputs, partial=0.5, p_l=None):
+    """A tape file holding exactly the given records, each an (operands,
+    result) pair: version 1, or version 2 storing ``p_l`` if it is given.
+    ``partial`` is the partial of every operand, or the list of all the
+    partials in stream order."""
+    s = list(inputs)
     for ops, result in records:
         s += [*ops, len(ops), result]
-        d += [partial] * len(ops)
+    d = (partial if isinstance(partial, list)
+         else [partial] * sum(len(ops) for ops, _ in records))
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sIBQQQQQ", MAGIC, 1, 0 if mode == DAG else 1,
-                             len(inputs), len(outputs), len(records),
-                             len(s), len(d)))
+        fh.write(struct.pack("<4sIBQQQQQ", MAGIC, 1 if p_l is None else 2,
+                             0 if mode == DAG else 1, len(inputs), len(outputs),
+                             len(records), len(s), len(d)))
+        if p_l is not None:
+            fh.write(struct.pack("<Q", p_l))
         fh.write(struct.pack(f"<{len(outputs)}q", *outputs))
         fh.write(struct.pack(f"<{len(s)}q", *s))
         fh.write(struct.pack(f"<{len(d)}d", *d))
 
 
-@pytest.mark.parametrize("mode,inputs,records,outputs", [
-    (DAG, [0], [([0], 1), ([0, 1], 2)], [2]),
-    (DCG, [-1], [([-1], 0), ([0], -2), ([-2, 0], 1), ([1], -2)], [-2]),
-    (DCG, [-1], [([], -2), ([-1], -3)], [-3]),
-], ids=["dag", "dcg", "dcg-no-remainder"])
-def test_hand_written_tape_loads(tmp_path, mode, inputs, records, outputs):
+#: (mode, inputs, records, outputs, p_l) of valid hand-written tapes
+HAND_WRITTEN = {
+    "dag": (DAG, [0], [([0], 1), ([0, 1], 2)], [2], 0),
+    "dcg": (DCG, [-1], [([-1], 0), ([0], -2), ([-2, 0], 1), ([1], -2)], [-2], 2),
+    "dcg-no-remainder": (DCG, [-1], [([], -2), ([-1], -3)], [-3], 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HAND_WRITTEN))
+def test_hand_written_tape_loads(tmp_path, case):
+    mode, inputs, records, outputs, p_l = HAND_WRITTEN[case]
     p = tmp_path / "t.adtp"
     write_raw(p, mode, inputs, records, outputs)
     tape = load(str(p))
     assert tape.q == len(records) and tape.outputs == outputs
+    assert tape.stats().p_l == p_l
+
+
+@pytest.mark.parametrize("case", sorted(HAND_WRITTEN))
+def test_hand_written_version_2_tape_loads(tmp_path, case):
+    mode, inputs, records, outputs, p_l = HAND_WRITTEN[case]
+    v1, v2 = tmp_path / "v1.adtp", tmp_path / "v2.adtp"
+    write_raw(v1, mode, inputs, records, outputs)
+    write_raw(v2, mode, inputs, records, outputs, p_l=p_l)
+    assert load(str(v2)).stats() == load(str(v1)).stats()
+
+
+def unused_lvalue_tape(output):
+    """A DCG tape that declares L-value -2 but never writes or reads it."""
+    tape = Tape(DCG)
+    x = tape.register_input()
+    tape.declare_lvalue()
+    tape.record([(x, 2.0)], result=-1)
+    tape.register_output(output)
+    tape.finalize()
+    return tape
+
+
+@pytest.mark.parametrize("output", [-1, -2])
+def test_unused_lvalue_survives_round_trip(tmp_path, output):
+    tape = unused_lvalue_tape(output)
+    back = round_trip(tape, tmp_path / "t.adtp")
+    assert tape.stats().p_l == 2
+    assert back.stats() == tape.stats()
+    assert (adjoint_slot_count(back.stats(), LVALUE)
+            == adjoint_slot_count(tape.stats(), LVALUE) == 2)
+    assert propagate_lvalue(back, [1.0]) == propagate_lvalue(tape, [1.0])
+
+
+def test_version_1_file_derives_p_l(tmp_path):
+    """The version-1 file of ``unused_lvalue_tape(-1)`` loads with the
+    p_L its streams show."""
+    p = tmp_path / "t.adtp"
+    write_raw(p, DCG, [-1], [([-1], -1)], [-1])
+    assert load(str(p)).stats().p_l == 1
+
+
+@pytest.mark.parametrize("mode,inputs,records,outputs,p_l,message", [
+    (DCG, [-1], [([-1], -3)], [-3], 2, "L-value -3 lies beyond p_L 2"),
+    (DCG, [-1], [([-3], -1)], [-1], 2, "L-value -3 lies beyond p_L 2"),
+    (DCG, [-1, -2], [([-1], -2)], [-2], 1, "L-value -2 lies beyond p_L 1"),
+    (DCG, [-1], [([-1], -1)], [-2], 1, "output -2 is not a L-value"),
+    (DAG, [0], [([0], 1)], [1], 1, "p_L is 1 on a DAG tape"),
+], ids=["result", "operand", "input", "output", "dag"])
+def test_stored_p_l_bounds_the_lvalues(tmp_path, mode, inputs, records,
+                                       outputs, p_l, message):
+    p = tmp_path / "t.adtp"
+    write_raw(p, mode, inputs, records, outputs, p_l=p_l)
+    with pytest.raises(TapeError, match=message) as excinfo:
+        load(str(p))
+    assert str(p) in str(excinfo.value)
+
+
+def test_truncated_version_2_header_rejected(tmp_path):
+    p = tmp_path / "short.adtp"
+    p.write_bytes(struct.pack("<4sIBQQQQQ", MAGIC, 2, 1, 1, 1, 0, 1, 0))
+    with pytest.raises(TapeError, match="truncated"):
+        load(str(p))
 
 
 # (mode, records, outputs, message) on one input: 0 (DAG) or -1 (DCG)
@@ -182,6 +256,65 @@ REJECTED = {
     "dcg-remainder-output": (DCG, [([-1], 0)], [0], "output 0 is not"),
     "dag-unknown-output": (DAG, [([0], 1)], [2], "output 2 is not"),
     "duplicate-output": (DAG, [([0], 1)], [1, 1], "registered twice"),
+    # each check again at arity 2, in either operand position, and at arity 3
+    "dag-duplicate-operand-arity-3": (DAG, [([0], 1), ([0, 1, 0], 2)], [2],
+                                      "elemental 1 repeats an operand"),
+    "dcg-duplicate-operand-arity-3": (
+        DCG, [([-1], 0), ([-1, 0, -1], 1), ([1], -1)], [-1],
+        "elemental 1 repeats an operand"),
+    "dag-operand-at-result-first": (DAG, [([1, 0], 1)], [1],
+                                    "elemental 0 reads a vertex it does not"),
+    "dag-operand-at-result-second": (DAG, [([0, 1], 1)], [1],
+                                     "elemental 0 reads a vertex it does not"),
+    "dag-operand-after-result-first": (
+        DAG, [([2, 0], 1), ([0], 2)], [2], "elemental 0 reads a vertex it does"),
+    "dag-operand-after-result-second": (
+        DAG, [([0, 2], 1), ([0], 2)], [2], "elemental 0 reads a vertex it does"),
+    "dag-operand-at-result-arity-3": (
+        DAG, [([0], 1), ([0, 1, 2], 2)], [2], "elemental 1 reads a vertex it"),
+    "dag-operand-after-result-arity-3": (
+        DAG, [([0], 1), ([3, 0, 1], 2), ([0], 3)], [3],
+        "elemental 1 reads a vertex it does not follow"),
+    "dag-negative-operand": (DAG, [([-1], 1)], [1],
+                             "elemental 0 reads a vertex it does not follow"),
+    "dag-negative-operand-first": (
+        DAG, [([-1, 0], 1)], [1], "elemental 0 reads a vertex it does not"),
+    "dag-negative-operand-second": (
+        DAG, [([0, -1], 1)], [1], "elemental 0 reads a vertex it does not"),
+    "dag-negative-operand-arity-3": (
+        DAG, [([0], 1), ([0, 1, -1], 2)], [2], "elemental 1 reads a vertex"),
+    "dag-lvalue-result-arity-0": (DAG, [([], -1)], [0], "L-value result -1 on"),
+    "dag-lvalue-result-arity-2": (DAG, [([0], 1), ([0, 1], -1)], [1],
+                                  "L-value result -1 on a DAG tape"),
+    "dag-lvalue-result-arity-3": (
+        DAG, [([0], 1), ([0], 2), ([0, 1, 2], -1)], [2],
+        "L-value result -1 on a DAG tape"),
+    "dcg-operand-at-result-first": (DCG, [([0, -1], 0), ([0], -1)], [-1],
+                                    "remainder vertex 0 is read before"),
+    "dcg-operand-at-result-second": (DCG, [([-1, 0], 0), ([0], -1)], [-1],
+                                     "remainder vertex 0 is read before"),
+    "dcg-operand-after-result-first": (
+        DCG, [([-1], 0), ([2, -1], 1), ([-1], 2), ([2], -1)], [-1],
+        "remainder vertex 2 is read before"),
+    "dcg-operand-after-result-second": (
+        DCG, [([-1], 0), ([-1, 2], 1), ([-1], 2), ([2], -1)], [-1],
+        "remainder vertex 2 is read before"),
+    "dcg-operand-at-result-arity-3": (
+        DCG, [([-1], 0), ([-1, 0, 1], 1), ([1], -1)], [-1],
+        "remainder vertex 1 is read before"),
+    "dcg-operand-before-lvalue-result-second": (
+        DCG, [([-1], 0), ([-1, 1], -2), ([-2], 1)], [-2],
+        "remainder vertex 1 is read before"),
+    "dcg-operand-before-lvalue-result-arity-3": (
+        DCG, [([-1], 0), ([-1, 0, 1], -2), ([-2], 1)], [-2],
+        "remainder vertex 1 is read before"),
+    "dcg-operand-in-trailing-lvalue-results-second": (
+        DCG, [([-1], 0), ([-1, 1], -2), ([-2], -3)], [-3],
+        "remainder vertex 1 is read before"),
+    "dcg-operand-without-remainder-second": (
+        DCG, [([-1, 0], -2)], [-2], "remainder vertex 0 is read before"),
+    "dcg-operand-without-remainder-arity-3": (
+        DCG, [([-1, -2, 0], -2)], [-2], "remainder vertex 0 is read before"),
 }
 
 
@@ -205,6 +338,28 @@ def test_non_finite_partial_rejected(tmp_path, mode, partial):
     with pytest.raises(TapeError, match="non-finite partial") as excinfo:
         load(str(p))
     assert str(p) in str(excinfo.value)
+
+
+@pytest.mark.parametrize("block_entries", [1, 256])
+@pytest.mark.parametrize("partials", [
+    [0.5, math.inf, 0.5], [0.5, -math.inf, 0.5], [0.5, math.nan, 0.5],
+    [0.5, math.inf, -math.inf],
+], ids=["inf", "-inf", "nan", "inf-beside-minus-inf"])
+def test_non_finite_partial_rejected_at_any_block_size(tmp_path, partials,
+                                                       block_entries):
+    p = tmp_path / "t.adtp"
+    write_raw(p, DAG, [0], [([0], 1), ([0, 1], 2)], [2], partial=partials)
+    with pytest.raises(TapeError, match="non-finite partial") as excinfo:
+        load(str(p), block_entries=block_entries)
+    assert str(p) in str(excinfo.value)
+
+
+@pytest.mark.parametrize("block_entries", [1, 256])
+def test_finite_partials_whose_sum_overflows_load(tmp_path, block_entries):
+    p = tmp_path / "t.adtp"
+    write_raw(p, DAG, [0], [([0], 1), ([1], 2)], [2], partial=1e308)
+    tape = load(str(p), block_entries=block_entries)
+    assert tape.dump()[1] == [1e308, 1e308]
 
 
 def test_partials_without_elemental_rejected(tmp_path):
