@@ -3,8 +3,10 @@ dedicated-L-value strategies, plus the finite-difference gradient check.
 
 The three strategies share one sweep, ``propagate(tape, seed, strategy)``,
 which reads the record layout of the structure and partials streams itself,
-newest record first, through ``Tape.reverse_streams``: no object is built
-per record.  The strategies differ only in the pair (p_L, W) of the slot
+newest record first, from the two iterators of ``Tape.reverse_streams``:
+the record loop runs over ``islice`` of the structure iterator, every other
+entry is read with the builtin ``next()``, and no object is built per
+record.  The strategies differ only in the pair (p_L, W) of the slot
 map: L-value ``-k`` lives in slot ``k-1`` and vertex ``v >= 0`` in slot
 ``p_L + v % W``.
 
@@ -19,6 +21,7 @@ which is what makes slot reuse safe in the modulo strategies.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Callable, Sequence
 
 from .tape import DAG, DCG, Tape, TapeStats, TapeError
@@ -84,7 +87,7 @@ def propagate(tape: Tape, seed: Sequence[float], strategy: str,
     """
     stats = tape.stats()
     p_l, width = _slot_map(stats, strategy)
-    s_next, d_next = tape.reverse_streams()
+    s, d = tape.reverse_streams()
     if len(seed) != tape.m:
         raise SeedError(f"seed length {len(seed)} != {tape.m} outputs")
     vbar = [0.0] * adjoint_slot_count(stats, strategy)
@@ -98,10 +101,12 @@ def propagate(tape: Tape, seed: Sequence[float], strategy: str,
         live[slot] = j
         vbar[slot] = ybar
     # each record reads back as result, operand count, then the operands
-    # (from s) with their partials (from d) in reverse operand order
-    for _ in range(tape.q):
-        result = s_next()
-        count = s_next()
+    # (from s) with their partials (from d) in reverse operand order.  The
+    # builtin next() and islice read at C speed, where the iterators'
+    # bound __next__ would not be specialised; and no name read in this
+    # loop may become a closure cell (tests/test_interpret.py)
+    for result in islice(s, tape.q):
+        count = next(s)
         slot = p_l + result % width if result >= 0 else ~result
         if live and slot in live:
             if live[slot] == result:
@@ -115,20 +120,21 @@ def propagate(tape: Tape, seed: Sequence[float], strategy: str,
         # straight-line paths for the arities overloading records; the loop
         # takes zero-arity overwrites and hand-recorded n-ary records
         if count == 1:
-            i = s_next()
-            vbar[p_l + i % width if i >= 0 else ~i] += w * d_next()
+            i = next(s)
+            vbar[p_l + i % width if i >= 0 else ~i] += w * next(d)
         elif count == 2:
-            i = s_next()
-            vbar[p_l + i % width if i >= 0 else ~i] += w * d_next()
-            i = s_next()
-            vbar[p_l + i % width if i >= 0 else ~i] += w * d_next()
+            i = next(s)
+            vbar[p_l + i % width if i >= 0 else ~i] += w * next(d)
+            i = next(s)
+            vbar[p_l + i % width if i >= 0 else ~i] += w * next(d)
         else:
-            for _ in range(count):
-                i = s_next()
-                vbar[p_l + i % width if i >= 0 else ~i] += w * d_next()
+            for i in islice(s, count):
+                vbar[p_l + i % width if i >= 0 else ~i] += w * next(d)
         if on_step is not None:
             on_step(list(vbar))
-    grad = [vbar[p_l + i % width if i >= 0 else ~i] for i in tape.inputs]
+    grad = []  # a loop: a comprehension would turn p_l, width, vbar into cells
+    for i in tape.inputs:
+        grad.append(vbar[p_l + i % width if i >= 0 else ~i])
     return (grad, vbar) if return_slots else grad
 
 

@@ -5,14 +5,15 @@ A tape owns two append-only streams: the structure stream ``s`` (signed
 of ``s`` is: the input vertex ids first, then for every recorded elemental
 its predecessor ids in operand order, the predecessor count, and the result
 id.  ``d`` carries one local partial derivative per predecessor entry of
-``s``, in the same order.  ``Tape.reverse_streams`` opens both streams
-backwards, newest entry first.  The adjoint sweep
-``interpret.propagate(tape, seed, strategy)`` reads this record layout
-itself through it, with no object per record; ``Tape.reverse_elementals``
-turns each record into ``(result, preds)`` for ``Tape.parse``,
-``Tape.visit_sequence`` and the DOT rendering.  The sweep puts the adjoint
-of L-value ``-k`` in slot ``k-1`` and of vertex ``v >= 0`` in slot
-``p_L + v % W``, with (p_L, W) fixed per strategy.
+``s``, in the same order.  ``Tape.reverse_streams`` returns an iterator
+over each stream, newest entry first, to be read with the builtin
+``next()`` and ``itertools.islice``, which run at C speed.  The adjoint
+sweep ``interpret.propagate(tape, seed, strategy)`` reads this record
+layout itself through them, with no object per record;
+``Tape.reverse_elementals`` turns each record into ``(result, preds)`` for
+``Tape.parse``, ``Tape.visit_sequence`` and the DOT rendering.  The sweep
+puts the adjoint of L-value ``-k`` in slot ``k-1`` and of vertex
+``v >= 0`` in slot ``p_L + v % W``, with (p_L, W) fixed per strategy.
 
 Two recording modes exist:
 
@@ -26,8 +27,9 @@ Two recording modes exist:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import isfinite
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .blockstore import DEFAULT_BLOCK_ENTRIES, BlockStore
 
@@ -344,23 +346,24 @@ class Tape:
         yield from self._d.le_blocks()
 
     def reverse_streams(self, prefetch: bool | None = None
-                        ) -> tuple[Callable[[], int], Callable[[], float]]:
-        """``(s_next, d_next)``: the ``__next__`` of a reverse iterator over
-        each stream, newest entry first.  With ``prefetch`` (default
-        ``self.prefetch``) each store hints the kernel to read its
-        next-older spilled block ahead (``BlockStore.reverse_blocks``).
+                        ) -> tuple[Iterator[int], Iterator[float]]:
+        """``(s, d)``: a reverse iterator over each stream, newest entry
+        first.  With ``prefetch`` (default ``self.prefetch``) each store
+        hints the kernel to read its next-older spilled block ahead
+        (``BlockStore.reverse_blocks``).
 
         Each record reads back as its result id, its operand count, then
-        that many operand ids from ``s_next`` each paired with its partial
-        from ``d_next``, in reverse operand order; the ``n`` input ids
-        remain at the end of ``s``.  The adjoint sweep and
-        ``reverse_elementals`` read the records through these two callables.
+        that many operand ids from ``s`` each paired with its partial from
+        ``d``, in reverse operand order; the ``n`` input ids remain at the
+        end of ``s``.  The adjoint sweep and ``reverse_elementals`` read the
+        records with the builtin ``next(s)``, ``next(d)`` and ``islice``,
+        never through a bound ``__next__``, which CPython 3.11 does not
+        specialise.
         """
         self._require_finalized()
         if prefetch is None:
             prefetch = self.prefetch
-        return (self._s.reverse_iter(prefetch).__next__,
-                self._d.reverse_iter(prefetch).__next__)
+        return self._s.reverse_iter(prefetch), self._d.reverse_iter(prefetch)
 
     def reverse_elementals(self, prefetch: bool | None = None
                            ) -> Iterator[tuple[int, tuple[tuple[int, float], ...]]]:
@@ -373,18 +376,17 @@ class Tape:
         the tape through this; the sweep reads the same records straight
         from ``reverse_streams``.
         """
-        s_next, d_next = self.reverse_streams(prefetch)
-        for _ in range(self.q):
-            result = s_next()
-            count = s_next()
+        s, d = self.reverse_streams(prefetch)
+        for result in islice(s, self.q):
+            count = next(s)
             # direct paths for the arities overloading records; the rest
-            # (zero-arity overwrites, hand-recorded n-ary) build a list
+            # (zero-arity overwrites, hand-recorded n-ary) zip two slices
             if count == 1:
-                yield result, ((s_next(), d_next()),)
+                yield result, ((next(s), next(d)),)
             elif count == 2:
-                yield result, ((s_next(), d_next()), (s_next(), d_next()))
+                yield result, ((next(s), next(d)), (next(s), next(d)))
             else:
-                yield result, tuple([(s_next(), d_next()) for _ in range(count)])
+                yield result, tuple(zip(islice(s, count), islice(d, count)))
 
     def parse(self) -> tuple[list[int], list[Elemental]]:
         """Forward-order view: (input ids, elementals with operand order)."""

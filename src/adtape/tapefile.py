@@ -23,6 +23,7 @@ import array
 import os
 import struct
 import sys
+from itertools import islice
 from math import isfinite
 
 from .blockstore import ENTRY_BYTES, BlockStore
@@ -134,23 +135,12 @@ def _derive_stats(path: str, mode: str, n: int, q: int, s: BlockStore,
     first, that no L-value lies beyond ``stored_p_l`` (None for a file
     that does not store p_L) and that the outputs are distinct known
     vertices (L-values on a DCG tape).  ``_read_stream`` has already
-    checked that the partials are finite, as they arrived."""
-    def bad(what):
-        return TapeError(f"{path}: {what}")
+    checked that the partials are finite, as they arrived.
 
-    def operands(count, k):
-        """The operands of a zero-arity or n-ary record."""
-        ops = [s_next() for _ in range(count)]
-        if len(set(ops)) != count:
-            raise bad(f"elemental {k} repeats an operand")
-        return ops
-
-    def bad_dag_result(result, k):
-        if result < 0:
-            return bad(f"L-value result {result} on a DAG tape")
-        return bad(f"elemental {k} has result {result}, not {n + k}")
-
-    s_next = s.reverse_iter().__next__
+    Entries are read with the builtin ``next()``, and the helpers live at
+    module level, so no local of the record loop is a closure cell, as in
+    ``interpret.propagate``."""
+    entries = s.reverse_iter()
     s_left, d_left = len(s), len(d)
     dag = mode == DAG
     beta = beta_r = 0
@@ -161,58 +151,59 @@ def _derive_stats(path: str, mode: str, n: int, q: int, s: BlockStore,
     for k in range(q - 1, -1, -1):
         s_left -= 2
         if s_left < n:
-            raise bad("malformed structure stream")
-        result = s_next()
-        count = s_next()
+            raise _bad(path, "malformed structure stream")
+        result = next(entries)
+        count = next(entries)
         s_left -= count
         d_left -= count
         if count < 0 or s_left < n or d_left < 0:
-            raise bad("malformed structure stream")
+            raise _bad(path, "malformed structure stream")
         # straight-line paths for the arities overloading records, as in
         # interpret.propagate; zero-arity and n-ary records take a list
         if dag:
             if count == 1:
-                lo = hi = s_next()
+                lo = hi = next(entries)
             elif count == 2:
-                lo = s_next()
-                hi = s_next()
+                lo = next(entries)
+                hi = next(entries)
                 if lo > hi:
                     lo, hi = hi, lo
                 elif lo == hi:
-                    raise bad(f"elemental {k} repeats an operand")
+                    raise _bad(path, f"elemental {k} repeats an operand")
             else:
-                ops = operands(count, k)
+                ops = _operands(entries, count, k, path)
                 if not ops:
                     if result != n + k:
-                        raise bad_dag_result(result, k)
+                        raise _bad_dag_result(path, n, result, k)
                     continue
                 lo, hi = min(ops), max(ops)
             if result != n + k:
-                raise bad_dag_result(result, k)
+                raise _bad_dag_result(path, n, result, k)
             if lo < 0 or hi >= result:
-                raise bad(f"elemental {k} reads a vertex it does not follow")
+                raise _bad(path, f"elemental {k} reads a vertex it does not "
+                                 "follow")
             if result - lo > beta:
                 beta = result - lo
             continue
         if count == 1:
-            ops = (s_next(),)
+            ops = (next(entries),)
         elif count == 2:
-            a = s_next()
-            b = s_next()
+            a = next(entries)
+            b = next(entries)
             if a == b:
-                raise bad(f"elemental {k} repeats an operand")
+                raise _bad(path, f"elemental {k} repeats an operand")
             ops = (a, b)
         else:
-            ops = operands(count, k)
+            ops = _operands(entries, count, k, path)
         if result >= 0:
             if oldest is None:
                 if trailing > result:
-                    raise bad(f"remainder vertex {trailing} is read before "
-                              "it is recorded")
+                    raise _bad(path, f"remainder vertex {trailing} is read "
+                                     "before it is recorded")
                 youngest = result
             elif result != oldest - 1:
-                raise bad(f"elemental {k} has result {result}, "
-                          f"not {oldest - 1}")
+                raise _bad(path, f"elemental {k} has result {result}, "
+                                 f"not {oldest - 1}")
             oldest = defined = result
         else:
             if -result > p_l:
@@ -226,39 +217,59 @@ def _derive_stats(path: str, mode: str, n: int, q: int, s: BlockStore,
                 if v > trailing:
                     trailing = v
             elif v >= defined:
-                raise bad(f"remainder vertex {v} is read before it is recorded")
+                raise _bad(path, f"remainder vertex {v} is read before it "
+                                 "is recorded")
             elif result >= 0 and result - v > beta_r:
                 beta_r = result - v
     if s_left != n:
-        raise bad(f"structure stream does not start with {n} inputs")
+        raise _bad(path, f"structure stream does not start with {n} inputs")
     if d_left:
-        raise bad(f"{d_left} partials belong to no elemental")
+        raise _bad(path, f"{d_left} partials belong to no elemental")
     inputs = range(n) if dag else range(-1, -n - 1, -1)
-    if [s_next() for _ in range(n)] != list(reversed(inputs)):
-        raise bad(f"input ids are not {inputs[0]}..{inputs[-1]}")
+    if list(islice(entries, n)) != list(reversed(inputs)):
+        raise _bad(path, f"input ids are not {inputs[0]}..{inputs[-1]}")
     if dag:
         if stored_p_l:
-            raise bad(f"p_L is {stored_p_l} on a DAG tape")
+            raise _bad(path, f"p_L is {stored_p_l} on a DAG tape")
         num_remainder = num_vertices = n + q
         p_l = 0
     else:
         if oldest is None and trailing >= 0:
-            raise bad(f"remainder vertex {trailing} is read before it is recorded")
+            raise _bad(path, f"remainder vertex {trailing} is read before "
+                             "it is recorded")
         if oldest is not None and oldest != 0:
-            raise bad(f"remainder ids start at {oldest}, not 0")
+            raise _bad(path, f"remainder ids start at {oldest}, not 0")
         if stored_p_l is not None:
             if p_l > stored_p_l:
-                raise bad(f"L-value {-p_l} lies beyond p_L {stored_p_l}")
+                raise _bad(path, f"L-value {-p_l} lies beyond p_L {stored_p_l}")
             p_l = stored_p_l
         num_remainder = youngest + 1
         num_vertices = p_l + num_remainder
     for v in outputs:
         if not (0 <= v < num_vertices if dag else -p_l <= v < 0):
-            raise bad(f"output {v} is not a {'vertex' if dag else 'L-value'} "
-                      "of the tape")
+            raise _bad(path, f"output {v} is not a "
+                             f"{'vertex' if dag else 'L-value'} of the tape")
     if len(set(outputs)) != len(outputs):
-        raise bad("an output is registered twice")
+        raise _bad(path, "an output is registered twice")
     return TapeStats(mode=mode, num_vertices=num_vertices, num_inputs=n,
                      num_outputs=len(outputs), num_edges=len(d),
                      num_elementals=q, beta=beta, beta_r=beta_r, p_l=p_l,
                      num_remainder=num_remainder, s_len=len(s), d_len=len(d))
+
+
+def _bad(path: str, what: str) -> TapeError:
+    return TapeError(f"{path}: {what}")
+
+
+def _operands(entries, count: int, k: int, path: str) -> list[int]:
+    """The ``count`` operands of zero-arity or n-ary elemental ``k``."""
+    ops = list(islice(entries, count))
+    if len(set(ops)) != count:
+        raise _bad(path, f"elemental {k} repeats an operand")
+    return ops
+
+
+def _bad_dag_result(path: str, n: int, result: int, k: int) -> TapeError:
+    if result < 0:
+        return _bad(path, f"L-value result {result} on a DAG tape")
+    return _bad(path, f"elemental {k} has result {result}, not {n + k}")

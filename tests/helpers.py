@@ -139,3 +139,26 @@ class RandomProgram:
         result = ctx.lvalue()
         result = ctx.assign(result, total)
         ctx.output(result)
+
+
+def zero_arity_tape(mode, **cfg):
+    """Two inputs, a zero-arity record and a ternary one; on a DCG tape the
+    zero-arity record overwrites an L-value that was read before."""
+    tape = Tape(mode, **cfg)
+    x, y = tape.register_input(), tape.register_input()
+    if mode == DCG:
+        a, b = tape.declare_lvalue(), tape.declare_lvalue()
+        tape.record([(x, 2.0), (y, -0.5)], result=a)
+        tape.record([(a, 3.0)], result=b)
+        tape.record([], result=a)
+        t = tape.record([(x, 0.7), (a, 1.1), (y, -2.0)])
+        tape.record([(t, 1.5), (b, 0.25)], result=b)
+        outputs = [a, b]
+    else:
+        c = tape.record([])
+        t = tape.record([(x, 2.0), (c, 1.5), (y, 1.0)])
+        outputs = [tape.record([(t, 0.5), (x, -1.0)])]
+    for v in outputs:
+        tape.register_output(v)
+    tape.finalize()
+    return tape

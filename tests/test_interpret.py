@@ -25,6 +25,7 @@ from adtape import (
 )
 from adtape.blockstore import BlockStoreError
 from adtape.problems import IntroExample
+from adtape.tapefile import _derive_stats
 
 from helpers import STORES, RandomProgram
 
@@ -287,3 +288,15 @@ def test_collision_mid_sweep_leaves_no_reader_behind(tmp_path, prefetch):
     del tape
     gc.collect()
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("parse", [propagate, Tape.reverse_elementals,
+                                   _derive_stats],
+                         ids=lambda fn: fn.__qualname__)
+def test_reverse_parses_hold_no_closure_cells(parse):
+    # A local that a nested function reads, or (before Python 3.12, which
+    # inlines comprehensions) a comprehension, becomes a cell, and each read
+    # of it in the record loop then goes through the cell.  On CPython 3.11
+    # the three cells a trailing comprehension gave propagate cost 1.5-3%
+    # of a Burgers(16, 200) sweep (min of 80 alternating in-process runs).
+    assert parse.__code__.co_cellvars == ()

@@ -32,7 +32,7 @@ from adtape.rng import Xorshift
 from adtape.tapefile import load, save
 
 from helpers import (SMALL_PROBLEMS, STORES, RandomProgram, random_dag_tape,
-                     reference_parse)
+                     reference_parse, zero_arity_tape)
 
 RTOL = 1e-12
 
@@ -381,12 +381,24 @@ def swept_blocks(store, head_entries=0):
 
 
 def assert_sweep_matches_reference(make_tape):
-    """Every strategy of the tape's mode sweeps ``make_tape()`` bitwise
-    like ``reference_sweep``; each sweep reads every block holding a record
-    once, and notes the same peak as plain drains of an identical tape."""
+    """``reverse_elementals`` parses ``make_tape()`` like ``reference_parse``
+    and every strategy of the tape's mode sweeps it bitwise like
+    ``reference_sweep``; the parse and each sweep read every block holding a
+    record once, and note the same peak as plain drains of an identical
+    tape."""
     tape, twin = make_tape(), make_tape()
     for store in (twin._s, twin._d):
         deque(store.reverse_iter(twin.prefetch), maxlen=0)
+    before = tape._s.blocks_read, tape._d.blocks_read
+    parsed = list(tape.reverse_elementals())
+    assert tape._s.blocks_read - before[0] == swept_blocks(tape._s, tape.n)
+    assert tape._d.blocks_read - before[1] == swept_blocks(tape._d)
+    _, records = reference_parse(*tape.dump(), tape.n, tape.q)
+    expected = [(result, tuple(zip(preds[::-1], partials[::-1])))
+                for preds, partials, result in reversed(records)]
+    assert parsed == expected
+    assert bits([x for _, preds in parsed for _, x in preds]) == \
+        bits([x for _, preds in expected for _, x in preds])
     rng = Xorshift(tape.q)
     seed = [2.0 * rng.uniform() - 1.0 for _ in range(tape.m)]
     swept = {}
@@ -422,29 +434,6 @@ def test_sweep_matches_reference(source, store, prefetch, seed):
         mode = DAG if source == "program_dag" else DCG
         assert_sweep_matches_reference(
             lambda: record_problem(prog, prog.default_point(), mode=mode, **cfg))
-
-
-def zero_arity_tape(mode, **cfg):
-    """Two inputs, a zero-arity record and a ternary one; on a DCG tape the
-    zero-arity record overwrites an L-value that was read before."""
-    tape = Tape(mode, **cfg)
-    x, y = tape.register_input(), tape.register_input()
-    if mode == DCG:
-        a, b = tape.declare_lvalue(), tape.declare_lvalue()
-        tape.record([(x, 2.0), (y, -0.5)], result=a)
-        tape.record([(a, 3.0)], result=b)
-        tape.record([], result=a)
-        t = tape.record([(x, 0.7), (a, 1.1), (y, -2.0)])
-        tape.record([(t, 1.5), (b, 0.25)], result=b)
-        outputs = [a, b]
-    else:
-        c = tape.record([])
-        t = tape.record([(x, 2.0), (c, 1.5), (y, 1.0)])
-        outputs = [tape.record([(t, 0.5), (x, -1.0)])]
-    for v in outputs:
-        tape.register_output(v)
-    tape.finalize()
-    return tape
 
 
 @pytest.mark.parametrize("prefetch", [False, True])

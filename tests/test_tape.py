@@ -10,7 +10,8 @@ from adtape.interpret import STRATEGY_MODE
 from adtape.problems import IntroExample, LiborMC
 from adtape.tapefile import load, save
 
-from helpers import reference_bandwidth, reference_parse
+from helpers import (SMALL_PROBLEMS, STORES, reference_bandwidth,
+                     reference_parse, zero_arity_tape)
 
 SIN1 = math.sin(1.0)
 COS1 = math.cos(1.0)
@@ -385,6 +386,33 @@ def test_parse_matches_reference(intro_dcg):
     assert own_inputs == inputs
     assert [(list(p for p, _ in e.preds), e.result) for e in own] == \
         [(p, r) for p, _, r in records]
+
+
+@pytest.mark.parametrize("store", ["inmem", "tiny"])
+@pytest.mark.parametrize("source", ["zero_arity", "burgers"])
+@pytest.mark.parametrize("mode", [DAG, DCG])
+def test_reverse_streams_read_the_documented_layout(mode, source, store):
+    """Read through the two iterators as ``reverse_streams`` documents,
+    ``q`` records leave exactly the ``n`` input ids in ``s``, newest first,
+    and nothing in ``d``.  ``zero_arity`` tapes hold a zero-arity and a
+    ternary record; ``tiny`` blocks cut records across blocks."""
+    if source == "zero_arity":
+        tape = zero_arity_tape(mode, **STORES[store])
+    else:
+        problem = SMALL_PROBLEMS[source]()
+        tape = record_problem(problem, problem.default_point(), mode=mode,
+                              **STORES[store])
+    _, records = reference_parse(*tape.dump(), tape.n, tape.q)
+    s, d = tape.reverse_streams()
+    parsed = []
+    for _ in range(tape.q):
+        result = next(s)
+        count = next(s)
+        parsed.append((result, [(next(s), next(d)) for _ in range(count)]))
+    assert parsed == [(result, list(zip(preds[::-1], partials[::-1])))
+                      for preds, partials, result in reversed(records)]
+    assert list(s) == list(reversed(tape.inputs))
+    assert next(d, None) is None
 
 
 @pytest.mark.parametrize("mode", [DAG, DCG])
