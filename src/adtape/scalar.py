@@ -11,7 +11,12 @@ Each overloaded operation computes its primal value and local partials
 inline and records one elemental: its predecessors are the active operands
 in operand order, and its result is a fresh remainder vertex.  Only
 ``Recorder.assign`` on a DCG tape writes an existing L-value.  An operation
-with no active operand records nothing and returns the plain value.
+with no active operand records nothing and returns the plain value.  An
+operation with one active operand records through ``Tape.record_unary`` and
+one with two through ``Tape.record_binary``, which write the record with no
+operand list; ``Tape.record``, the general loop, serves only the zero-arity
+overwrite of a passive assignment.  Operands of two different tapes, in an
+operation, an assignment or an output, raise ``TapeError``.
 
 Comparison operators act on primal values and return plain booleans, so
 control flow is frozen per recording.
@@ -44,19 +49,25 @@ class ActiveScalar:
 
     # -- arithmetic ---------------------------------------------------------
 
+    # the other operand's value is read inline, not through value_of: one
+    # call fewer per operation
     def __add__(self, other):
-        return _binary(self, other, self.value + value_of(other), 1.0, 1.0)
+        b = other.value if isinstance(other, ActiveScalar) else float(other)
+        return _binary(self, other, self.value + b, 1.0, 1.0)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return _binary(self, other, self.value - value_of(other), 1.0, -1.0)
+        b = other.value if isinstance(other, ActiveScalar) else float(other)
+        return _binary(self, other, self.value - b, 1.0, -1.0)
 
     def __rsub__(self, other):
-        return _binary(other, self, value_of(other) - self.value, 1.0, -1.0)
+        a = other.value if isinstance(other, ActiveScalar) else float(other)
+        return _binary(other, self, a - self.value, 1.0, -1.0)
 
     def __mul__(self, other):
-        a, b = self.value, value_of(other)
+        a = self.value
+        b = other.value if isinstance(other, ActiveScalar) else float(other)
         return _binary(self, other, a * b, b, a)
 
     __rmul__ = __mul__
@@ -64,13 +75,14 @@ class ActiveScalar:
     # the divisor's partial is -v / b from the quotient v: -a / (b * b)
     # divides by zero once b * b underflows, though v is finite
     def __truediv__(self, other):
-        b = value_of(other)
+        b = other.value if isinstance(other, ActiveScalar) else float(other)
         v = self.value / b
         return _binary(self, other, v, 1.0 / b, -v / b)
 
     def __rtruediv__(self, other):
         b = self.value
-        v = value_of(other) / b
+        a = other.value if isinstance(other, ActiveScalar) else float(other)
+        v = a / b
         return _binary(other, self, v, 1.0 / b, -v / b)
 
     def __neg__(self):
@@ -122,9 +134,10 @@ def _binary(a, b, v, da, db) -> "ActiveScalar | float":
 
 
 def _unary(a, v, partial) -> "ActiveScalar | float":
-    if not _is_active(a):
-        return v
-    return ActiveScalar(a.tape, v, a.tape.record_unary(a.vertex, partial))
+    if isinstance(a, ActiveScalar) and a.active:
+        tape = a.tape
+        return ActiveScalar(tape, v, tape.record_unary(a.vertex, partial))
+    return v
 
 
 # -- elemental math functions, generic over active/passive scalars ----------
@@ -211,15 +224,16 @@ class Recorder:
     def assign(self, lhs, rhs):
         if self.tape is None:
             return value_of(rhs)
+        active = _is_active(rhs)
+        if active and rhs.tape is not self.tape:
+            raise TapeError("operands belong to different tapes")
         if self.tape.mode == DAG:
-            return rhs if _is_active(rhs) else value_of(rhs)
+            return rhs if active else value_of(rhs)
         # DCG: lhs must be a declared L-value of this tape
         if not (isinstance(lhs, ActiveScalar) and lhs.is_lvalue
                 and lhs.tape is self.tape):
             raise TapeError("assignment target is not an L-value of this tape")
-        if _is_active(rhs):
-            if rhs.tape is not self.tape:
-                raise TapeError("operands belong to different tapes")
+        if active:
             self.tape.record_unary(rhs.vertex, 1.0, lhs.vertex)
             lhs.value = rhs.value
             lhs.active = True
@@ -236,6 +250,9 @@ class Recorder:
             return
         if not _is_active(s):
             raise TapeError("cannot register a passive value as output")
+        if s.tape is not self.tape:
+            # its vertex id names some other vertex of this tape
+            raise TapeError("operands belong to different tapes")
         self.tape.register_output(s.vertex)
 
 

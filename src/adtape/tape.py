@@ -44,6 +44,10 @@ class TapeError(Exception):
     pass
 
 
+def _bad_record(vids: list, parts: list, exc: Exception) -> TapeError:
+    return TapeError(f"bad record {vids!r} with partials {parts!r}: {exc}")
+
+
 class Elemental(NamedTuple):
     """One parsed tape entry group: predecessors in operand order."""
     result: int
@@ -76,16 +80,21 @@ class Tape:
     file is removed.  Each stream notes its ``peak_resident_bytes`` just
     before it pushes full blocks and at seal, not on every record.
 
-    ``record`` takes any operand list, merges repeated operands and can
-    overwrite an L-value; overloading records through ``record_unary`` and
-    ``record_binary``.  All three hand one append core an operand list and
-    a partials list.  The core checks them and numbers the result, writes
-    the record into each stream's open block with one ``array.fromlist``
-    (which writes all of a list or none of it), and only then commits the
-    counters, so a rejected record leaves the tape as it was.  It enters a
-    store (``BlockStore.push_full``) only when that store's open block
-    fills.  ``finalize`` closes the tape before it seals the streams, so no
-    record reaches a sealed block, even when a seal fails.
+    Overloading records through ``record_unary`` and ``record_binary``,
+    straight-line code for one and two operands that builds no operand list
+    and runs no per-operand loop.  ``record`` takes any operand list,
+    merges repeated operands and can overwrite an L-value; it hands the
+    list to ``_append``, the loop the two straight-line writers spell out.
+    Each writer checks the partials and operands and numbers the result,
+    writes the record into each stream's open block with one
+    ``array.fromlist`` (which writes all of a list or none of it), and only
+    then commits the counters, so a rejected record leaves the tape as it
+    was.  The three write the same bytes and counters for the same record
+    and, past ``record``'s own checks of its pairs and result kind, raise
+    the same errors.  A writer enters a store (``BlockStore.push_full``)
+    only when that store's open block fills.  ``finalize`` closes the tape
+    before it seals the streams, so no record reaches a sealed block, even
+    when a seal fails.
     """
 
     def __init__(self, mode: str = DAG,
@@ -104,6 +113,7 @@ class Tape:
                     prefetch: bool) -> None:
         """An empty recording tape over the streams ``s`` and ``d``."""
         self.mode = mode
+        self._dag = mode == DAG
         self.prefetch = prefetch
         self._s, self._d = s, d
         self._s_open, self._d_open = s.open_block, d.open_block
@@ -193,24 +203,126 @@ class Tape:
 
     def record_unary(self, a: int, da: float, result: int | None = None) -> int:
         """Record ``result = f(a)`` with partial ``da``; ``result`` is None
-        for a fresh vertex or an existing L-value id ``-k`` (DCG only)."""
-        return self._append([a], [da], result)
+        for a fresh vertex or an existing L-value id ``-k`` (DCG only).
+
+        Straight-line ``_append`` for one operand: the same checks in the
+        same order, the same messages and the same all-or-nothing write."""
+        if self.finalized:
+            raise TapeError("tape is finalized")
+        s_open = self._s_open
+        try:
+            if not isfinite(da):
+                raise TapeError(f"non-finite partial {da!r} for vertex {a}")
+            if self._dag:
+                if result is not None:
+                    raise TapeError(f"L-value result {result!r} not allowed on this tape")
+                rid = self._next_ssa
+                if not 0 <= a < rid:
+                    self._check_known(a)
+                beta = self.beta
+                if rid - a > beta:
+                    beta = rid - a
+            else:
+                hi = self._next_remainder
+                if not -self.p_l <= a < hi:
+                    self._check_known(a)
+                beta = self.beta_r
+                if a >= 0 and hi - a > beta:
+                    beta = hi - a
+                if result is None:
+                    rid = hi
+                elif 0 < -result <= self.p_l:
+                    rid = result
+                else:
+                    raise TapeError(f"L-value result {result!r} not allowed on this tape")
+            s_open.fromlist([a, 1, rid])
+        except (TypeError, OverflowError) as exc:
+            raise _bad_record([a], [da], exc) from None
+        d_open = self._d_open
+        d_open.fromlist([da])
+
+        # the record is written: commit the counters
+        if self._dag:
+            self._next_ssa = rid + 1
+            self.beta = beta
+        elif result is None:
+            self._next_remainder = rid + 1
+            self.beta_r = beta
+        self.q += 1
+        if len(s_open) >= self._s_full:
+            self._s.push_full(3)
+        if len(d_open) >= self._d_full:
+            self._d.push_full(1)
+        return rid
 
     def record_binary(self, a: int, da: float, b: int, db: float) -> int:
         """Record a fresh vertex ``f(a, b)`` with partials ``da``, ``db``;
-        ``a == b`` is one operand with partial ``da + db``."""
-        if a == b:
-            return self._append([a], [da + db], None)
-        return self._append([a, b], [da, db], None)
+        ``a == b`` is one operand with partial ``da + db``.
 
-    def _append(self, vids: list, parts: list, result: int | None) -> int:
-        """The one append core: check the distinct operands ``vids`` and
-        their partials, number the result (None for a fresh vertex), write
-        the record into both open blocks, then commit the counters and push
-        any block that filled."""
+        Straight-line ``_append`` for two distinct operands, as
+        ``record_unary`` is for one."""
+        if a == b:
+            return self.record_unary(a, da + db)
         if self.finalized:
             raise TapeError("tape is finalized")
-        dag = self.mode == DAG
+        s_open = self._s_open
+        try:
+            if not isfinite(da):
+                raise TapeError(f"non-finite partial {da!r} for vertex {a}")
+            if not isfinite(db):
+                raise TapeError(f"non-finite partial {db!r} for vertex {b}")
+            if self._dag:
+                rid = self._next_ssa
+                if not 0 <= a < rid:
+                    self._check_known(a)
+                beta = self.beta
+                if rid - a > beta:
+                    beta = rid - a
+                if not 0 <= b < rid:
+                    self._check_known(b)
+                if rid - b > beta:
+                    beta = rid - b
+            else:
+                rid = self._next_remainder
+                lo = -self.p_l
+                if not lo <= a < rid:
+                    self._check_known(a)
+                beta = self.beta_r
+                if a >= 0 and rid - a > beta:
+                    beta = rid - a
+                if not lo <= b < rid:
+                    self._check_known(b)
+                if b >= 0 and rid - b > beta:
+                    beta = rid - b
+            s_open.fromlist([a, b, 2, rid])
+        except (TypeError, OverflowError) as exc:
+            raise _bad_record([a, b], [da, db], exc) from None
+        d_open = self._d_open
+        d_open.fromlist([da, db])
+
+        # the record is written: commit the counters
+        if self._dag:
+            self._next_ssa = rid + 1
+            self.beta = beta
+        else:
+            self._next_remainder = rid + 1
+            self.beta_r = beta
+        self.q += 1
+        if len(s_open) >= self._s_full:
+            self._s.push_full(4)
+        if len(d_open) >= self._d_full:
+            self._d.push_full(2)
+        return rid
+
+    def _append(self, vids: list, parts: list, result: int | None) -> int:
+        """The loop behind ``record``: check the distinct operands ``vids``
+        and their partials, number the result (None for a fresh vertex),
+        write the record into both open blocks, then commit the counters and
+        push any block that filled.  ``record_unary`` and ``record_binary``
+        are this loop written out for one and two operands."""
+        if self.finalized:
+            raise TapeError("tape is finalized")
+        dag = self._dag
         s_open = self._s_open
         try:
             for part in parts:
@@ -245,8 +357,7 @@ class Tape:
             n = len(vids)
             s_open.fromlist([*vids, n, rid])
         except (TypeError, OverflowError) as exc:
-            raise TapeError(f"bad record {vids!r} with partials {parts!r}: "
-                            f"{exc}") from None
+            raise _bad_record(vids, parts, exc) from None
         d_open = self._d_open
         d_open.fromlist(parts)  # isfinite has converted every partial already
 

@@ -7,6 +7,11 @@ back, so stream-layout regressions cannot hide in a shared code path.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
+import adtape
 from adtape import DAG, DCG, Recorder, Tape
 from adtape import scalar as ops
 from adtape.problems import (BlackScholesFD, BlackScholesMC, Burgers,
@@ -162,3 +167,34 @@ def zero_arity_tape(mode, **cfg):
         tape.register_output(v)
     tape.finalize()
     return tape
+
+
+#: appended to a child's code: print the child's peak RSS in bytes.  Linux
+#: VmHWM is the peak of the address space the child got at exec.  Its
+#: ``ru_maxrss`` also counts the parent's resident set at the fork, so in a
+#: child of the test runner it hides any growth below the runner's size.
+_PRINT_PEAK_RSS = """
+import resource as _resource, sys as _sys
+try:
+    with open("/proc/self/status") as _status:
+        _peak = next(int(line.split()[1]) * 1024 for line in _status
+                     if line.startswith("VmHWM:"))
+except (OSError, StopIteration):
+    # ru_maxrss is in KiB on Linux and in bytes on macOS
+    _peak = _resource.getrusage(_resource.RUSAGE_SELF).ru_maxrss
+    _peak *= 1 if _sys.platform == "darwin" else 1024
+print(_peak)
+"""
+
+
+def run_child(code: str, *args) -> tuple[list[str], int]:
+    """Run ``code`` in a fresh interpreter that imports this checkout's
+    adtape; returns (the fields it prints, its peak RSS in bytes)."""
+    src = os.path.dirname(os.path.dirname(adtape.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code + _PRINT_PEAK_RSS,
+                          *map(str, args)],
+                         env=env, capture_output=True, text=True, check=True)
+    *fields, peak = out.stdout.split()
+    return fields, int(peak)

@@ -2,6 +2,7 @@ import gc
 import os
 import re
 import threading
+from array import array
 
 import pytest
 
@@ -24,10 +25,10 @@ from adtape import (
     record_problem,
 )
 from adtape.blockstore import BlockStoreError
-from adtape.problems import IntroExample
+from adtape.problems import BlackScholesFD, IntroExample
 from adtape.tapefile import _derive_stats
 
-from helpers import STORES, RandomProgram
+from helpers import STORES, RandomProgram, run_child
 
 INTRO_GRAD = 0.4823553972640679
 
@@ -300,3 +301,43 @@ def test_reverse_parses_hold_no_closure_cells(parse):
     # the three cells a trailing comprehension gave propagate cost 1.5-3%
     # of a Burgers(16, 200) sweep (min of 80 alternating in-process runs).
     assert parse.__code__.co_cellvars == ()
+
+
+SWEEP_RSS_CHILD = """
+import sys
+from array import array
+from adtape import DCG, LVALUE, propagate, record_problem
+from adtape.problems import BlackScholesFD
+
+nt, tmp = int(sys.argv[1]), sys.argv[2]
+problem = BlackScholesFD(ns=30, nt=nt)
+tape = record_problem(problem, problem.default_point(), mode=DCG,
+                      block_entries=1024, budget_blocks=1, spill_dir=tmp)
+grad = propagate(tape, [1.0], LVALUE)
+print(tape.s_len * 8, tape.d_len * 8, array("d", grad).tobytes().hex())
+"""
+
+
+def test_spilled_sweep_stays_out_of_core(tmp_path):
+    """Record a BlackScholesFD DCG tape under one resident block and sweep
+    it, in a child process, at two lengths, the second 4x the first.
+
+    Peak RSS grows by less than half the longer tape's d-stream bytes, so
+    far below its stream bytes: a tape held in memory grows by 3/4 of its
+    streams, and one stream that stops pushing or spilling its full blocks
+    by 3/4 of that stream.  The shorter tape's gradient equals the
+    in-memory one bitwise."""
+    runs = {}
+    for nt in (300, 1200):
+        work = tmp_path / f"nt-{nt}"
+        work.mkdir()
+        runs[nt] = run_child(SWEEP_RSS_CHILD, nt, work)
+    (_, _, grad_hex), small = runs[300]
+    (s_bytes, d_bytes, _), large = runs[1200]
+    s_bytes, d_bytes = int(s_bytes), int(d_bytes)
+    assert d_bytes < s_bytes
+    assert large - small < d_bytes / 2, (large - small, d_bytes)
+    problem = BlackScholesFD(ns=30, nt=300)
+    tape = record_problem(problem, problem.default_point(), mode=DCG)
+    grad = propagate(tape, [1.0], LVALUE)
+    assert bytes.fromhex(grad_hex) == array("d", grad).tobytes()

@@ -307,3 +307,29 @@ def test_branching_on_value_rerecords():
     _, d_neg = neg.dump()
     assert d_pos == [4.0]   # merged square partial 2a
     assert d_neg == [3.0]   # the other branch
+
+
+@pytest.mark.parametrize("mode", [DAG, DCG])
+def test_output_from_another_tape_rejected(mode):
+    # the foreign vertex id also names a vertex of this tape, whose
+    # gradient would be taken in its place
+    ca, cb = Recorder(Tape(mode)), Recorder(Tape(mode))
+    xa, xb = ca.input(2.0), cb.input(3.0)
+    ya = ca.assign(ca.lvalue(), xa * xa)
+    yb = cb.assign(cb.lvalue(), xb * xb)
+    assert ya.vertex == yb.vertex
+    with pytest.raises(TapeError, match="different tapes"):
+        ca.output(yb)
+    assert ca.tape.outputs == []
+
+
+@pytest.mark.parametrize("mode", [DAG, DCG])
+def test_assign_from_another_tape_rejected(mode):
+    ca, cb = Recorder(Tape(mode)), Recorder(Tape(mode))
+    ca.input(2.0)
+    xb = cb.input(3.0)
+    cell = ca.lvalue()
+    before = (ca.tape.q, ca.tape.s_len, ca.tape.d_len)
+    with pytest.raises(TapeError, match="different tapes"):
+        ca.assign(cell, xb * 2.0)
+    assert (ca.tape.q, ca.tape.s_len, ca.tape.d_len) == before

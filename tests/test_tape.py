@@ -1,9 +1,10 @@
 import math
+from array import array
 
 import pytest
 
-from adtape import (DAG, DCG, STRATEGIES, Tape, TapeError, propagate,
-                    record_problem)
+from adtape import (DAG, DCG, REMAINDER, STRATEGIES, Tape, TapeError,
+                    propagate, record_problem)
 from adtape.blockstore import BlockStore, BlockStoreError
 from adtape.dot import to_dot
 from adtape.interpret import STRATEGY_MODE
@@ -213,6 +214,10 @@ BAD_RECORDS = {
     "nan-partial": lambda t, x, y, z: t.record_binary(x, 1.0, y, math.nan),
     "unknown-operand": lambda t, x, y, z: t.record([(x, 1.0), (z + 5, 1.0)]),
     "bad-result": lambda t, x, y, z: t.record_unary(x, 1.0, 7),
+    "inf-first-partial": lambda t, x, y, z: t.record_binary(x, math.inf, y, 1.0),
+    "unknown-first-operand": lambda t, x, y, z: t.record_binary(z + 5, 1.0, x, 1.0),
+    "huge-int-binary-partial": lambda t, x, y, z: t.record_binary(x, 1.0, y, 10 ** 400),
+    "float-lvalue-result": lambda t, x, y, z: t.record_unary(x, 1.0, -1.0),
 }
 
 
@@ -239,6 +244,103 @@ def test_rejected_record_leaves_the_tape_unchanged(mode, bad):
 
     t, clean = recorded(True), recorded(False)
     assert t.dump() == clean.dump() and t.stats() == clean.stats()
+
+
+#: partials of the differential test: valid, non-finite and of the wrong type
+DIFFERENTIAL_PARTIALS = [1.5, -0.0, 3, 1e308, math.inf, -math.inf, math.nan,
+                         10 ** 400, "1.0", None]
+#: partial pairs of a binary record: each partial beside a valid one, in
+#: either position, and some pairs of two bad ones
+DIFFERENTIAL_PARTIAL_PAIRS = (
+    [(p, 1.5) for p in DIFFERENTIAL_PARTIALS]
+    + [(1.5, p) for p in DIFFERENTIAL_PARTIALS]
+    + [(math.nan, math.inf), ("1.0", None), (10 ** 400, math.nan),
+       (math.inf, 10 ** 400), (None, math.nan)])
+
+
+def differential_cases(x, y, z):
+    """(operand, partial) pairs and result of arity-1 and arity-2 records
+    on a tape with inputs x, y and the elemental z: known operands, unknown
+    ones and ones of the wrong type.
+
+    A repeated operand's partials are added before either writer checks
+    them, so those cases take numeric partials only."""
+    operands = [x, z, z + 5, -9, None, 0.5, "a"]
+    numeric = [p for p in DIFFERENTIAL_PARTIALS if isinstance(p, (int, float))]
+    for a in operands:
+        for da in DIFFERENTIAL_PARTIALS:
+            for result in (None, -1, -9):
+                yield [(a, da)], result
+        for b in operands:
+            if a == b:
+                pairs = [(da, db) for da in numeric for db in numeric]
+            else:
+                pairs = DIFFERENTIAL_PARTIAL_PAIRS
+            for da, db in pairs:
+                yield [(a, da), (b, db)], None
+
+
+def outcome(write):
+    try:
+        return write()
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("block_entries", [3, 256])
+@pytest.mark.parametrize("mode", [DAG, DCG])
+def test_straight_line_writers_match_record(mode, block_entries):
+    """``record_unary`` and ``record_binary`` give exactly what ``record``
+    gives for the same arity-1 or arity-2 record, valid or rejected: the
+    same result or exception, and the same streams, counters and store
+    statistics after it and after one more record.  Up to two records
+    before the tested one move it across 3-entry block boundaries."""
+    def tape_and_ids(prefix):
+        t = Tape(mode, block_entries=block_entries)
+        x, y = t.register_input(), t.register_input()
+        z = t.record_binary(x, 0.5, y, 2.0)
+        for _ in range(prefix):
+            z = t.record_binary(z, 1.25, x, -0.5)
+        return t, (x, y, z)
+
+    def straight(t, preds, result):
+        if len(preds) == 1:
+            return t.record_unary(*preds[0], result)
+        return t.record_binary(*preds[0], *preds[1])
+
+    def generic(t, preds, result):
+        return t.record(preds, REMAINDER if result is None else result)
+
+    def state(t):
+        return (recording_state(t), t.store_stats(), t.stats())
+
+    _, ids = tape_and_ids(0)
+    for i, (preds, result) in enumerate(differential_cases(*ids)):
+        tapes, seen = [], []
+        for write in (straight, generic):
+            t, (x, y, z) = tape_and_ids(i % 3)
+            seen.append((outcome(lambda: write(t, preds, result)), state(t)))
+            rid = t.record([(z, 1.5), (x, -1.0)])
+            t.register_output(rid if mode == DAG else x)
+            t.finalize()
+            tapes.append(t)
+        case = (preds, result)
+        assert seen[0] == seen[1], case
+        (s0, d0), (s1, d1) = (t.dump() for t in tapes)
+        assert s0 == s1, case
+        assert array("d", d0).tobytes() == array("d", d1).tobytes(), case
+        assert state(tapes[0]) == state(tapes[1]), case
+
+
+@pytest.mark.parametrize("mode", [DAG, DCG])
+def test_overloading_never_takes_the_generic_loop(monkeypatch, mode):
+    def refuse(*args):
+        raise AssertionError("overloading called Tape._append")
+
+    monkeypatch.setattr(Tape, "_append", refuse)
+    problem = SMALL_PROBLEMS["burgers"]()
+    tape = record_problem(problem, problem.default_point(), mode=mode)
+    assert tape.q > 0
 
 
 def test_failed_finalize_leaves_no_record_path(tmp_path, monkeypatch):

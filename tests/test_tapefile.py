@@ -1,12 +1,9 @@
 import math
 import os
 import struct
-import subprocess
-import sys
 
 import pytest
 
-import adtape
 from adtape import (DAG, DCG, LVALUE, Tape, TapeError, propagate_flat,
                     propagate_lvalue, record_problem)
 from adtape.interpret import adjoint_slot_count
@@ -14,7 +11,7 @@ from adtape.rng import Xorshift
 from adtape.tapefile import MAGIC, save, load
 from adtape.problems import IntroExample
 
-from helpers import random_dag_tape
+from helpers import random_dag_tape, run_child
 
 #: offset of d_len in the header: magic, version, mode, n, m, q, s_len
 _HEADER_D_LEN = struct.calcsize("<4sIBQQQQ")
@@ -416,7 +413,7 @@ def test_loaded_tape_spills_like_the_recorded_one(tmp_path):
 
 
 RSS_CHILD = """
-import os, resource, sys
+import os, sys
 from adtape import DCG, record_problem
 from adtape.problems import BlackScholesMC
 from adtape.tapefile import load, save
@@ -429,23 +426,17 @@ path = os.path.join(tmp, "t.adtp")
 save(tape, path)
 back = load(path, **store)
 assert back.stats() == tape.stats()
-print(tape.s_len * 8, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+print(tape.s_len * 8)
 """
 
 
 def peak_rss_of_round_trip(paths, tmp_path):
     """(s-stream bytes, peak RSS bytes) of a child process that records a
     spilled BlackScholesMC DCG tape, saves it and loads it back."""
-    src = os.path.dirname(os.path.dirname(adtape.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     work = tmp_path / f"paths-{paths}"
     work.mkdir()
-    out = subprocess.run([sys.executable, "-c", RSS_CHILD, str(paths), str(work)],
-                         env=env, capture_output=True, text=True, check=True)
-    s_bytes, max_rss = map(int, out.stdout.split())
-    # ru_maxrss is in KiB on Linux and in bytes on macOS
-    return s_bytes, max_rss if sys.platform == "darwin" else max_rss * 1024
+    (s_bytes,), max_rss = run_child(RSS_CHILD, paths, work)
+    return int(s_bytes), max_rss
 
 
 def test_save_and_load_stay_out_of_core(tmp_path):
