@@ -193,7 +193,7 @@ class Tape:
             for vid, part in preds:
                 # not .get(vid, 0.0) + part: that turns a first -0.0 into 0.0
                 partials[vid] = partials[vid] + part if vid in partials else part
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise TapeError(f"bad (vertex, partial) pair: {exc}") from None
         if result == REMAINDER:
             result = None
@@ -262,7 +262,11 @@ class Tape:
         Straight-line ``_append`` for two distinct operands, as
         ``record_unary`` is for one."""
         if a == b:
-            return self.record_unary(a, da + db)
+            try:  # merged as record merges a repeated operand
+                da = da + db
+            except (TypeError, OverflowError) as exc:
+                raise TapeError(f"bad (vertex, partial) pair: {exc}") from None
+            return self.record_unary(a, da)
         if self.finalized:
             raise TapeError("tape is finalized")
         s_open = self._s_open

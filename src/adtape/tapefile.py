@@ -137,90 +137,100 @@ def _derive_stats(path: str, mode: str, n: int, q: int, s: BlockStore,
     vertices (L-values on a DCG tape).  ``_read_stream`` has already
     checked that the partials are finite, as they arrived.
 
-    Entries are read with the builtin ``next()``, and the helpers live at
-    module level, so no local of the record loop is a closure cell, as in
-    ``interpret.propagate``."""
+    As in ``interpret.propagate``, records are read with the builtin
+    ``next()`` from ``body``, an ``islice`` that stops where the input ids
+    begin; arity-1 and arity-2 records take straight-line paths, and no
+    local of the record loop is a closure cell."""
     entries = s.reverse_iter()
-    s_left, d_left = len(s), len(d)
+    body = islice(entries, max(len(s) - n, 0))
+    d_left = len(d)
     dag = mode == DAG
     beta = beta_r = 0
-    p_l = n            # DCG: the deepest L-value id, inputs included
+    low = -n           # DCG: the deepest L-value id, inputs included, -p_L
     youngest = -1      # DCG: the last remainder result, R - 1
     oldest = None      # DCG: the oldest remainder result seen so far
     trailing = -1      # DCG: the highest remainder id read after youngest
-    for k in range(q - 1, -1, -1):
-        s_left -= 2
-        if s_left < n:
-            raise _bad(path, "malformed structure stream")
-        result = next(entries)
-        count = next(entries)
-        s_left -= count
-        d_left -= count
-        if count < 0 or s_left < n or d_left < 0:
-            raise _bad(path, "malformed structure stream")
-        # straight-line paths for the arities overloading records, as in
-        # interpret.propagate; zero-arity and n-ary records take a list
-        if dag:
-            if count == 1:
-                lo = hi = next(entries)
-            elif count == 2:
-                lo = next(entries)
-                hi = next(entries)
-                if lo > hi:
-                    lo, hi = hi, lo
-                elif lo == hi:
+    try:
+        for k in range(q - 1, -1, -1):
+            result = next(body)
+            count = next(body)
+            d_left -= count
+            if count < 0 or d_left < 0:
+                raise _bad(path, "malformed structure stream")
+            if count == 2:
+                a = next(body)
+                b = next(body)
+                if a == b:
                     raise _bad(path, f"elemental {k} repeats an operand")
+            elif count == 1:
+                a = b = next(body)  # every check of b then repeats one of a
             else:
-                ops = _operands(entries, count, k, path)
-                if not ops:
-                    if result != n + k:
-                        raise _bad_dag_result(path, n, result, k)
-                    continue
-                lo, hi = min(ops), max(ops)
-            if result != n + k:
-                raise _bad_dag_result(path, n, result, k)
-            if lo < 0 or hi >= result:
-                raise _bad(path, f"elemental {k} reads a vertex it does not "
-                                 "follow")
-            if result - lo > beta:
-                beta = result - lo
-            continue
-        if count == 1:
-            ops = (next(entries),)
-        elif count == 2:
-            a = next(entries)
-            b = next(entries)
-            if a == b:
-                raise _bad(path, f"elemental {k} repeats an operand")
-            ops = (a, b)
-        else:
-            ops = _operands(entries, count, k, path)
-        if result >= 0:
-            if oldest is None:
-                if trailing > result:
-                    raise _bad(path, f"remainder vertex {trailing} is read "
-                                     "before it is recorded")
-                youngest = result
-            elif result != oldest - 1:
-                raise _bad(path, f"elemental {k} has result {result}, "
-                                 f"not {oldest - 1}")
-            oldest = defined = result
-        else:
-            if -result > p_l:
-                p_l = -result
-            defined = oldest  # remainder ids below it precede this record
-        for v in ops:
-            if v < 0:
-                if -v > p_l:
-                    p_l = -v
-            elif defined is None:
-                if v > trailing:
-                    trailing = v
-            elif v >= defined:
-                raise _bad(path, f"remainder vertex {v} is read before it "
-                                 "is recorded")
-            elif result >= 0 and result - v > beta_r:
-                beta_r = result - v
+                ops = _operands(body, count, k, path)
+                a = None  # the operands are checked from ops
+            if dag:
+                # a, b: lowest and highest operand, or passing bounds if none
+                if a is None:
+                    a, b = min(ops, default=n + k), max(ops, default=0)
+                elif a > b:
+                    a, b = b, a
+                if result != n + k:
+                    raise _bad_dag_result(path, n, result, k)
+                if a < 0 or b >= result:
+                    raise _bad(path, f"elemental {k} reads a vertex it does "
+                                     "not follow")
+                if result - a > beta:
+                    beta = result - a
+                continue
+            if result >= 0:
+                if oldest is None:
+                    if trailing > result:
+                        raise _unrecorded(path, trailing)
+                    youngest = result
+                elif result != oldest - 1:
+                    raise _bad(path, f"elemental {k} has result {result}, "
+                                     f"not {oldest - 1}")
+                oldest = result
+            elif result < low:
+                low = result
+            # remainder ids below oldest precede the record, whatever its
+            # result; for a remainder record oldest is its result
+            if a is None:
+                for v in ops:
+                    if v < 0:
+                        if v < low:
+                            low = v
+                    elif oldest is None:
+                        if v > trailing:
+                            trailing = v
+                    elif v >= oldest:
+                        raise _unrecorded(path, v)
+                    elif result - v > beta_r:  # never for an L-value result
+                        beta_r = result - v
+            elif result >= 0:
+                if a >= result or b >= result:
+                    raise _unrecorded(path, a if a >= result else b)
+                if a < 0:
+                    if a < low:
+                        low = a
+                elif result - a > beta_r:
+                    beta_r = result - a
+                if b < 0:
+                    if b < low:
+                        low = b
+                elif result - b > beta_r:
+                    beta_r = result - b
+            else:
+                if oldest is None:
+                    trailing = max(trailing, a, b)
+                elif a >= oldest or b >= oldest:
+                    raise _unrecorded(path, a if a >= oldest else b)
+                if a < low:
+                    low = a
+                if b < low:
+                    low = b
+    except StopIteration:  # the records ran into the input ids
+        raise _bad(path, "malformed structure stream") from None
+    s_left = len(s) - 2 * q - (len(d) - d_left)
     if s_left != n:
         raise _bad(path, f"structure stream does not start with {n} inputs")
     if d_left:
@@ -235,13 +245,13 @@ def _derive_stats(path: str, mode: str, n: int, q: int, s: BlockStore,
         p_l = 0
     else:
         if oldest is None and trailing >= 0:
-            raise _bad(path, f"remainder vertex {trailing} is read before "
-                             "it is recorded")
+            raise _unrecorded(path, trailing)
         if oldest is not None and oldest != 0:
             raise _bad(path, f"remainder ids start at {oldest}, not 0")
+        p_l = -low
         if stored_p_l is not None:
             if p_l > stored_p_l:
-                raise _bad(path, f"L-value {-p_l} lies beyond p_L {stored_p_l}")
+                raise _bad(path, f"L-value {low} lies beyond p_L {stored_p_l}")
             p_l = stored_p_l
         num_remainder = youngest + 1
         num_vertices = p_l + num_remainder
@@ -261,9 +271,15 @@ def _bad(path: str, what: str) -> TapeError:
     return TapeError(f"{path}: {what}")
 
 
-def _operands(entries, count: int, k: int, path: str) -> list[int]:
+def _unrecorded(path: str, v: int) -> TapeError:
+    return _bad(path, f"remainder vertex {v} is read before it is recorded")
+
+
+def _operands(body, count: int, k: int, path: str) -> list[int]:
     """The ``count`` operands of zero-arity or n-ary elemental ``k``."""
-    ops = list(islice(entries, count))
+    ops = list(islice(body, count))
+    if len(ops) != count:
+        raise _bad(path, "malformed structure stream")
     if len(set(ops)) != count:
         raise _bad(path, f"elemental {k} repeats an operand")
     return ops

@@ -314,7 +314,9 @@ def sweep_outcome(tape, strategy):
 def test_corrupted_tape_file_fails_cleanly(seed, mode, where, value):
     """With one ``s`` entry of a saved tape overwritten by any i64, ``load``
     raises ``TapeError`` or returns a tape that sweeps bitwise as the tape
-    recorded from its streams does, never another exception."""
+    recorded from its streams does, never another exception.  Loaded into
+    a spilling 3-entry store, whose records cross block boundaries, the
+    file gives the same error or the same tape."""
     if mode == DAG:
         tape = random_dag_tape(Xorshift(seed))
     else:
@@ -328,9 +330,17 @@ def test_corrupted_tape_file_fails_cleanly(seed, mode, where, value):
             fh.seek(s_start + where % tape.s_len * 8)
             fh.write(struct.pack("<q", value))
         try:
+            spilled = load(path, spill_dir=tmp, **STORES["tiny"])
+        except TapeError as exc:
+            spilled = str(exc)
+        try:
             back = load(path)
-        except TapeError:
+        except TapeError as exc:
+            assert str(exc) == spilled
             return
+        assert not isinstance(spilled, str), spilled
+        assert spilled.dump() == back.dump()
+        assert spilled.stats() == back.stats()
     rebuilt = replay_through_record(back)
     (s, d), (rs, rd) = back.dump(), rebuilt.dump()
     assert rs == s and bits(rd) == bits(d)

@@ -218,6 +218,13 @@ BAD_RECORDS = {
     "unknown-first-operand": lambda t, x, y, z: t.record_binary(z + 5, 1.0, x, 1.0),
     "huge-int-binary-partial": lambda t, x, y, z: t.record_binary(x, 1.0, y, 10 ** 400),
     "float-lvalue-result": lambda t, x, y, z: t.record_unary(x, 1.0, -1.0),
+    # a repeated operand's partials are added before any other check
+    "huge-int-repeated-partial": lambda t, x, y, z: t.record([(x, 10 ** 400),
+                                                             (x, 1.0)]),
+    "huge-int-repeated-binary-partial": (
+        lambda t, x, y, z: t.record_binary(x, 10 ** 400, x, 1.0)),
+    "none-repeated-binary-partial": (
+        lambda t, x, y, z: t.record_binary(x, None, x, 1.0)),
 }
 
 
@@ -261,21 +268,17 @@ DIFFERENTIAL_PARTIAL_PAIRS = (
 def differential_cases(x, y, z):
     """(operand, partial) pairs and result of arity-1 and arity-2 records
     on a tape with inputs x, y and the elemental z: known operands, unknown
-    ones and ones of the wrong type.
-
-    A repeated operand's partials are added before either writer checks
-    them, so those cases take numeric partials only."""
+    ones and ones of the wrong type.  A repeated operand takes every pair
+    of partials, since both writers add the two before any other check."""
     operands = [x, z, z + 5, -9, None, 0.5, "a"]
-    numeric = [p for p in DIFFERENTIAL_PARTIALS if isinstance(p, (int, float))]
+    every_pair = [(da, db) for da in DIFFERENTIAL_PARTIALS
+                  for db in DIFFERENTIAL_PARTIALS]
     for a in operands:
         for da in DIFFERENTIAL_PARTIALS:
             for result in (None, -1, -9):
                 yield [(a, da)], result
         for b in operands:
-            if a == b:
-                pairs = [(da, db) for da in numeric for db in numeric]
-            else:
-                pairs = DIFFERENTIAL_PARTIAL_PAIRS
+            pairs = every_pair if a == b else DIFFERENTIAL_PARTIAL_PAIRS
             for da, db in pairs:
                 yield [(a, da), (b, db)], None
 

@@ -48,6 +48,30 @@ def test_random_tapes_round_trip(tmp_path):
         assert back.stats() == tape.stats()
 
 
+@pytest.mark.parametrize("mode", [DAG, DCG])
+def test_zero_arity_records_round_trip(tmp_path, mode):
+    """A zero-arity record, a constant or (DCG) an L-value overwrite, reads
+    no operand and widens no bandwidth."""
+    tape = Tape(mode)
+    x = tape.register_input()
+    if mode == DAG:
+        y = x
+        for _ in range(3):
+            y = tape.record_unary(y, 2.0)
+        out = tape.record_binary(y, 1.0, tape.record([]), 1.0)
+    else:
+        t = tape.record_binary(x, 2.0, tape.record([]), 1.0)
+        tape.record([], result=x)
+        out = tape.record_unary(t, 1.0, x)
+    tape.register_output(out)
+    tape.finalize()
+    back = round_trip(tape, tmp_path / "t.adtp")
+    assert back.dump() == tape.dump()
+    assert back.stats() == tape.stats()
+    stats = tape.stats()
+    assert (stats.beta, stats.beta_r) == ((2, 0) if mode == DAG else (0, 1))
+
+
 def test_load_into_spilling_store(tmp_path):
     tape = record_problem(IntroExample(length=6), [0.7], mode=DAG)
     save(tape, str(tmp_path / "t.adtp"))
@@ -125,14 +149,16 @@ def test_bad_input_ids_rejected(tmp_path, mode):
 
 def write_raw(path, mode, inputs, records, outputs, partial=0.5, p_l=None):
     """A tape file holding exactly the given records, each an (operands,
-    result) pair: version 1, or version 2 storing ``p_l`` if it is given.
-    ``partial`` is the partial of every operand, or the list of all the
-    partials in stream order."""
-    s = list(inputs)
-    for ops, result in records:
-        s += [*ops, len(ops), result]
-    d = (partial if isinstance(partial, list)
-         else [partial] * sum(len(ops) for ops, _ in records))
+    result) pair, or an (operands, result, count) triple that writes
+    ``count`` as the operand count: version 1, or version 2 storing ``p_l``
+    if it is given.  ``partial`` is the partial of every counted operand,
+    or the list of all the partials in stream order."""
+    s, counted = list(inputs), 0
+    for ops, result, *count in records:
+        count = count[0] if count else len(ops)
+        s += [*ops, count, result]
+        counted += max(count, 0)
+    d = partial if isinstance(partial, list) else [partial] * counted
     with open(path, "wb") as fh:
         fh.write(struct.pack("<4sIBQQQQQ", MAGIC, 1 if p_l is None else 2,
                              0 if mode == DAG else 1, len(inputs), len(outputs),
@@ -149,6 +175,11 @@ HAND_WRITTEN = {
     "dag": (DAG, [0], [([0], 1), ([0, 1], 2)], [2], 0),
     "dcg": (DCG, [-1], [([-1], 0), ([0], -2), ([-2, 0], 1), ([1], -2)], [-2], 2),
     "dcg-no-remainder": (DCG, [-1], [([], -2), ([-1], -3)], [-3], 3),
+    "dcg-lvalue-operands": (DCG, [-1], [([-3, -1], -2)], [-2], 3),
+    "dcg-lvalue-operands-deepest-last": (DCG, [-1], [([-1, -3], -2)], [-2], 3),
+    "dcg-remainder-operands": (DCG, [-1], [([-1, -3], 0), ([0], -2)], [-2], 3),
+    "dcg-lvalue-operands-arity-3": (DCG, [-1], [([-1], 0), ([0, -4, -1], -2)],
+                                    [-2], 4),
 }
 
 
@@ -224,7 +255,10 @@ def test_truncated_version_2_header_rejected(tmp_path):
         load(str(p))
 
 
-# (mode, records, outputs, message) on one input: 0 (DAG) or -1 (DCG)
+MALFORMED = "malformed structure stream"
+
+# (mode, records, outputs, message[, partials]) on one input: 0 (DAG) or
+# -1 (DCG); the partials are one per counted operand unless given
 REJECTED = {
     "dag-operand-at-result": (DAG, [([1], 1)], [1], "does not follow"),
     "dag-operand-after-result": (DAG, [([2], 1), ([0], 2)], [2],
@@ -308,18 +342,51 @@ REJECTED = {
     "dcg-operand-in-trailing-lvalue-results-second": (
         DCG, [([-1], 0), ([-1, 1], -2), ([-2], -3)], [-3],
         "remainder vertex 1 is read before"),
+    "dcg-operand-in-trailing-lvalue-results-first": (
+        DCG, [([-1], 0), ([1, -1], -2), ([-2], -3)], [-3],
+        "remainder vertex 1 is read before"),
     "dcg-operand-without-remainder-second": (
         DCG, [([-1, 0], -2)], [-2], "remainder vertex 0 is read before"),
     "dcg-operand-without-remainder-arity-3": (
         DCG, [([-1, -2, 0], -2)], [-2], "remainder vertex 0 is read before"),
+    # the first operand read back, the last written, is named first
+    "dcg-operands-after-result-both": (
+        DCG, [([-1], 0), ([2, 3], 1), ([-1], 2), ([-1], 3)], [-1],
+        "remainder vertex 3 is read before"),
+    "dcg-operands-before-lvalue-result-both": (
+        DCG, [([-1], 0), ([1, 2], -2), ([-2], 1), ([-1], 2)], [-2],
+        "remainder vertex 2 is read before"),
+    "dcg-operand-before-lvalue-result-first": (
+        DCG, [([-1], 0), ([1, -1], -2), ([-2], 1)], [-2],
+        "remainder vertex 1 is read before"),
+    # an operand count one entry longer than its record runs into the input
+    # ids, though the partials stream holds a partial for every operand
+    "dag-count-into-inputs-arity-1": (DAG, [([], 1, 1)], [1], MALFORMED),
+    "dag-count-into-inputs-arity-2": (DAG, [([0], 1, 2)], [1], MALFORMED),
+    "dag-count-into-inputs-arity-3": (DAG, [([7, 0], 1, 3)], [1], MALFORMED),
+    "dcg-count-into-inputs-arity-1": (DCG, [([], -1, 1)], [-1], MALFORMED),
+    "dcg-count-into-inputs-arity-2": (DCG, [([-1], -1, 2)], [-1], MALFORMED),
+    "dcg-count-into-inputs-arity-3": (DCG, [([7, -1], -1, 3)], [-1],
+                                      MALFORMED),
+    # counts that the structure stream holds but the partials do not
+    "dag-count-overruns-partials": (DAG, [([0], 1), ([0, 1], 2)], [2],
+                                    MALFORMED, [0.5, 0.5]),
+    "dcg-count-overruns-partials": (DCG, [([-1], 0), ([0, -1], -1)], [-1],
+                                    MALFORMED, [0.5, 0.5]),
+    "dag-negative-count": (DAG, [([0], 1, -1)], [1], MALFORMED),
+    "dcg-negative-count": (DCG, [([-1], -1, -1)], [-1], MALFORMED),
+    "dag-count-beyond-stream": (DAG, [([0], 1), ([0, 1], 2, 50)], [2],
+                                MALFORMED),
+    "dcg-count-beyond-stream": (DCG, [([-1], 0), ([0, -1], -1, 50)], [-1],
+                                MALFORMED),
 }
 
 
 @pytest.mark.parametrize("case", sorted(REJECTED))
 def test_stream_invariant_violations_rejected(tmp_path, case):
-    mode, records, outputs, message = REJECTED[case]
+    mode, records, outputs, message, *partial = REJECTED[case]
     p = tmp_path / "t.adtp"
-    write_raw(p, mode, [0] if mode == DAG else [-1], records, outputs)
+    write_raw(p, mode, [0] if mode == DAG else [-1], records, outputs, *partial)
     with pytest.raises(TapeError, match=message) as excinfo:
         load(str(p))
     assert str(p) in str(excinfo.value)
