@@ -11,12 +11,17 @@ Each overloaded operation computes its primal value and local partials
 inline and records one elemental: its predecessors are the active operands
 in operand order, and its result is a fresh remainder vertex.  Only
 ``Recorder.assign`` on a DCG tape writes an existing L-value.  An operation
-with no active operand records nothing and returns the plain value.  An
-operation with one active operand records through ``Tape.record_unary`` and
-one with two through ``Tape.record_binary``, which write the record with no
-operand list; ``Tape.record``, the general loop, serves only the zero-arity
-overwrite of a passive assignment.  Operands of two different tapes, in an
-operation, an assignment or an output, raise ``TapeError``.
+with no active operand records nothing and returns the plain value.
+
+An operation reaches the tape in one Python frame: the operator or math
+function itself tests its operands' activity, calls ``Tape.record_unary``
+(one active operand) or ``Tape.record_binary`` (two) directly, and builds
+its result with ``object.__new__`` and five slot stores, not through
+``ActiveScalar.__init__``.  Only the rare mixes of two ``ActiveScalar``
+operands, one of them passive or the two on different tapes, go through the
+helper ``_mixed_binary``.  ``Tape.record``, the general loop, serves only the
+zero-arity overwrite of a passive assignment.  Operands of two different
+tapes, in an operation, an assignment or an output, raise ``TapeError``.
 
 Comparison operators act on primal values and return plain booleans, so
 control flow is frozen per recording.
@@ -28,6 +33,10 @@ import math
 from typing import Sequence
 
 from .tape import DAG, DCG, Tape, TapeError
+
+#: allocates an ActiveScalar without running __init__; every operation
+#: then stores all five slots itself
+_new = object.__new__
 
 
 class ActiveScalar:
@@ -48,45 +57,152 @@ class ActiveScalar:
         return f"ActiveScalar({self.value!r}, vertex={self.vertex}, {kind})"
 
     # -- arithmetic ---------------------------------------------------------
+    #
+    # Each operator computes its value and partials, records in its own
+    # frame (an active operand and a plain number through record_unary, two
+    # active operands of one tape through record_binary) and builds its
+    # result with _new.  The reflected operators are only called with a
+    # plain number as ``other`` (Python tries the left operand's own
+    # operator first), so they hand the rare ActiveScalar ``other`` to
+    # _mixed_binary.
 
-    # the other operand's value is read inline, not through value_of: one
-    # call fewer per operation
     def __add__(self, other):
-        b = other.value if isinstance(other, ActiveScalar) else float(other)
-        return _binary(self, other, self.value + b, 1.0, 1.0)
+        tape = self.tape
+        if isinstance(other, ActiveScalar):
+            v = self.value + other.value
+            if not (self.active and other.active and other.tape is tape):
+                return _mixed_binary(self, other, v, 1.0, 1.0)
+            vid = tape.record_binary(self.vertex, 1.0, other.vertex, 1.0)
+        else:
+            v = self.value + float(other)
+            if not self.active:
+                return v
+            vid = tape.record_unary(self.vertex, 1.0)
+        r = _new(ActiveScalar)
+        r.tape = tape
+        r.value = v
+        r.vertex = vid
+        r.is_lvalue = False
+        r.active = True
+        return r
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        b = other.value if isinstance(other, ActiveScalar) else float(other)
-        return _binary(self, other, self.value - b, 1.0, -1.0)
+        tape = self.tape
+        if isinstance(other, ActiveScalar):
+            v = self.value - other.value
+            if not (self.active and other.active and other.tape is tape):
+                return _mixed_binary(self, other, v, 1.0, -1.0)
+            vid = tape.record_binary(self.vertex, 1.0, other.vertex, -1.0)
+        else:
+            v = self.value - float(other)
+            if not self.active:
+                return v
+            vid = tape.record_unary(self.vertex, 1.0)
+        r = _new(ActiveScalar)
+        r.tape = tape
+        r.value = v
+        r.vertex = vid
+        r.is_lvalue = False
+        r.active = True
+        return r
 
     def __rsub__(self, other):
-        a = other.value if isinstance(other, ActiveScalar) else float(other)
-        return _binary(other, self, a - self.value, 1.0, -1.0)
+        if isinstance(other, ActiveScalar):
+            return _mixed_binary(other, self, other.value - self.value, 1.0, -1.0)
+        v = float(other) - self.value
+        if not self.active:
+            return v
+        tape = self.tape
+        r = _new(ActiveScalar)
+        r.tape = tape
+        r.value = v
+        r.vertex = tape.record_unary(self.vertex, -1.0)
+        r.is_lvalue = False
+        r.active = True
+        return r
 
     def __mul__(self, other):
         a = self.value
-        b = other.value if isinstance(other, ActiveScalar) else float(other)
-        return _binary(self, other, a * b, b, a)
+        tape = self.tape
+        if isinstance(other, ActiveScalar):
+            b = other.value
+            if not (self.active and other.active and other.tape is tape):
+                return _mixed_binary(self, other, a * b, b, a)
+            vid = tape.record_binary(self.vertex, b, other.vertex, a)
+        else:
+            b = float(other)
+            if not self.active:
+                return a * b
+            vid = tape.record_unary(self.vertex, b)
+        r = _new(ActiveScalar)
+        r.tape = tape
+        r.value = a * b
+        r.vertex = vid
+        r.is_lvalue = False
+        r.active = True
+        return r
 
     __rmul__ = __mul__
 
     # the divisor's partial is -v / b from the quotient v: -a / (b * b)
     # divides by zero once b * b underflows, though v is finite
     def __truediv__(self, other):
-        b = other.value if isinstance(other, ActiveScalar) else float(other)
-        v = self.value / b
-        return _binary(self, other, v, 1.0 / b, -v / b)
+        tape = self.tape
+        if isinstance(other, ActiveScalar):
+            b = other.value
+            v = self.value / b
+            da = 1.0 / b
+            db = -v / b
+            if not (self.active and other.active and other.tape is tape):
+                return _mixed_binary(self, other, v, da, db)
+            vid = tape.record_binary(self.vertex, da, other.vertex, db)
+        else:
+            b = float(other)
+            v = self.value / b
+            da = 1.0 / b
+            if not self.active:
+                return v
+            vid = tape.record_unary(self.vertex, da)
+        r = _new(ActiveScalar)
+        r.tape = tape
+        r.value = v
+        r.vertex = vid
+        r.is_lvalue = False
+        r.active = True
+        return r
 
     def __rtruediv__(self, other):
         b = self.value
-        a = other.value if isinstance(other, ActiveScalar) else float(other)
-        v = a / b
-        return _binary(other, self, v, 1.0 / b, -v / b)
+        if isinstance(other, ActiveScalar):
+            v = other.value / b
+            return _mixed_binary(other, self, v, 1.0 / b, -v / b)
+        v = float(other) / b
+        db = -v / b
+        if not self.active:
+            return v
+        tape = self.tape
+        r = _new(ActiveScalar)
+        r.tape = tape
+        r.value = v
+        r.vertex = tape.record_unary(self.vertex, db)
+        r.is_lvalue = False
+        r.active = True
+        return r
 
     def __neg__(self):
-        return _unary(self, -self.value, -1.0)
+        v = -self.value
+        if not self.active:
+            return v
+        tape = self.tape
+        r = _new(ActiveScalar)
+        r.tape = tape
+        r.value = v
+        r.vertex = tape.record_unary(self.vertex, -1.0)
+        r.is_lvalue = False
+        r.active = True
+        return r
 
     def __pos__(self):
         return self
@@ -114,13 +230,14 @@ def value_of(x) -> float:
     return x.value if isinstance(x, ActiveScalar) else float(x)
 
 
-def _is_active(x) -> bool:
-    return isinstance(x, ActiveScalar) and x.active
-
-
-def _binary(a, b, v, da, db) -> "ActiveScalar | float":
+def _mixed_binary(a, b, v, da, db) -> "ActiveScalar | float":
     """Record ``v = a op b`` with partials ``da``, ``db`` onto the tape of
-    its active operands, or return ``v`` if neither is active."""
+    its active operands, or return ``v`` if neither is active.
+
+    The operators call it only for what they do not handle inline: two
+    ``ActiveScalar`` operands of which one is passive (a DCG L-value not
+    yet assigned) or which belong to different tapes, and a reflected
+    operator called directly with an ``ActiveScalar``."""
     if isinstance(a, ActiveScalar) and a.active:
         tape = a.tape
         if isinstance(b, ActiveScalar) and b.active:
@@ -133,55 +250,119 @@ def _binary(a, b, v, da, db) -> "ActiveScalar | float":
     return v
 
 
-def _unary(a, v, partial) -> "ActiveScalar | float":
-    if isinstance(a, ActiveScalar) and a.active:
-        tape = a.tape
-        return ActiveScalar(tape, v, tape.record_unary(a.vertex, partial))
-    return v
-
-
 # -- elemental math functions, generic over active/passive scalars ----------
+#
+# Each computes its value and partial, then records in its own frame, as the
+# operators do.
 
 def sin(x):
-    v = value_of(x)
-    return _unary(x, math.sin(v), math.cos(v))
+    scalar = isinstance(x, ActiveScalar)
+    v = x.value if scalar else float(x)
+    y = math.sin(v)
+    d = math.cos(v)
+    if not (scalar and x.active):
+        return y
+    tape = x.tape
+    r = _new(ActiveScalar)
+    r.tape = tape
+    r.value = y
+    r.vertex = tape.record_unary(x.vertex, d)
+    r.is_lvalue = False
+    r.active = True
+    return r
 
 
 def cos(x):
-    v = value_of(x)
-    return _unary(x, math.cos(v), -math.sin(v))
+    scalar = isinstance(x, ActiveScalar)
+    v = x.value if scalar else float(x)
+    y = math.cos(v)
+    d = -math.sin(v)
+    if not (scalar and x.active):
+        return y
+    tape = x.tape
+    r = _new(ActiveScalar)
+    r.tape = tape
+    r.value = y
+    r.vertex = tape.record_unary(x.vertex, d)
+    r.is_lvalue = False
+    r.active = True
+    return r
 
 
 def exp(x):
-    v = value_of(x)
-    e = math.exp(v)
-    return _unary(x, e, e)
+    scalar = isinstance(x, ActiveScalar)
+    v = x.value if scalar else float(x)
+    y = math.exp(v)
+    if not (scalar and x.active):
+        return y
+    tape = x.tape
+    r = _new(ActiveScalar)
+    r.tape = tape
+    r.value = y
+    r.vertex = tape.record_unary(x.vertex, y)
+    r.is_lvalue = False
+    r.active = True
+    return r
 
 
 def ln(x):
-    v = value_of(x)
+    scalar = isinstance(x, ActiveScalar)
+    v = x.value if scalar else float(x)
     if v <= 0.0:
         raise ValueError(f"ln of non-positive value {v}")
-    return _unary(x, math.log(v), 1.0 / v)
+    y = math.log(v)
+    d = 1.0 / v
+    if not (scalar and x.active):
+        return y
+    tape = x.tape
+    r = _new(ActiveScalar)
+    r.tape = tape
+    r.value = y
+    r.vertex = tape.record_unary(x.vertex, d)
+    r.is_lvalue = False
+    r.active = True
+    return r
 
 
 def sqrt(x):
-    v = value_of(x)
+    scalar = isinstance(x, ActiveScalar)
+    v = x.value if scalar else float(x)
     if v <= 0.0:
         raise ValueError(f"sqrt of non-positive value {v}")
-    r = math.sqrt(v)
-    return _unary(x, r, 0.5 / r)
+    y = math.sqrt(v)
+    d = 0.5 / y
+    if not (scalar and x.active):
+        return y
+    tape = x.tape
+    r = _new(ActiveScalar)
+    r.tape = tape
+    r.value = y
+    r.vertex = tape.record_unary(x.vertex, d)
+    r.is_lvalue = False
+    r.active = True
+    return r
 
 
 def pow_const(x, c: float):
-    v = value_of(x)
+    scalar = isinstance(x, ActiveScalar)
+    v = x.value if scalar else float(x)
     if v <= 0.0 and c != int(c):
         raise ValueError(f"pow of non-positive value {v} with non-integer exponent {c}")
-    p = v ** c
+    y = v ** c
     # from the power: c * v ** (c - 1.0) raises OverflowError where the
     # partial is only unrepresentable; this way it is inf, which the tape
     # rejects.  At v == 0 (integer c >= 0 here) the partial is 1 for c == 1.
-    return _unary(x, p, c * (p / v) if v else float(c == 1.0))
+    d = c * (y / v) if v else float(c == 1.0)
+    if not (scalar and x.active):
+        return y
+    tape = x.tape
+    r = _new(ActiveScalar)
+    r.tape = tape
+    r.value = y
+    r.vertex = tape.record_unary(x.vertex, d)
+    r.is_lvalue = False
+    r.active = True
+    return r
 
 
 def declare_lvalue(tape: Tape, initial: float = 0.0) -> ActiveScalar:
@@ -222,25 +403,31 @@ class Recorder:
         return float(initial)
 
     def assign(self, lhs, rhs):
-        if self.tape is None:
-            return value_of(rhs)
-        active = _is_active(rhs)
-        if active and rhs.tape is not self.tape:
+        tape = self.tape
+        scalar = isinstance(rhs, ActiveScalar)
+        if tape is None:
+            return rhs.value if scalar else float(rhs)
+        active = scalar and rhs.active
+        if active and rhs.tape is not tape:
             raise TapeError("operands belong to different tapes")
-        if self.tape.mode == DAG:
-            return rhs if active else value_of(rhs)
+        if tape._dag:
+            if active:
+                return rhs
+            return rhs.value if scalar else float(rhs)
         # DCG: lhs must be a declared L-value of this tape
         if not (isinstance(lhs, ActiveScalar) and lhs.is_lvalue
-                and lhs.tape is self.tape):
+                and lhs.tape is tape):
             raise TapeError("assignment target is not an L-value of this tape")
         if active:
-            self.tape.record_unary(rhs.vertex, 1.0, lhs.vertex)
+            tape.record_unary(rhs.vertex, 1.0, lhs.vertex)
             lhs.value = rhs.value
             lhs.active = True
         else:
+            # read before the record, so a value float() rejects writes none
+            value = rhs.value if scalar else float(rhs)
             # passive overwrite: zero-arity record kills the adjoint slot
-            self.tape.record([], result=lhs.vertex)
-            lhs.value = value_of(rhs)
+            tape.record([], result=lhs.vertex)
+            lhs.value = value
             lhs.active = False
         return lhs
 
@@ -248,7 +435,7 @@ class Recorder:
         if self.tape is None:
             self.outputs.append(value_of(s))
             return
-        if not _is_active(s):
+        if not (isinstance(s, ActiveScalar) and s.active):
             raise TapeError("cannot register a passive value as output")
         if s.tape is not self.tape:
             # its vertex id names some other vertex of this tape

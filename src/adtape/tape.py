@@ -185,8 +185,9 @@ class Tape:
         operands are merged with summed partials, in first-seen order.
         ``result`` is ``REMAINDER`` (the next DAG vertex or DCG remainder
         id) or an existing L-value id ``-k`` (DCG only), which the elemental
-        overwrites.  An empty ``preds`` records a zero-arity overwrite whose
-        reverse action only zeroes the result's adjoint slot.
+        overwrites; any other integer is rejected as ``record_unary`` rejects
+        it.  An empty ``preds`` records a zero-arity overwrite whose reverse
+        action only zeroes the result's adjoint slot.
         """
         partials: dict[int, float] = {}
         try:
@@ -197,7 +198,7 @@ class Tape:
             raise TapeError(f"bad (vertex, partial) pair: {exc}") from None
         if result == REMAINDER:
             result = None
-        elif not (isinstance(result, int) and result < 0):
+        elif not isinstance(result, int):
             raise TapeError(f"bad result kind {result!r}")
         return self._append(list(partials), list(partials.values()), result)
 

@@ -275,7 +275,8 @@ def differential_cases(x, y, z):
                   for db in DIFFERENTIAL_PARTIALS]
     for a in operands:
         for da in DIFFERENTIAL_PARTIALS:
-            for result in (None, -1, -9):
+            # 0 and 7: integer results that are no L-value id
+            for result in (None, -1, -9, 0, 7):
                 yield [(a, da)], result
         for b in operands:
             pairs = every_pair if a == b else DIFFERENTIAL_PARTIAL_PAIRS
