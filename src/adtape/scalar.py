@@ -16,7 +16,7 @@ with no active operand records nothing and returns the plain value.
 An operation reaches the tape in one Python frame: the operator or math
 function itself tests its operands' activity, calls ``Tape.record_unary``
 (one active operand) or ``Tape.record_binary`` (two) directly, and builds
-its result with ``object.__new__`` and five slot stores, not through
+its result with ``object.__new__`` and four slot stores, not through
 ``ActiveScalar.__init__``.  Only the rare mixes of two ``ActiveScalar``
 operands, one of them passive or the two on different tapes, go through the
 helper ``_mixed_binary``.  ``Tape.record``, the general loop, serves only the
@@ -35,22 +35,27 @@ from typing import Sequence
 from .tape import DAG, DCG, Tape, TapeError
 
 #: allocates an ActiveScalar without running __init__; every operation
-#: then stores all five slots itself
+#: then stores all four slots itself
 _new = object.__new__
 
 
 class ActiveScalar:
     """A numeric value carrying a tape handle and a vertex identity."""
 
-    __slots__ = ("tape", "value", "vertex", "is_lvalue", "active")
+    __slots__ = ("tape", "value", "vertex", "active")
 
     def __init__(self, tape: Tape, value: float, vertex: int,
-                 is_lvalue: bool = False, active: bool = True):
+                 active: bool = True):
         self.tape = tape
         self.value = value
         self.vertex = vertex
-        self.is_lvalue = is_lvalue
         self.active = active
+
+    @property
+    def is_lvalue(self) -> bool:
+        """Whether the vertex is an L-value: a DCG input or declared
+        variable, the only vertices with a negative id."""
+        return self.vertex < 0
 
     def __repr__(self):
         kind = "lvalue" if self.is_lvalue else "temp"
@@ -82,7 +87,6 @@ class ActiveScalar:
         r.tape = tape
         r.value = v
         r.vertex = vid
-        r.is_lvalue = False
         r.active = True
         return r
 
@@ -104,7 +108,6 @@ class ActiveScalar:
         r.tape = tape
         r.value = v
         r.vertex = vid
-        r.is_lvalue = False
         r.active = True
         return r
 
@@ -119,7 +122,6 @@ class ActiveScalar:
         r.tape = tape
         r.value = v
         r.vertex = tape.record_unary(self.vertex, -1.0)
-        r.is_lvalue = False
         r.active = True
         return r
 
@@ -140,7 +142,6 @@ class ActiveScalar:
         r.tape = tape
         r.value = a * b
         r.vertex = vid
-        r.is_lvalue = False
         r.active = True
         return r
 
@@ -169,7 +170,6 @@ class ActiveScalar:
         r.tape = tape
         r.value = v
         r.vertex = vid
-        r.is_lvalue = False
         r.active = True
         return r
 
@@ -187,7 +187,6 @@ class ActiveScalar:
         r.tape = tape
         r.value = v
         r.vertex = tape.record_unary(self.vertex, db)
-        r.is_lvalue = False
         r.active = True
         return r
 
@@ -200,7 +199,6 @@ class ActiveScalar:
         r.tape = tape
         r.value = v
         r.vertex = tape.record_unary(self.vertex, -1.0)
-        r.is_lvalue = False
         r.active = True
         return r
 
@@ -267,7 +265,6 @@ def sin(x):
     r.tape = tape
     r.value = y
     r.vertex = tape.record_unary(x.vertex, d)
-    r.is_lvalue = False
     r.active = True
     return r
 
@@ -284,7 +281,6 @@ def cos(x):
     r.tape = tape
     r.value = y
     r.vertex = tape.record_unary(x.vertex, d)
-    r.is_lvalue = False
     r.active = True
     return r
 
@@ -300,7 +296,6 @@ def exp(x):
     r.tape = tape
     r.value = y
     r.vertex = tape.record_unary(x.vertex, y)
-    r.is_lvalue = False
     r.active = True
     return r
 
@@ -319,7 +314,6 @@ def ln(x):
     r.tape = tape
     r.value = y
     r.vertex = tape.record_unary(x.vertex, d)
-    r.is_lvalue = False
     r.active = True
     return r
 
@@ -338,7 +332,6 @@ def sqrt(x):
     r.tape = tape
     r.value = y
     r.vertex = tape.record_unary(x.vertex, d)
-    r.is_lvalue = False
     r.active = True
     return r
 
@@ -360,7 +353,6 @@ def pow_const(x, c: float):
     r.tape = tape
     r.value = y
     r.vertex = tape.record_unary(x.vertex, d)
-    r.is_lvalue = False
     r.active = True
     return r
 
@@ -369,7 +361,7 @@ def declare_lvalue(tape: Tape, initial: float = 0.0) -> ActiveScalar:
     """Allocate a dedicated L-value id on a DCG tape; passive until the
     first assignment."""
     vid = tape.declare_lvalue()
-    return ActiveScalar(tape, float(initial), vid, is_lvalue=True, active=False)
+    return ActiveScalar(tape, float(initial), vid, active=False)
 
 
 class Recorder:
@@ -394,8 +386,7 @@ class Recorder:
         without one)."""
         if self.tape is None:
             return float(value)
-        return ActiveScalar(self.tape, float(value), self.tape.register_input(),
-                            is_lvalue=(self.tape.mode == DCG))
+        return ActiveScalar(self.tape, float(value), self.tape.register_input())
 
     def lvalue(self, initial: float = 0.0):
         if self.tape is not None and self.tape.mode == DCG:
@@ -415,7 +406,7 @@ class Recorder:
                 return rhs
             return rhs.value if scalar else float(rhs)
         # DCG: lhs must be a declared L-value of this tape
-        if not (isinstance(lhs, ActiveScalar) and lhs.is_lvalue
+        if not (isinstance(lhs, ActiveScalar) and lhs.vertex < 0
                 and lhs.tape is tape):
             raise TapeError("assignment target is not an L-value of this tape")
         if active:

@@ -15,13 +15,16 @@ layout itself through them, with no object per record;
 puts the adjoint of L-value ``-k`` in slot ``k-1`` and of vertex
 ``v >= 0`` in slot ``p_L + v % W``, with (p_L, W) fixed per strategy.
 
-Two recording modes exist:
-
-* ``DAG``: pure single-assignment recording; every vertex gets the next
-  non-negative index, assignments rebind.
-* ``DCG``: named program variables (L-values) get dedicated negative ids
-  ``-1, -2, ...`` that persist across overwrites; expression temporaries
-  (the remainder) are numbered densely ``0, 1, ...``.
+Both recording modes number vertices the same way.  L-values, named
+program variables, get dedicated negative ids ``-1 .. -p_L`` that persist
+across overwrites; every other vertex (the remainder) gets the next id of
+one dense count ``0, 1, ...``.  A ``DCG`` tape registers its inputs and
+declared variables as L-values.  A ``DAG`` tape is the case ``p_L = 0``:
+pure single-assignment recording, where the inputs are the first vertices
+and assignments rebind.  So one set of checks serves both: an operand is
+known when ``-p_L <= v < R`` for the next remainder id ``R``, only a
+remainder operand widens the bandwidth, and a result is fresh or an
+existing L-value.
 """
 
 from __future__ import annotations
@@ -82,19 +85,21 @@ class Tape:
 
     Overloading records through ``record_unary`` and ``record_binary``,
     straight-line code for one and two operands that builds no operand list
-    and runs no per-operand loop.  ``record`` takes any operand list,
-    merges repeated operands and can overwrite an L-value; it hands the
-    list to ``_append``, the loop the two straight-line writers spell out.
-    Each writer checks the partials and operands and numbers the result,
-    writes the record into each stream's open block with one
-    ``array.fromlist`` (which writes all of a list or none of it), and only
-    then commits the counters, so a rejected record leaves the tape as it
-    was.  The three write the same bytes and counters for the same record
-    and, past ``record``'s own checks of its pairs and result kind, raise
-    the same errors.  A writer enters a store (``BlockStore.push_full``)
-    only when that store's open block fills.  ``finalize`` closes the tape
-    before it seals the streams, so no record reaches a sealed block, even
-    when a seal fails.
+    and runs no per-operand loop.  ``record`` takes any operand list, merges
+    repeated operands and can overwrite an L-value; it hands the list to
+    ``_append``, the loop the two straight-line writers spell out.  Each
+    writer runs the same checks on both modes, a DAG tape being a DCG tape
+    with no L-values: it checks the partials and operands, numbers the
+    result from the one counter of ids ``>= 0``, writes the record into each
+    stream's open block with one ``array.fromlist`` (which writes all of a
+    list or none of it), and only then commits that counter and the one
+    width (``stats().beta`` on a DAG tape, ``beta_r`` on a DCG tape), so a
+    rejected record leaves the tape as it was.  The three write the same
+    bytes and counters for the same record and, past ``record``'s own checks
+    of its pairs and result kind, raise the same errors.  A writer enters a
+    store (``BlockStore.push_full``) only when that store's open block
+    fills.  ``finalize`` closes the tape before it seals the streams, so no
+    record reaches a sealed block, even when a seal fails.
     """
 
     def __init__(self, mode: str = DAG,
@@ -120,13 +125,11 @@ class Tape:
         self._s_full, self._d_full = s.block_entries, d.block_entries
         self.n = 0
         self.q = 0
-        self.beta = 0
-        self.beta_r = 0
         self.p_l = 0
         self.outputs: list[int] = []
         self._output_set: set[int] = set()
-        self._next_ssa = 0        # DAG vertex counter
-        self._next_remainder = 0  # DCG remainder counter
+        self._next_id = 0  # next id >= 0: a DAG input or vertex, a remainder
+        self._width = 0    # the bandwidth of the remainder ids
         self.finalized = False
 
     @property
@@ -160,8 +163,8 @@ class Tape:
             raise TapeError("inputs must be registered before the first "
                             "elemental or L-value")
         if self.mode == DAG:
-            vid = self._next_ssa
-            self._next_ssa += 1
+            vid = self._next_id
+            self._next_id += 1
         else:
             self.p_l += 1
             vid = -self.p_l
@@ -214,28 +217,18 @@ class Tape:
         try:
             if not isfinite(da):
                 raise TapeError(f"non-finite partial {da!r} for vertex {a}")
-            if self._dag:
-                if result is not None:
-                    raise TapeError(f"L-value result {result!r} not allowed on this tape")
-                rid = self._next_ssa
-                if not 0 <= a < rid:
-                    self._check_known(a)
-                beta = self.beta
-                if rid - a > beta:
-                    beta = rid - a
+            hi = self._next_id
+            if not -self.p_l <= a < hi:
+                self._check_known(a)
+            beta = self._width
+            if a >= 0 and hi - a > beta:
+                beta = hi - a
+            if result is None:
+                rid = hi
+            elif 0 < -result <= self.p_l:
+                rid = result
             else:
-                hi = self._next_remainder
-                if not -self.p_l <= a < hi:
-                    self._check_known(a)
-                beta = self.beta_r
-                if a >= 0 and hi - a > beta:
-                    beta = hi - a
-                if result is None:
-                    rid = hi
-                elif 0 < -result <= self.p_l:
-                    rid = result
-                else:
-                    raise TapeError(f"L-value result {result!r} not allowed on this tape")
+                raise TapeError(f"L-value result {result!r} not allowed on this tape")
             s_open.fromlist([a, 1, rid])
         except (TypeError, OverflowError) as exc:
             raise _bad_record([a], [da], exc) from None
@@ -243,12 +236,9 @@ class Tape:
         d_open.fromlist([da])
 
         # the record is written: commit the counters
-        if self._dag:
-            self._next_ssa = rid + 1
-            self.beta = beta
-        elif result is None:
-            self._next_remainder = rid + 1
-            self.beta_r = beta
+        if result is None:
+            self._next_id = rid + 1
+            self._width = beta
         self.q += 1
         if len(s_open) >= self._s_full:
             self._s.push_full(3)
@@ -276,29 +266,17 @@ class Tape:
                 raise TapeError(f"non-finite partial {da!r} for vertex {a}")
             if not isfinite(db):
                 raise TapeError(f"non-finite partial {db!r} for vertex {b}")
-            if self._dag:
-                rid = self._next_ssa
-                if not 0 <= a < rid:
-                    self._check_known(a)
-                beta = self.beta
-                if rid - a > beta:
-                    beta = rid - a
-                if not 0 <= b < rid:
-                    self._check_known(b)
-                if rid - b > beta:
-                    beta = rid - b
-            else:
-                rid = self._next_remainder
-                lo = -self.p_l
-                if not lo <= a < rid:
-                    self._check_known(a)
-                beta = self.beta_r
-                if a >= 0 and rid - a > beta:
-                    beta = rid - a
-                if not lo <= b < rid:
-                    self._check_known(b)
-                if b >= 0 and rid - b > beta:
-                    beta = rid - b
+            rid = self._next_id
+            lo = -self.p_l
+            if not lo <= a < rid:
+                self._check_known(a)
+            beta = self._width
+            if a >= 0 and rid - a > beta:
+                beta = rid - a
+            if not lo <= b < rid:
+                self._check_known(b)
+            if b >= 0 and rid - b > beta:
+                beta = rid - b
             s_open.fromlist([a, b, 2, rid])
         except (TypeError, OverflowError) as exc:
             raise _bad_record([a, b], [da, db], exc) from None
@@ -306,12 +284,8 @@ class Tape:
         d_open.fromlist([da, db])
 
         # the record is written: commit the counters
-        if self._dag:
-            self._next_ssa = rid + 1
-            self.beta = beta
-        else:
-            self._next_remainder = rid + 1
-            self.beta_r = beta
+        self._next_id = rid + 1
+        self._width = beta
         self.q += 1
         if len(s_open) >= self._s_full:
             self._s.push_full(4)
@@ -327,7 +301,6 @@ class Tape:
         are this loop written out for one and two operands."""
         if self.finalized:
             raise TapeError("tape is finalized")
-        dag = self._dag
         s_open = self._s_open
         try:
             for part in parts:
@@ -335,30 +308,19 @@ class Tape:
                     # index finds part by identity, so a nan too
                     vid = vids[parts.index(part)]
                     raise TapeError(f"non-finite partial {part!r} for vertex {vid}")
-            if dag:
-                if result is not None:
-                    raise TapeError(f"L-value result {result!r} not allowed on this tape")
-                rid = self._next_ssa
-                beta = self.beta
-                for vid in vids:
-                    if not 0 <= vid < rid:
-                        self._check_known(vid)
-                    if rid - vid > beta:
-                        beta = rid - vid
+            lo, hi = -self.p_l, self._next_id
+            beta = self._width
+            for vid in vids:
+                if not lo <= vid < hi:
+                    self._check_known(vid)
+                if vid >= 0 and hi - vid > beta:
+                    beta = hi - vid
+            if result is None:
+                rid = hi
+            elif 0 < -result <= self.p_l:
+                rid = result
             else:
-                lo, hi = -self.p_l, self._next_remainder
-                beta = self.beta_r
-                for vid in vids:
-                    if not lo <= vid < hi:
-                        self._check_known(vid)
-                    if vid >= 0 and hi - vid > beta:
-                        beta = hi - vid
-                if result is None:
-                    rid = hi
-                elif 0 < -result <= self.p_l:
-                    rid = result
-                else:
-                    raise TapeError(f"L-value result {result!r} not allowed on this tape")
+                raise TapeError(f"L-value result {result!r} not allowed on this tape")
             n = len(vids)
             s_open.fromlist([*vids, n, rid])
         except (TypeError, OverflowError) as exc:
@@ -367,12 +329,9 @@ class Tape:
         d_open.fromlist(parts)  # isfinite has converted every partial already
 
         # the record is written: commit the counters
-        if dag:
-            self._next_ssa = rid + 1
-            self.beta = beta
-        elif result is None:
-            self._next_remainder = rid + 1
-            self.beta_r = beta
+        if result is None:
+            self._next_id = rid + 1
+            self._width = beta
         self.q += 1
         if len(s_open) >= self._s_full:
             self._s.push_full(n + 2)
@@ -404,25 +363,20 @@ class Tape:
         return self.stats()
 
     def stats(self) -> TapeStats:
-        if self.mode == DAG:
-            num_vertices = self._next_ssa
-            num_remainder = num_vertices
-            p_l = 0
-        else:
-            num_vertices = self.p_l + self._next_remainder
-            num_remainder = self._next_remainder
-            p_l = self.p_l
+        """The tape's counts; its one width is ``beta`` on a DAG tape and
+        ``beta_r`` on a DCG tape, and the other reads 0."""
+        width = self._width
         return TapeStats(
             mode=self.mode,
-            num_vertices=num_vertices,
+            num_vertices=self.p_l + self._next_id,
             num_inputs=self.n,
             num_outputs=self.m,
             num_edges=self.edge_count,
             num_elementals=self.q,
-            beta=self.beta,
-            beta_r=self.beta_r,
-            p_l=p_l,
-            num_remainder=num_remainder,
+            beta=width if self._dag else 0,
+            beta_r=0 if self._dag else width,
+            p_l=self.p_l,
+            num_remainder=self._next_id,
             s_len=self.s_len,
             d_len=self.d_len,
         )
@@ -437,11 +391,9 @@ class Tape:
         tape._init_state(stats.mode, s, d, prefetch)
         tape.n = stats.num_inputs
         tape.q = stats.num_elementals
-        tape.beta, tape.beta_r, tape.p_l = stats.beta, stats.beta_r, stats.p_l
-        if stats.mode == DAG:
-            tape._next_ssa = stats.num_vertices
-        else:
-            tape._next_remainder = stats.num_remainder
+        tape.p_l = stats.p_l
+        tape._next_id = stats.num_remainder
+        tape._width = stats.beta + stats.beta_r  # the other one is 0
         tape.outputs = list(outputs)
         tape._output_set = set(outputs)
         tape.finalized = True
@@ -535,15 +487,9 @@ class Tape:
     # -- internal -----------------------------------------------------------
 
     def _check_known(self, vid: int) -> None:
-        if self.mode == DAG:
-            if not 0 <= vid < self._next_ssa:
-                raise TapeError(f"unknown vertex {vid}")
-        else:
-            if vid < 0:
-                if -vid > self.p_l:
-                    raise TapeError(f"unknown L-value {vid}")
-            elif vid >= self._next_remainder:
-                raise TapeError(f"unknown vertex {vid}")
+        if not -self.p_l <= vid < self._next_id:
+            kind = "L-value" if vid < 0 and not self._dag else "vertex"
+            raise TapeError(f"unknown {kind} {vid}")
 
     def _require_recording(self) -> None:
         if self.finalized:

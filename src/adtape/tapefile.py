@@ -133,7 +133,8 @@ def _derive_stats(path: str, mode: str, n: int, q: int, s: BlockStore,
     operand is defined before it is read and appears once, and that every
     partial belongs to an elemental; then that the ``n`` input ids come
     first, that no L-value lies beyond ``stored_p_l`` (None for a file
-    that does not store p_L) and that the outputs are distinct known
+    that does not store p_L), that ``stored_p_l`` exceeds the deepest
+    L-value by at most ``len(s)`` and that the outputs are distinct known
     vertices (L-values on a DCG tape).  ``_read_stream`` has already
     checked that the partials are finite, as they arrived.
 
@@ -252,6 +253,12 @@ def _derive_stats(path: str, mode: str, n: int, q: int, s: BlockStore,
         if stored_p_l is not None:
             if p_l > stored_p_l:
                 raise _bad(path, f"L-value {low} lies beyond p_L {stored_p_l}")
+            # declared L-values that no record touches cost adjoint slots and
+            # no stream entry: at most one per entry of s keeps their slots
+            # within the file's own structure bytes
+            if stored_p_l > p_l + len(s):
+                raise _bad(path, f"stored p_L {stored_p_l} exceeds the derived "
+                                 f"p_L {p_l} plus s_len {len(s)}")
             p_l = stored_p_l
         num_remainder = youngest + 1
         num_vertices = p_l + num_remainder

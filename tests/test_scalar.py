@@ -38,6 +38,24 @@ def test_input_vertices():
     assert ctx2.input(1.0).vertex == -1
 
 
+def test_is_lvalue_reads_the_sign_of_the_vertex():
+    """L-values are the vertices with negative ids: DCG inputs and declared
+    variables, assigned or not.  DAG inputs and every operation result are
+    not L-values."""
+    dag = dag_ctx()
+    x = dag.input(1.0)
+    assert not x.is_lvalue and not (x * x).is_lvalue
+    assert not dag.assign(x, ops.sin(x)).is_lvalue
+    dcg = dcg_ctx()
+    x, u = dcg.input(1.0), dcg.lvalue(2.0)
+    assert x.is_lvalue and u.is_lvalue and not u.active
+    assert not (x * u).is_lvalue and not ops.sin(x).is_lvalue
+    u = dcg.assign(u, x + 1.0)
+    assert u.is_lvalue and u.active
+    with pytest.raises(AttributeError):
+        u.is_lvalue = False
+
+
 @pytest.mark.parametrize("op,expected_partials", [
     (lambda a, b: a + b, [(0, 1.0), (1, 1.0)]),
     (lambda a, b: a - b, [(0, 1.0), (1, -1.0)]),

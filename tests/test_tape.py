@@ -32,7 +32,7 @@ def test_new_tape_empty_state():
     t = Tape(DAG)
     assert t.s_len == 0 and t.d_len == 0 and t.n == 0 and not t.finalized
     t2 = Tape(DCG)
-    assert t2.p_l == 0 and t2.beta_r == 0
+    assert t2.p_l == 0 and t2.stats().beta_r == 0
 
 
 def test_new_tapes_are_independent():
@@ -155,6 +155,26 @@ def test_lvalue_results_rejected_on_dag():
         t.record([(0, 1.0)], result=-1)
 
 
+@pytest.mark.parametrize("mode", [DAG, DCG])
+def test_unknown_operand_is_named_before_a_bad_result(mode):
+    """A DAG tape checks a record as a DCG tape with no L-values does: an
+    unknown operand is named before an integer result that is no declared
+    L-value, by every writer.  A negative id on a DAG tape is an unknown
+    vertex, as for an output."""
+    t = Tape(mode)
+    t.register_input()
+    kind = "vertex" if mode == DAG else "L-value"
+    for vid, message in ((7, "unknown vertex 7"), (-9, f"unknown {kind} -9")):
+        for result in (0, 7, -5):
+            with pytest.raises(TapeError, match=f"^{message}$"):
+                t.record_unary(vid, 1.0, result)
+            with pytest.raises(TapeError, match=f"^{message}$"):
+                t.record([(vid, 1.0)], result)
+        with pytest.raises(TapeError, match=f"^{message}$"):
+            t.register_output(vid)
+    assert t.q == 0 and not t.outputs
+
+
 def test_remainder_output_rejected_on_dcg():
     t = Tape(DCG)
     t.register_input()
@@ -195,8 +215,9 @@ def test_record_after_finalize_rejected():
 
 
 def recording_state(t):
-    return (t.q, t.n, t.beta, t.beta_r, t.p_l, t.s_len, t.d_len,
-            t.stats().num_vertices, t.edge_count)
+    st = t.stats()
+    return (t.q, t.n, st.beta, st.beta_r, t.p_l, t.s_len, t.d_len,
+            st.num_vertices, t.edge_count)
 
 
 #: records every mode rejects, as calls on a tape with inputs x, y and one

@@ -238,7 +238,13 @@ def test_version_1_file_derives_p_l(tmp_path):
     (DCG, [-1, -2], [([-1], -2)], [-2], 1, "L-value -2 lies beyond p_L 1"),
     (DCG, [-1], [([-1], -1)], [-2], 1, "output -2 is not a L-value"),
     (DAG, [0], [([0], 1)], [1], 1, "p_L is 1 on a DAG tape"),
-], ids=["result", "operand", "input", "output", "dag"])
+    # p_L may exceed the deepest L-value, 1, by at most s_len, 4
+    (DCG, [-1], [([-1], -1)], [-1], 6,
+     "stored p_L 6 exceeds the derived p_L 1 plus s_len 4"),
+    (DCG, [-1], [([-1], -1)], [-1], 10 ** 12,
+     "stored p_L 1000000000000 exceeds the derived p_L 1 plus s_len 4"),
+], ids=["result", "operand", "input", "output", "dag", "unused-lvalues",
+        "huge"])
 def test_stored_p_l_bounds_the_lvalues(tmp_path, mode, inputs, records,
                                        outputs, p_l, message):
     p = tmp_path / "t.adtp"
@@ -246,6 +252,12 @@ def test_stored_p_l_bounds_the_lvalues(tmp_path, mode, inputs, records,
     with pytest.raises(TapeError, match=message) as excinfo:
         load(str(p))
     assert str(p) in str(excinfo.value)
+
+
+def test_stored_p_l_up_to_s_len_past_the_streams_loads(tmp_path):
+    p = tmp_path / "t.adtp"
+    write_raw(p, DCG, [-1], [([-1], -1)], [-1], p_l=5)
+    assert load(str(p)).stats().p_l == 5
 
 
 def test_truncated_version_2_header_rejected(tmp_path):
