@@ -196,8 +196,9 @@ class BlockStore:
         and noting the peak as it is fetched.  With ``prefetch``, each fetch
         is followed by a ``POSIX_FADV_WILLNEED`` hint for the next-older
         block when it is on disk, so the kernel reads it into the page cache
-        while this block is consumed; without ``os.posix_fadvise`` (macOS,
-        Windows) the blocks are read plainly."""
+        while this block is consumed; without ``os.posix_fadvise`` (macOS)
+        the blocks are read plainly.  Spilled blocks are read with
+        ``os.pread``, so spilling needs POSIX."""
         if not self._sealed:
             raise BlockStoreError(f"{self.name}: reverse_iter before seal")
         hint = prefetch and _HAS_FADVISE

@@ -341,6 +341,8 @@ class Tape:
 
     def register_output(self, vid: int) -> None:
         self._require_recording()
+        if not isinstance(vid, int):
+            raise TapeError(f"output id {vid!r} is not an integer")
         self._check_known(vid)
         if self.mode == DCG and vid >= 0:
             raise TapeError(f"DCG outputs must be L-values, got vertex {vid}")

@@ -15,6 +15,13 @@ exactly like a recorded one.  Apart from p_L the file carries no graph
 statistics: ``load`` re-derives them in one backward pass over the loaded
 streams, which also checks every invariant that recording enforces, and
 never replays a record.
+
+The pass checks both modes with one set of rules, because they number
+vertices the same way (see ``tape``): L-values are ``-1 .. -p_L`` and the
+remainder is numbered densely in recording order.  A DAG tape is the case
+p_L = 0, whose inputs are its first remainder ids ``0 .. n-1``; on a DCG
+tape the inputs are L-values and the remainder starts at 0.  ``save``
+refuses a tape whose file ``load`` would refuse.
 """
 
 from __future__ import annotations
@@ -43,6 +50,14 @@ _BYTE_MODE = {0: DAG, 1: DCG}
 def save(tape: Tape, path: str) -> None:
     if not tape.finalized:
         raise TapeError("only finalized tapes can be saved")
+    # load bounds p_L by the deepest L-value in s plus s_len, and the inputs
+    # alone reach n, so only a larger p_L needs the scan of s
+    if tape.p_l > tape.n + tape.s_len:
+        deepest = -min(tape.reverse_streams()[0])
+        if tape.p_l > deepest + tape.s_len:
+            raise TapeError(f"{path}: p_L {tape.p_l} exceeds the derived p_L "
+                            f"{deepest} plus s_len {tape.s_len}, so the file "
+                            "would not load")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, _MODE_BYTE[tape.mode],
                               tape.n, tape.m, tape.q, tape.s_len, tape.d_len))
@@ -126,109 +141,105 @@ def _read_stream(fh, store: BlockStore, count: int, path: str) -> None:
 def _derive_stats(path: str, mode: str, n: int, q: int, s: BlockStore,
                   d: BlockStore, outputs: list[int],
                   stored_p_l: int | None) -> TapeStats:
-    """Walk the records backwards, as the sweep does, checking that each
-    operand count fits the streams, that results are numbered as recording
-    numbers them (DAG vertex ``n+k`` for elemental ``k``; DCG remainder
-    ids ``0..R-1`` in order, L-value results only on DCG tapes), that every
-    operand is defined before it is read and appears once, and that every
-    partial belongs to an elemental; then that the ``n`` input ids come
-    first, that no L-value lies beyond ``stored_p_l`` (None for a file
-    that does not store p_L), that ``stored_p_l`` exceeds the deepest
-    L-value by at most ``len(s)`` and that the outputs are distinct known
-    vertices (L-values on a DCG tape).  ``_read_stream`` has already
-    checked that the partials are finite, as they arrived.
+    """Walk the records backwards, as the sweep does, checking them as
+    recording numbers them on either mode: each operand count fits the
+    streams, the remainder results are the dense ids ``first, first+1,
+    ...`` in order, every operand is defined before it is read and appears
+    once, and every partial belongs to an elemental; then that the ``n``
+    input ids come first, that no L-value lies beyond the bound, that a
+    stored p_L exceeds the deepest L-value by at most ``len(s)`` and that
+    the outputs are distinct known vertices (L-values on a DCG tape).
+    Only the values set before the loop tell the modes apart: a DAG tape
+    is the case p_L = 0, whose inputs are its first remainder ids, so
+    ``first`` is ``n`` and the L-value bound 0; on a DCG tape ``first`` is
+    0 and the bound is ``stored_p_l`` (None for a file that does not store
+    p_L).  ``_read_stream`` has already checked that the partials are
+    finite, as they arrived.
 
     As in ``interpret.propagate``, records are read with the builtin
     ``next()`` from ``body``, an ``islice`` that stops where the input ids
-    begin; arity-1 and arity-2 records take straight-line paths, and no
-    local of the record loop is a closure cell."""
+    begin; arity-1 and arity-2 records take straight-line paths on their
+    lower and higher operand, and no local of the record loop is a closure
+    cell."""
     entries = s.reverse_iter()
     body = islice(entries, max(len(s) - n, 0))
     d_left = len(d)
-    dag = mode == DAG
-    beta = beta_r = 0
-    low = -n           # DCG: the deepest L-value id, inputs included, -p_L
-    youngest = -1      # DCG: the last remainder result, R - 1
-    oldest = None      # DCG: the oldest remainder result seen so far
-    trailing = -1      # DCG: the highest remainder id read after youngest
+    # first: the first remainder id; low: the deepest L-value id read, -p_L
+    # once the walk ends, the inputs included
+    if mode == DAG:
+        if stored_p_l:
+            raise _bad(path, f"p_L is {stored_p_l} on a DAG tape")
+        first, bound, low = n, 0, 0
+    else:
+        first, bound, low = 0, stored_p_l, -n
+    width = 0
+    youngest = None  # the last remainder result
+    trailing = -1    # the highest remainder id read after youngest
+    # the oldest remainder result read so far; 0 until youngest is read,
+    # which sends every remainder operand to the branch that notes trailing
+    oldest = 0
     try:
         for k in range(q - 1, -1, -1):
             result = next(body)
             count = next(body)
             d_left -= count
-            if count < 0 or d_left < 0:
+            if d_left < 0:  # a negative count fails in _operands
                 raise _bad(path, "malformed structure stream")
             if count == 2:
                 a = next(body)
                 b = next(body)
-                if a == b:
+                if a > b:  # the more common order: a is the later operand
+                    lo, hi = b, a
+                elif a < b:
+                    lo, hi = a, b
+                else:
                     raise _bad(path, f"elemental {k} repeats an operand")
             elif count == 1:
-                a = b = next(body)  # every check of b then repeats one of a
+                a = lo = hi = next(body)  # an unrecorded a is named, not b
             else:
                 ops = _operands(body, count, k, path)
-                a = None  # the operands are checked from ops
-            if dag:
-                # a, b: lowest and highest operand, or passing bounds if none
-                if a is None:
-                    a, b = min(ops, default=n + k), max(ops, default=0)
-                elif a > b:
-                    a, b = b, a
-                if result != n + k:
-                    raise _bad_dag_result(path, n, result, k)
-                if a < 0 or b >= result:
-                    raise _bad(path, f"elemental {k} reads a vertex it does "
-                                     "not follow")
-                if result - a > beta:
-                    beta = result - a
-                continue
+                lo = None  # the operands are checked from ops
             if result >= 0:
-                if oldest is None:
+                if result != oldest - 1:
+                    if youngest is not None:
+                        raise _bad(path, f"elemental {k} has result {result}, "
+                                         f"not {oldest - 1}")
                     if trailing > result:
                         raise _unrecorded(path, trailing)
                     youngest = result
-                elif result != oldest - 1:
-                    raise _bad(path, f"elemental {k} has result {result}, "
-                                     f"not {oldest - 1}")
                 oldest = result
             elif result < low:
                 low = result
             # remainder ids below oldest precede the record, whatever its
-            # result; for a remainder record oldest is its result
-            if a is None:
+            # result; for a remainder record oldest is its result, and for
+            # an L-value result result - v is never a width
+            if lo is None:
                 for v in ops:
                     if v < 0:
                         if v < low:
                             low = v
-                    elif oldest is None:
+                    elif v >= oldest:
+                        if youngest is not None:
+                            raise _unrecorded(path, v)
                         if v > trailing:
                             trailing = v
-                    elif v >= oldest:
-                        raise _unrecorded(path, v)
-                    elif result - v > beta_r:  # never for an L-value result
-                        beta_r = result - v
-            elif result >= 0:
-                if a >= result or b >= result:
-                    raise _unrecorded(path, a if a >= result else b)
-                if a < 0:
-                    if a < low:
-                        low = a
-                elif result - a > beta_r:
-                    beta_r = result - a
-                if b < 0:
-                    if b < low:
-                        low = b
-                elif result - b > beta_r:
-                    beta_r = result - b
-            else:
-                if oldest is None:
-                    trailing = max(trailing, a, b)
-                elif a >= oldest or b >= oldest:
+                    elif result - v > width:
+                        width = result - v
+            elif hi >= oldest:
+                if youngest is not None:
                     raise _unrecorded(path, a if a >= oldest else b)
-                if a < low:
-                    low = a
-                if b < low:
-                    low = b
+                if hi > trailing:
+                    trailing = hi
+                if lo < low:
+                    low = lo
+            elif lo >= 0:
+                if result - lo > width:
+                    width = result - lo
+            else:
+                if lo < low:
+                    low = lo
+                if hi >= 0 and result - hi > width:
+                    width = result - hi
     except StopIteration:  # the records ran into the input ids
         raise _bad(path, "malformed structure stream") from None
     s_left = len(s) - 2 * q - (len(d) - d_left)
@@ -236,32 +247,29 @@ def _derive_stats(path: str, mode: str, n: int, q: int, s: BlockStore,
         raise _bad(path, f"structure stream does not start with {n} inputs")
     if d_left:
         raise _bad(path, f"{d_left} partials belong to no elemental")
+    dag = mode == DAG
     inputs = range(n) if dag else range(-1, -n - 1, -1)
     if list(islice(entries, n)) != list(reversed(inputs)):
         raise _bad(path, f"input ids are not {inputs[0]}..{inputs[-1]}")
-    if dag:
-        if stored_p_l:
-            raise _bad(path, f"p_L is {stored_p_l} on a DAG tape")
-        num_remainder = num_vertices = n + q
-        p_l = 0
-    else:
-        if oldest is None and trailing >= 0:
+    if youngest is None:
+        if trailing >= first:
             raise _unrecorded(path, trailing)
-        if oldest is not None and oldest != 0:
-            raise _bad(path, f"remainder ids start at {oldest}, not 0")
-        p_l = -low
-        if stored_p_l is not None:
-            if p_l > stored_p_l:
-                raise _bad(path, f"L-value {low} lies beyond p_L {stored_p_l}")
-            # declared L-values that no record touches cost adjoint slots and
-            # no stream entry: at most one per entry of s keeps their slots
-            # within the file's own structure bytes
-            if stored_p_l > p_l + len(s):
-                raise _bad(path, f"stored p_L {stored_p_l} exceeds the derived "
-                                 f"p_L {p_l} plus s_len {len(s)}")
-            p_l = stored_p_l
-        num_remainder = youngest + 1
-        num_vertices = p_l + num_remainder
+        youngest = first - 1
+    elif oldest != first:
+        raise _bad(path, f"remainder ids start at {oldest}, not {first}")
+    p_l = -low
+    if bound is not None:
+        if p_l > bound:
+            raise _bad(path, f"L-value {low} lies beyond p_L {bound}")
+        # declared L-values that no record touches cost adjoint slots and
+        # no stream entry: at most one per entry of s keeps their slots
+        # within the file's own structure bytes
+        if bound > p_l + len(s):
+            raise _bad(path, f"stored p_L {bound} exceeds the derived "
+                             f"p_L {p_l} plus s_len {len(s)}")
+        p_l = bound
+    num_remainder = youngest + 1
+    num_vertices = p_l + num_remainder
     for v in outputs:
         if not (0 <= v < num_vertices if dag else -p_l <= v < 0):
             raise _bad(path, f"output {v} is not a "
@@ -270,7 +278,8 @@ def _derive_stats(path: str, mode: str, n: int, q: int, s: BlockStore,
         raise _bad(path, "an output is registered twice")
     return TapeStats(mode=mode, num_vertices=num_vertices, num_inputs=n,
                      num_outputs=len(outputs), num_edges=len(d),
-                     num_elementals=q, beta=beta, beta_r=beta_r, p_l=p_l,
+                     num_elementals=q, beta=width if dag else 0,
+                     beta_r=0 if dag else width, p_l=p_l,
                      num_remainder=num_remainder, s_len=len(s), d_len=len(d))
 
 
@@ -284,15 +293,10 @@ def _unrecorded(path: str, v: int) -> TapeError:
 
 def _operands(body, count: int, k: int, path: str) -> list[int]:
     """The ``count`` operands of zero-arity or n-ary elemental ``k``."""
-    ops = list(islice(body, count))
+    ops = list(islice(body, max(count, 0)))
     if len(ops) != count:
         raise _bad(path, "malformed structure stream")
     if len(set(ops)) != count:
         raise _bad(path, f"elemental {k} repeats an operand")
     return ops
 
-
-def _bad_dag_result(path: str, n: int, result: int, k: int) -> TapeError:
-    if result < 0:
-        return _bad(path, f"L-value result {result} on a DAG tape")
-    return _bad(path, f"elemental {k} has result {result}, not {n + k}")

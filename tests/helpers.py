@@ -8,6 +8,7 @@ back, so stream-layout regressions cannot hide in a shared code path.
 from __future__ import annotations
 
 import os
+import struct
 import subprocess
 import sys
 
@@ -34,6 +35,11 @@ STORES = {
     "spilled": {"block_entries": 64, "budget_blocks": 1},
     "tiny": {"block_entries": 3, "budget_blocks": 1},
 }
+
+
+def bits(values):
+    """The bytes of a list of floats, so that equal means bitwise equal."""
+    return struct.pack(f"<{len(values)}d", *values)
 
 
 def reference_parse(s, d, n, q):

@@ -31,8 +31,8 @@ from adtape.interpret import STRATEGY_MODE, _slot_map, adjoint_slot_count
 from adtape.rng import Xorshift
 from adtape.tapefile import load, save
 
-from helpers import (SMALL_PROBLEMS, STORES, RandomProgram, random_dag_tape,
-                     reference_parse, zero_arity_tape)
+from helpers import (SMALL_PROBLEMS, STORES, RandomProgram, bits,
+                     random_dag_tape, reference_parse, zero_arity_tape)
 
 RTOL = 1e-12
 
@@ -99,10 +99,6 @@ def assert_round_trip(tape, tmp, store, prefetch=False):
         if mode == tape.mode:
             assert (bits(propagate(back, seed, strategy))
                     == bits(propagate(tape, seed, strategy)))
-
-
-def bits(values):
-    return struct.pack(f"<{len(values)}d", *values)
 
 
 @settings(max_examples=30, deadline=None)

@@ -175,6 +175,21 @@ def test_unknown_operand_is_named_before_a_bad_result(mode):
     assert t.q == 0 and not t.outputs
 
 
+@pytest.mark.parametrize("mode", [DAG, DCG])
+@pytest.mark.parametrize("vid", [None, "a", 0.0, -1.0])
+def test_non_integer_output_rejected(mode, vid):
+    """An output id that is not an integer is a ``TapeError``, not the raw
+    ``TypeError`` of a range test, and a float that compares equal to a
+    vertex is not taken: it would not save or index an adjoint slot."""
+    t = Tape(mode)
+    t.register_input()
+    t.record_unary(t.inputs[0], 1.0)
+    with pytest.raises(TapeError, match=f"^output id {vid!r} is not an "
+                                        "integer$"):
+        t.register_output(vid)
+    assert not t.outputs
+
+
 def test_remainder_output_rejected_on_dcg():
     t = Tape(DCG)
     t.register_input()

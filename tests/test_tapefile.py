@@ -4,14 +4,15 @@ import struct
 
 import pytest
 
-from adtape import (DAG, DCG, LVALUE, Tape, TapeError, propagate_flat,
-                    propagate_lvalue, record_problem)
+from adtape import (DAG, DCG, LVALUE, REMAINDER, Tape, TapeError,
+                    propagate_flat, propagate_lvalue, record_problem)
 from adtape.interpret import adjoint_slot_count
 from adtape.rng import Xorshift
 from adtape.tapefile import MAGIC, save, load
 from adtape.problems import IntroExample
 
-from helpers import random_dag_tape, run_child
+from helpers import (bits, random_dag_tape, reference_parse, run_child,
+                     zero_arity_tape)
 
 #: offset of d_len in the header: magic, version, mode, n, m, q, s_len
 _HEADER_D_LEN = struct.calcsize("<4sIBQQQQ")
@@ -224,6 +225,34 @@ def test_unused_lvalue_survives_round_trip(tmp_path, output):
     assert propagate_lvalue(back, [1.0]) == propagate_lvalue(tape, [1.0])
 
 
+def many_unused_lvalues_tape(p_l):
+    """A DCG tape of one input and ``p_l - 1`` declared L-values, of which
+    only -2 is written: s is ``[-1, -1, 1, -2]``, so load derives p_L 2."""
+    tape = Tape(DCG)
+    x = tape.register_input()
+    for _ in range(p_l - 1):
+        tape.declare_lvalue()
+    tape.record([(x, 2.0)], result=-2)
+    tape.register_output(-2)
+    tape.finalize()
+    return tape
+
+
+def test_save_refuses_a_tape_that_would_not_load(tmp_path):
+    p = tmp_path / "t.adtp"
+    with pytest.raises(TapeError, match="p_L 11 exceeds the derived p_L 2 "
+                                        "plus s_len 4") as excinfo:
+        save(many_unused_lvalues_tape(11), str(p))
+    assert str(p) in str(excinfo.value)
+    assert not p.exists()
+
+
+def test_save_writes_the_largest_p_l_that_loads(tmp_path):
+    tape = many_unused_lvalues_tape(6)
+    back = round_trip(tape, tmp_path / "t.adtp")
+    assert back.stats() == tape.stats() and back.stats().p_l == 6
+
+
 def test_version_1_file_derives_p_l(tmp_path):
     """The version-1 file of ``unused_lvalue_tape(-1)`` loads with the
     p_L its streams show."""
@@ -272,13 +301,16 @@ MALFORMED = "malformed structure stream"
 # (mode, records, outputs, message[, partials]) on one input: 0 (DAG) or
 # -1 (DCG); the partials are one per counted operand unless given
 REJECTED = {
-    "dag-operand-at-result": (DAG, [([1], 1)], [1], "does not follow"),
+    "dag-operand-at-result": (DAG, [([1], 1)], [1],
+                              "remainder vertex 1 is read before"),
     "dag-operand-after-result": (DAG, [([2], 1), ([0], 2)], [2],
-                                 "does not follow"),
-    "dag-skipped-result": (DAG, [([0], 2)], [2], "has result 2, not 1"),
+                                 "remainder vertex 2 is read before"),
+    "dag-skipped-result": (DAG, [([0], 2)], [2],
+                           "remainder ids start at 2, not 1"),
     "dag-repeated-result": (DAG, [([0], 1), ([1], 1)], [1],
-                            "has result 1, not 2"),
-    "dag-lvalue-result": (DAG, [([0], -1)], [0], "L-value result -1"),
+                            "remainder vertex 1 is read before"),
+    "dag-lvalue-result": (DAG, [([0], -1)], [0],
+                          "L-value -1 lies beyond p_L 0"),
     "dag-duplicate-operand": (DAG, [([0, 0], 1)], [1], "repeats an operand"),
     "dcg-skipped-result": (DCG, [([-1], 0), ([0], 2), ([2], -1)], [-1],
                            "has result 0, not 1"),
@@ -306,32 +338,33 @@ REJECTED = {
         DCG, [([-1], 0), ([-1, 0, -1], 1), ([1], -1)], [-1],
         "elemental 1 repeats an operand"),
     "dag-operand-at-result-first": (DAG, [([1, 0], 1)], [1],
-                                    "elemental 0 reads a vertex it does not"),
+                                    "remainder vertex 1 is read before"),
     "dag-operand-at-result-second": (DAG, [([0, 1], 1)], [1],
-                                     "elemental 0 reads a vertex it does not"),
+                                     "remainder vertex 1 is read before"),
     "dag-operand-after-result-first": (
-        DAG, [([2, 0], 1), ([0], 2)], [2], "elemental 0 reads a vertex it does"),
+        DAG, [([2, 0], 1), ([0], 2)], [2], "remainder vertex 2 is read before"),
     "dag-operand-after-result-second": (
-        DAG, [([0, 2], 1), ([0], 2)], [2], "elemental 0 reads a vertex it does"),
+        DAG, [([0, 2], 1), ([0], 2)], [2], "remainder vertex 2 is read before"),
     "dag-operand-at-result-arity-3": (
-        DAG, [([0], 1), ([0, 1, 2], 2)], [2], "elemental 1 reads a vertex it"),
+        DAG, [([0], 1), ([0, 1, 2], 2)], [2], "remainder vertex 2 is read"),
     "dag-operand-after-result-arity-3": (
         DAG, [([0], 1), ([3, 0, 1], 2), ([0], 3)], [3],
-        "elemental 1 reads a vertex it does not follow"),
+        "remainder vertex 3 is read before it is recorded"),
     "dag-negative-operand": (DAG, [([-1], 1)], [1],
-                             "elemental 0 reads a vertex it does not follow"),
+                             "L-value -1 lies beyond p_L 0"),
     "dag-negative-operand-first": (
-        DAG, [([-1, 0], 1)], [1], "elemental 0 reads a vertex it does not"),
+        DAG, [([-1, 0], 1)], [1], "L-value -1 lies beyond p_L 0"),
     "dag-negative-operand-second": (
-        DAG, [([0, -1], 1)], [1], "elemental 0 reads a vertex it does not"),
+        DAG, [([0, -1], 1)], [1], "L-value -1 lies beyond p_L 0"),
     "dag-negative-operand-arity-3": (
-        DAG, [([0], 1), ([0, 1, -1], 2)], [2], "elemental 1 reads a vertex"),
-    "dag-lvalue-result-arity-0": (DAG, [([], -1)], [0], "L-value result -1 on"),
+        DAG, [([0], 1), ([0, 1, -1], 2)], [2], "L-value -1 lies beyond p_L 0"),
+    "dag-lvalue-result-arity-0": (DAG, [([], -1)], [0],
+                                  "L-value -1 lies beyond p_L 0"),
     "dag-lvalue-result-arity-2": (DAG, [([0], 1), ([0, 1], -1)], [1],
-                                  "L-value result -1 on a DAG tape"),
+                                  "L-value -1 lies beyond p_L 0"),
     "dag-lvalue-result-arity-3": (
         DAG, [([0], 1), ([0], 2), ([0, 1, 2], -1)], [2],
-        "L-value result -1 on a DAG tape"),
+        "L-value -1 lies beyond p_L 0"),
     "dcg-operand-at-result-first": (DCG, [([0, -1], 0), ([0], -1)], [-1],
                                     "remainder vertex 0 is read before"),
     "dcg-operand-at-result-second": (DCG, [([-1, 0], 0), ([0], -1)], [-1],
@@ -447,6 +480,77 @@ def test_partials_without_elemental_rejected(tmp_path):
     p.write_bytes(bytes(blob) + struct.pack("<d", 0.5))
     with pytest.raises(TapeError, match="1 partials belong to no elemental"):
         load(str(p))
+
+
+def replayed(mode, n, p_l, s, d, q, outputs):
+    """The tape that ``Tape.record`` builds from the raw records of ``s``
+    and ``d`` on a fresh tape with ``n`` inputs and (DCG) ``p_l``
+    L-values, or None when recording refuses them.  ``reference_parse``
+    may misread a corrupted stream, but then the replay cannot rebuild it,
+    so only a stream that recording can write is taken."""
+    try:
+        records = reference_parse(s, d, n, q)[1]
+    except (AssertionError, IndexError):
+        return None
+    tape = Tape(mode)
+    for _ in range(n):
+        tape.register_input()
+    for _ in range(p_l - n if mode == DCG else 0):
+        tape.declare_lvalue()
+    try:
+        for preds, partials, result in records:
+            tape.record(zip(preds, partials),
+                        result if result < 0 else REMAINDER)
+        for v in outputs:
+            tape.register_output(v)
+    except TapeError:
+        return None
+    tape.finalize()
+    return tape
+
+
+ORACLE_TAPES = {
+    "intro": lambda mode: record_problem(IntroExample(length=3), [1.0],
+                                         mode=mode),
+    "zero-arity": zero_arity_tape,
+}
+
+
+@pytest.mark.parametrize("mode", [DAG, DCG])
+@pytest.mark.parametrize("name", sorted(ORACLE_TAPES))
+def test_load_accepts_exactly_what_recording_rebuilds(tmp_path, name, mode):
+    """Each ``s`` entry overwritten, one at a time, by every id in
+    ``[-p_L-2, R+2]`` for the remainder count R: ``load`` accepts the file
+    exactly when its raw records, replayed through ``Tape.record``, rebuild
+    ``s`` and ``d`` bitwise and its stored p_L is within ``s_len`` of the
+    deepest L-value, and then loads the replayed tape's statistics."""
+    tape = ORACLE_TAPES[name](mode)
+    stats = tape.stats()
+    p = tmp_path / "t.adtp"
+    save(tape, str(p))
+    blob = p.read_bytes()
+    s, d = tape.dump()
+    s_start = len(blob) - (tape.s_len + tape.d_len) * 8
+    accepted = 0
+    for where in range(len(s)):
+        for value in range(-stats.p_l - 2, stats.num_remainder + 3):
+            bad = s[:where] + [value] + s[where + 1:]
+            at = s_start + where * 8
+            p.write_bytes(blob[:at] + struct.pack("<q", value) + blob[at + 8:])
+            fresh = replayed(mode, tape.n, tape.p_l, bad, d, tape.q,
+                             tape.outputs)
+            rebuilt = (fresh is not None and fresh.dump()[0] == bad
+                       and bits(fresh.dump()[1]) == bits(d)
+                       and tape.p_l <= max(tape.n, -min(bad)) + len(bad))
+            try:
+                back = load(str(p))
+            except TapeError:
+                assert not rebuilt, (where, value)
+                continue
+            assert rebuilt, (where, value)
+            assert back.stats() == fresh.stats() and back.dump() == fresh.dump()
+            accepted += 1
+    assert accepted >= len(s)  # at least each entry's own value
 
 
 def test_load_never_records(tmp_path, monkeypatch):
