@@ -8,7 +8,9 @@ the record loop runs over ``islice`` of the structure iterator, every other
 entry is read with the builtin ``next()``, and no object is built per
 record.  The strategies differ only in the pair (p_L, W) of the slot
 map: L-value ``-k`` lives in slot ``k-1`` and vertex ``v >= 0`` in slot
-``p_L + v % W``.
+``p_L + v % W``.  The record loop is written twice, split on p_L: a DAG
+tape is the case p_L = 0 with no negative id, so its loop maps vertex ``v``
+to slot ``v % W`` alone, and the DCG loop keeps the sign test.
 
 * flat: (0, |V|), one slot per vertex;
 * bandwidth: (0, max(beta, n, m)), slots reused modulo the bandwidth;
@@ -103,35 +105,65 @@ def propagate(tape: Tape, seed: Sequence[float], strategy: str,
     # each record reads back as result, operand count, then the operands
     # (from s) with their partials (from d) in reverse operand order.  The
     # builtin next() and islice read at C speed, where the iterators'
-    # bound __next__ would not be specialised; and no name read in this
-    # loop may become a closure cell (tests/test_interpret.py)
-    for result in islice(s, tape.q):
-        count = next(s)
-        slot = p_l + result % width if result >= 0 else ~result
-        if live and slot in live:
-            if live[slot] == result:
-                del live[slot]
+    # bound __next__ would not be specialised; and no name read in the
+    # record loops may become a closure cell (tests/test_interpret.py)
+    if p_l == 0:
+        # p_L = 0 (every DAG tape): no id is negative, since the writers and
+        # tapefile.load reject an operand or result below -p_L, so the slot
+        # of v is v % W and the sign test of the DCG loop below is dropped
+        for result in islice(s, tape.q):
+            count = next(s)
+            slot = result % width
+            if live and slot in live:
+                if live[slot] == result:
+                    del live[slot]
+                else:
+                    raise SlotCollisionError(
+                        f"result vertex {result} clobbers live seeded output "
+                        f"{live[slot]} in slot {slot}")
+            w = vbar[slot]
+            vbar[slot] = 0.0
+            # straight-line paths for the arities overloading records; the
+            # loop takes zero-arity overwrites and hand-recorded n-ary records
+            if count == 1:
+                i = next(s)
+                vbar[i % width] += w * next(d)
+            elif count == 2:
+                i = next(s)
+                vbar[i % width] += w * next(d)
+                i = next(s)
+                vbar[i % width] += w * next(d)
             else:
-                raise SlotCollisionError(
-                    f"result vertex {result} clobbers live seeded output "
-                    f"{live[slot]} in slot {slot}")
-        w = vbar[slot]
-        vbar[slot] = 0.0
-        # straight-line paths for the arities overloading records; the loop
-        # takes zero-arity overwrites and hand-recorded n-ary records
-        if count == 1:
-            i = next(s)
-            vbar[p_l + i % width if i >= 0 else ~i] += w * next(d)
-        elif count == 2:
-            i = next(s)
-            vbar[p_l + i % width if i >= 0 else ~i] += w * next(d)
-            i = next(s)
-            vbar[p_l + i % width if i >= 0 else ~i] += w * next(d)
-        else:
-            for i in islice(s, count):
+                for i in islice(s, count):
+                    vbar[i % width] += w * next(d)
+            if on_step is not None:
+                on_step(list(vbar))
+    else:
+        for result in islice(s, tape.q):
+            count = next(s)
+            slot = p_l + result % width if result >= 0 else ~result
+            if live and slot in live:
+                if live[slot] == result:
+                    del live[slot]
+                else:
+                    raise SlotCollisionError(
+                        f"result vertex {result} clobbers live seeded output "
+                        f"{live[slot]} in slot {slot}")
+            w = vbar[slot]
+            vbar[slot] = 0.0
+            if count == 1:
+                i = next(s)
                 vbar[p_l + i % width if i >= 0 else ~i] += w * next(d)
-        if on_step is not None:
-            on_step(list(vbar))
+            elif count == 2:
+                i = next(s)
+                vbar[p_l + i % width if i >= 0 else ~i] += w * next(d)
+                i = next(s)
+                vbar[p_l + i % width if i >= 0 else ~i] += w * next(d)
+            else:
+                for i in islice(s, count):
+                    vbar[p_l + i % width if i >= 0 else ~i] += w * next(d)
+            if on_step is not None:
+                on_step(list(vbar))
     grad = []  # a loop: a comprehension would turn p_l, width, vbar into cells
     for i in tape.inputs:
         grad.append(vbar[p_l + i % width if i >= 0 else ~i])

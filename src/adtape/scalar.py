@@ -90,7 +90,19 @@ class ActiveScalar:
         r.active = True
         return r
 
-    __radd__ = __add__
+    def __radd__(self, other):
+        if isinstance(other, ActiveScalar):
+            return _mixed_binary(other, self, other.value + self.value, 1.0, 1.0)
+        v = float(other) + self.value
+        if not self.active:
+            return v
+        tape = self.tape
+        r = _new(ActiveScalar)
+        r.tape = tape
+        r.value = v
+        r.vertex = tape.record_unary(self.vertex, 1.0)
+        r.active = True
+        return r
 
     def __sub__(self, other):
         tape = self.tape
@@ -145,7 +157,21 @@ class ActiveScalar:
         r.active = True
         return r
 
-    __rmul__ = __mul__
+    def __rmul__(self, other):
+        b = self.value
+        if isinstance(other, ActiveScalar):
+            a = other.value
+            return _mixed_binary(other, self, a * b, b, a)
+        a = float(other)
+        if not self.active:
+            return a * b
+        tape = self.tape
+        r = _new(ActiveScalar)
+        r.tape = tape
+        r.value = a * b
+        r.vertex = tape.record_unary(self.vertex, a)
+        r.active = True
+        return r
 
     # the divisor's partial is -v / b from the quotient v: -a / (b * b)
     # divides by zero once b * b underflows, though v is finite

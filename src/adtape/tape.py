@@ -13,7 +13,9 @@ layout itself through them, with no object per record;
 ``Tape.reverse_elementals`` turns each record into ``(result, preds)`` for
 ``Tape.parse``, ``Tape.visit_sequence`` and the DOT rendering.  The sweep
 puts the adjoint of L-value ``-k`` in slot ``k-1`` and of vertex
-``v >= 0`` in slot ``p_L + v % W``, with (p_L, W) fixed per strategy.
+``v >= 0`` in slot ``p_L + v % W``, with (p_L, W) fixed per strategy; on a
+DAG tape (p_L = 0, no negative id) it maps vertex ``v`` to slot ``v % W``
+with no sign test, and only its DCG loop keeps one.
 
 Both recording modes number vertices the same way.  L-values, named
 program variables, get dedicated negative ids ``-1 .. -p_L`` that persist

@@ -12,6 +12,7 @@ from adtape import (
     DCG,
     FLAT,
     LVALUE,
+    Recorder,
     SeedError,
     SlotCollisionError,
     Tape,
@@ -158,8 +159,23 @@ def test_result_clobbering_live_output_detected():
     t.register_output(ids[4])
     t.finalize()
     # width 2: vertex 3 lands in slot 1 while seeded output 1 still waits
-    with pytest.raises(SlotCollisionError, match="clobbers live seeded"):
+    with pytest.raises(SlotCollisionError) as exc:
         propagate_bandwidth(t, [1.0, 1.0])
+    assert str(exc.value) == ("result vertex 3 clobbers live seeded output 1 "
+                              "in slot 1")
+
+
+def test_intro_dag_outputs_collide_under_bandwidth():
+    t = Tape(DAG)
+    IntroExample().run(Recorder(t), [1.0])
+    t.register_output(t.inputs[0])
+    t.finalize()
+    # width max(beta, n, m) = 6: the result 6 and the input 0 share slot 0
+    assert t.outputs == [6, 0]
+    with pytest.raises(SlotCollisionError) as exc:
+        propagate_bandwidth(t, [1.0, 1.0])
+    assert str(exc.value) == "outputs 6 and 0 both seed slot 0"
+    assert propagate_flat(t, [0.0, 1.0]) == [1.0]
 
 
 def test_lvalue_outputs_read_and_reassigned():

@@ -11,8 +11,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from adtape import (
+    BANDWIDTH,
     DAG,
     DCG,
+    FLAT,
     REMAINDER,
     Recorder,
     Tape,
@@ -359,9 +361,10 @@ def test_spilled_sweep_is_bitwise_identical(seed):
 
 
 def reference_sweep(tape, seed, strategy):
-    """(gradient, final slots) of ``strategy`` computed from
-    ``reference_parse`` of the dumped streams: the slot map and the order of
-    the slot arithmetic of ``propagate``, none of its stream reading."""
+    """(gradient, final slots, slots after each record) of ``strategy``
+    computed from ``reference_parse`` of the dumped streams: the slot map
+    and the order of the slot arithmetic of ``propagate``, none of its
+    stream reading."""
     p_l, width = _slot_map(tape.stats(), strategy)
 
     def slot(v):
@@ -371,12 +374,14 @@ def reference_sweep(tape, seed, strategy):
     vbar = [0.0] * adjoint_slot_count(tape.stats(), strategy)
     for ybar, j in zip(seed, tape.outputs):
         vbar[slot(j)] = ybar
+    states = []
     for preds, partials, result in reversed(records):
         w = vbar[slot(result)]
         vbar[slot(result)] = 0.0
         for v, d in zip(reversed(preds), reversed(partials)):
             vbar[slot(v)] += w * d
-    return [vbar[slot(i)] for i in inputs], vbar
+        states.append(list(vbar))
+    return [vbar[slot(i)] for i in inputs], vbar, states
 
 
 def swept_blocks(store, head_entries=0):
@@ -389,9 +394,9 @@ def swept_blocks(store, head_entries=0):
 def assert_sweep_matches_reference(make_tape):
     """``reverse_elementals`` parses ``make_tape()`` like ``reference_parse``
     and every strategy of the tape's mode sweeps it bitwise like
-    ``reference_sweep``; the parse and each sweep read every block holding a
-    record once, and note the same peak as plain drains of an identical
-    tape."""
+    ``reference_sweep``, in each ``on_step`` snapshot too; the parse and
+    each sweep read every block holding a record once, and note the same
+    peak as plain drains of an identical tape."""
     tape, twin = make_tape(), make_tape()
     for store in (twin._s, twin._d):
         deque(store.reverse_iter(twin.prefetch), maxlen=0)
@@ -412,15 +417,21 @@ def assert_sweep_matches_reference(make_tape):
         if mode != tape.mode:
             continue
         before = tape._s.blocks_read, tape._d.blocks_read
-        swept[strategy] = propagate(tape, seed, strategy, return_slots=True)
+        states = []
+        grad, slots = propagate(tape, seed, strategy, on_step=states.append,
+                                return_slots=True)
+        swept[strategy] = grad, slots, states
         assert tape._s.blocks_read - before[0] == swept_blocks(tape._s, tape.n)
         assert tape._d.blocks_read - before[1] == swept_blocks(tape._d)
         for mine, plain in ((tape._s, twin._s), (tape._d, twin._d)):
             assert mine.peak_resident_bytes == plain.peak_resident_bytes
-    for strategy, (grad, slots) in swept.items():
-        ref_grad, ref_slots = reference_sweep(tape, seed, strategy)
+    for strategy, (grad, slots, states) in swept.items():
+        ref_grad, ref_slots, ref_states = reference_sweep(tape, seed, strategy)
         assert bits(grad) == bits(ref_grad)
         assert bits(slots) == bits(ref_slots)
+        assert len(states) == len(ref_states) == tape.q
+        for state, ref_state in zip(states, ref_states):
+            assert bits(state) == bits(ref_state)
 
 
 @pytest.mark.parametrize("prefetch", [False, True])
@@ -448,6 +459,22 @@ def test_sweep_matches_reference(source, store, prefetch, seed):
 def test_zero_arity_sweep_matches_reference(mode, store, prefetch):
     assert_sweep_matches_reference(
         lambda: zero_arity_tape(mode, **STORES[store], prefetch=prefetch))
+
+
+@pytest.mark.parametrize("strategy", [FLAT, BANDWIDTH])
+def test_dag_sweep_slots_match_reference(strategy):
+    """A DAG tape (p_L = 0) takes the record loop of ``propagate`` that maps
+    vertex v to slot v % W with no sign test: a zero-arity and a
+    hand-recorded ternary record, and random n-ary records cut across
+    ``tiny`` blocks, leave the slots of ``reference_sweep``."""
+    tapes = [zero_arity_tape(DAG)]
+    tapes += [random_dag_tape(Xorshift(seed), **STORES["tiny"])
+              for seed in range(1, 21)]
+    for tape in tapes:
+        assert tape.stats().p_l == 0
+        seed = [0.5 + k for k in range(tape.m)]
+        _, slots = propagate(tape, seed, strategy, return_slots=True)
+        assert bits(slots) == bits(reference_sweep(tape, seed, strategy)[1])
 
 
 DOUBLES = st.floats(allow_nan=False, allow_infinity=False)
