@@ -39,8 +39,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Gradient-tape reverse-mode differentiation benchmarks")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_common(p, with_strategy=True):
-        p.add_argument("--problem", required=True,
+    def add_common(p, with_strategy=True, problem_required=True):
+        p.add_argument("--problem", required=problem_required,
                        choices=sorted(PROBLEMS) + ["all"])
         if with_strategy:
             p.add_argument("--strategy", default="all",
@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(verify, with_strategy=False)
 
     dump = sub.add_parser("dump", help="print the recorded streams")
-    add_common(dump, with_strategy=False)
+    add_common(dump, with_strategy=False, problem_required=False)
     dump.add_argument("--mode", default=DAG, choices=[DAG, DCG])
     dump.add_argument("--dot", metavar="FILE",
                       help="write a DOT rendering ('-' for stdout)")
@@ -210,6 +210,8 @@ def cmd_dump(args) -> int:
     if args.tape_file:
         tape = tapefile.load(args.tape_file, **store_config(args))
     else:
+        if args.problem is None:
+            raise ValueError("dump needs --problem or --tape-file")
         if args.problem == "all":
             raise ValueError("dump records one problem, not 'all'")
         problem = make_problem(args, args.problem)

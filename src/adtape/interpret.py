@@ -202,6 +202,8 @@ def gradient_check(problem, x: Sequence[float] | None = None,
     if x is None:
         x = problem.default_point()
     if tape is None:
+        if strategy not in STRATEGY_MODE:
+            raise ValueError(f"unknown strategy {strategy!r}")
         tape = record_problem(problem, x, mode=STRATEGY_MODE[strategy],
                               **store_config)
     if seed is None:

@@ -113,16 +113,11 @@ class Tape:
             raise TapeError(f"unknown tape mode {mode!r}")
         store = {"block_entries": block_entries, "budget_blocks": budget_blocks,
                  "spill_dir": spill_dir}
-        self._init_state(mode, BlockStore("q", name="s", **store),
-                         BlockStore("d", name="d", **store), prefetch)
-
-    def _init_state(self, mode: str, s: BlockStore, d: BlockStore,
-                    prefetch: bool) -> None:
-        """An empty recording tape over the streams ``s`` and ``d``."""
         self.mode = mode
         self._dag = mode == DAG
         self.prefetch = prefetch
-        self._s, self._d = s, d
+        self._s = s = BlockStore("q", name="s", **store)
+        self._d = d = BlockStore("d", name="d", **store)
         self._s_open, self._d_open = s.open_block, d.open_block
         self._s_full, self._d_full = s.block_entries, d.block_entries
         self.n = 0
@@ -385,23 +380,12 @@ class Tape:
             d_len=self.d_len,
         )
 
-    @classmethod
-    def _adopt(cls, stats: TapeStats, s: BlockStore, d: BlockStore,
-               outputs: list[int], prefetch: bool = False) -> "Tape":
-        """A finalized tape over sealed streams ``s`` and ``d`` whose
-        ``stats`` and ``outputs`` the caller derived from them and checked
-        (``tapefile.load``); nothing is recorded."""
-        tape = cls.__new__(cls)
-        tape._init_state(stats.mode, s, d, prefetch)
-        tape.n = stats.num_inputs
-        tape.q = stats.num_elementals
-        tape.p_l = stats.p_l
-        tape._next_id = stats.num_remainder
-        tape._width = stats.beta + stats.beta_r  # the other one is 0
-        tape.outputs = list(outputs)
-        tape._output_set = set(outputs)
-        tape.finalized = True
-        return tape
+    def _adopt(self, n: int, q: int, p_l: int, num_remainder: int,
+               width: int) -> None:
+        """Set the counters that ``tapefile.load`` derived from the streams
+        it read into ``_s`` and ``_d``; nothing is recorded."""
+        self.n, self.q, self.p_l = n, q, p_l
+        self._next_id, self._width = num_remainder, width
 
     # -- reading ------------------------------------------------------------
 

@@ -9,12 +9,13 @@ from the streams, which misses an L-value that was declared but never
 written or read.
 
 ``save`` writes each stream one block at a time, and ``load`` reads it back
-in block-sized chunks straight into the new tape's block stores, so neither
-holds a whole stream in memory and a loaded tape spills under its budget
-exactly like a recorded one.  Apart from p_L the file carries no graph
-statistics: ``load`` re-derives them in one backward pass over the loaded
-streams, which also checks every invariant that recording enforces, and
-never replays a record.
+in block-sized chunks straight into a new ``Tape``'s block stores, so
+neither holds a whole stream in memory and a loaded tape spills under its
+budget exactly like a recorded one.  Apart from p_L the file carries no graph
+statistics: one backward pass over the loaded streams derives the width and
+the remainder count and checks every invariant that recording enforces,
+without replaying a record; ``Tape.register_output`` checks the outputs and
+``Tape.stats`` derives the rest.
 
 The pass checks both modes with one set of rules, because they number
 vertices the same way (see ``tape``): L-values are ``-1 .. -p_L`` and the
@@ -34,7 +35,7 @@ from itertools import islice
 from math import isfinite
 
 from .blockstore import ENTRY_BYTES, BlockStore
-from .tape import DAG, DCG, Tape, TapeError, TapeStats
+from .tape import DAG, DCG, Tape, TapeError
 
 MAGIC = b"ADTP"
 VERSION = 2
@@ -67,15 +68,15 @@ def save(tape: Tape, path: str) -> None:
 
 
 def load(path: str, prefetch: bool = False, **store_config) -> Tape:
-    """Load a finalized tape, streaming each stream into a ``BlockStore``
-    built from ``store_config`` one block at a time.
+    """Load a finalized tape into ``Tape(mode, prefetch=prefetch,
+    **store_config)``, reading each stream into its store a block at a time.
 
-    The statistics (beta, beta_r, the vertex and edge counts, and p_l of
-    a version-1 file) are derived from the streams, never read from the
-    file, in one backward pass that rejects, with a ``TapeError`` naming
-    ``path``, any stream that recording could not have produced.  Under
-    ``budget_blocks`` the loaded tape spills as it loads, just as a
-    recorded tape does.
+    ``_derive_stats`` derives the width, the remainder count and (for a
+    version-1 file) p_L from the streams and rejects any stream that
+    recording could not have produced; each output then goes through
+    ``Tape.register_output``, and ``Tape.stats`` derives the rest.  Every
+    error is a ``TapeError`` naming ``path``.  Under ``budget_blocks`` the
+    loaded tape spills as it loads, just as a recorded tape does.
     """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
@@ -102,15 +103,20 @@ def load(path: str, prefetch: bool = False, **store_config) -> Tape:
             raise TapeError(f"{path}: a tape needs inputs and outputs "
                             f"(n={n}, m={m})")
         outputs = _read_array(fh, "q", m, path).tolist()
-        s = BlockStore("q", name="s", **store_config)
-        d = BlockStore("d", name="d", **store_config)
-        _read_stream(fh, s, s_len, path)
-        _read_stream(fh, d, d_len, path)
-    s.seal()
-    d.seal()
-    stats = _derive_stats(path, _BYTE_MODE[mode_byte], n, q, s, d, outputs,
-                          p_l)
-    return Tape._adopt(stats, s, d, outputs, prefetch=prefetch)
+        tape = Tape(_BYTE_MODE[mode_byte], prefetch=prefetch, **store_config)
+        _read_stream(fh, tape._s, s_len, path)
+        _read_stream(fh, tape._d, d_len, path)
+    tape._s.seal()
+    tape._d.seal()
+    tape._adopt(n, q, *_derive_stats(path, tape.mode, n, q, tape._s, tape._d,
+                                     p_l))
+    try:
+        for v in outputs:
+            tape.register_output(v)
+    except TapeError as exc:
+        raise _bad(path, str(exc)) from None
+    tape.finalize()
+    return tape
 
 
 def _read_array(fh, typecode: str, count: int, path: str) -> array.array:
@@ -139,22 +145,24 @@ def _read_stream(fh, store: BlockStore, count: int, path: str) -> None:
 
 
 def _derive_stats(path: str, mode: str, n: int, q: int, s: BlockStore,
-                  d: BlockStore, outputs: list[int],
-                  stored_p_l: int | None) -> TapeStats:
-    """Walk the records backwards, as the sweep does, checking them as
+                  d: BlockStore, stored_p_l: int | None
+                  ) -> tuple[int, int, int]:
+    """``(p_l, num_remainder, width)`` of the sealed streams, for
+    ``Tape._adopt``; ``load`` checks the outputs through ``register_output``.
+
+    Walk the records backwards, as the sweep does, checking them as
     recording numbers them on either mode: each operand count fits the
     streams, the remainder results are the dense ids ``first, first+1,
     ...`` in order, every operand is defined before it is read and appears
     once, and every partial belongs to an elemental; then that the ``n``
-    input ids come first, that no L-value lies beyond the bound, that a
-    stored p_L exceeds the deepest L-value by at most ``len(s)`` and that
-    the outputs are distinct known vertices (L-values on a DCG tape).
-    Only the values set before the loop tell the modes apart: a DAG tape
-    is the case p_L = 0, whose inputs are its first remainder ids, so
-    ``first`` is ``n`` and the L-value bound 0; on a DCG tape ``first`` is
-    0 and the bound is ``stored_p_l`` (None for a file that does not store
-    p_L).  ``_read_stream`` has already checked that the partials are
-    finite, as they arrived.
+    input ids come first, that no L-value lies beyond the bound and that a
+    stored p_L exceeds the deepest L-value by at most ``len(s)``.  Only the
+    values set before the loop tell the modes apart: a DAG tape is the case
+    p_L = 0, whose inputs are its first remainder ids, so ``first`` is ``n``
+    and the L-value bound 0; on a DCG tape ``first`` is 0 and the bound is
+    ``stored_p_l`` (None for a file that does not store p_L).
+    ``_read_stream`` has already checked that the partials are finite, as
+    they arrived.
 
     As in ``interpret.propagate``, records are read with the builtin
     ``next()`` from ``body``, an ``islice`` that stops where the input ids
@@ -247,8 +255,7 @@ def _derive_stats(path: str, mode: str, n: int, q: int, s: BlockStore,
         raise _bad(path, f"structure stream does not start with {n} inputs")
     if d_left:
         raise _bad(path, f"{d_left} partials belong to no elemental")
-    dag = mode == DAG
-    inputs = range(n) if dag else range(-1, -n - 1, -1)
+    inputs = range(n) if mode == DAG else range(-1, -n - 1, -1)
     if list(islice(entries, n)) != list(reversed(inputs)):
         raise _bad(path, f"input ids are not {inputs[0]}..{inputs[-1]}")
     if youngest is None:
@@ -268,19 +275,7 @@ def _derive_stats(path: str, mode: str, n: int, q: int, s: BlockStore,
             raise _bad(path, f"stored p_L {bound} exceeds the derived "
                              f"p_L {p_l} plus s_len {len(s)}")
         p_l = bound
-    num_remainder = youngest + 1
-    num_vertices = p_l + num_remainder
-    for v in outputs:
-        if not (0 <= v < num_vertices if dag else -p_l <= v < 0):
-            raise _bad(path, f"output {v} is not a "
-                             f"{'vertex' if dag else 'L-value'} of the tape")
-    if len(set(outputs)) != len(outputs):
-        raise _bad(path, "an output is registered twice")
-    return TapeStats(mode=mode, num_vertices=num_vertices, num_inputs=n,
-                     num_outputs=len(outputs), num_edges=len(d),
-                     num_elementals=q, beta=width if dag else 0,
-                     beta_r=0 if dag else width, p_l=p_l,
-                     num_remainder=num_remainder, s_len=len(s), d_len=len(d))
+    return p_l, youngest + 1, width
 
 
 def _bad(path: str, what: str) -> TapeError:

@@ -76,6 +76,23 @@ def test_dump_save_and_reload(capsys, tmp_path):
     assert second == first
 
 
+def test_dump_tape_file_needs_no_problem(capsys, tmp_path):
+    path = str(tmp_path / "intro.adtp")
+    code, first, _ = run_cli(capsys, "dump", "--problem", "intro",
+                             "--save-tape", path)
+    assert code == 0
+    code, second, _ = run_cli(capsys, "dump", "--tape-file", path)
+    assert code == 0
+    assert second == first
+
+
+def test_dump_without_problem_or_tape_file_fails(capsys):
+    code, out, err = run_cli(capsys, "dump")
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+    assert "--problem" in err and "--tape-file" in err
+
+
 def test_dump_dot_file(capsys, tmp_path):
     path = tmp_path / "g.dot"
     code, _, _ = run_cli(capsys, "dump", "--problem", "intro",

@@ -221,6 +221,12 @@ def test_gradient_check_intro():
     assert gradient_check(IntroExample(), strategy=LVALUE) < 1e-9
 
 
+def test_gradient_check_unknown_strategy():
+    """The error ``propagate`` raises, before any recording."""
+    with pytest.raises(ValueError, match="unknown strategy 'nope'"):
+        gradient_check(IntroExample(), strategy="nope")
+
+
 def test_gradient_check_reuses_supplied_tape(intro_dag):
     err = gradient_check(IntroExample(), x=[1.0], tape=intro_dag)
     assert err < 1e-9

@@ -265,7 +265,7 @@ def test_version_1_file_derives_p_l(tmp_path):
     (DCG, [-1], [([-1], -3)], [-3], 2, "L-value -3 lies beyond p_L 2"),
     (DCG, [-1], [([-3], -1)], [-1], 2, "L-value -3 lies beyond p_L 2"),
     (DCG, [-1, -2], [([-1], -2)], [-2], 1, "L-value -2 lies beyond p_L 1"),
-    (DCG, [-1], [([-1], -1)], [-2], 1, "output -2 is not a L-value"),
+    (DCG, [-1], [([-1], -1)], [-2], 1, "unknown L-value -2"),
     (DAG, [0], [([0], 1)], [1], 1, "p_L is 1 on a DAG tape"),
     # p_L may exceed the deepest L-value, 1, by at most s_len, 4
     (DCG, [-1], [([-1], -1)], [-1], 6,
@@ -328,9 +328,11 @@ REJECTED = {
                                       "vertex 0 is read before"),
     "dcg-duplicate-operand": (DCG, [([-1, -1], 0), ([0], -1)], [-1],
                               "repeats an operand"),
-    "dcg-remainder-output": (DCG, [([-1], 0)], [0], "output 0 is not"),
-    "dag-unknown-output": (DAG, [([0], 1)], [2], "output 2 is not"),
-    "duplicate-output": (DAG, [([0], 1)], [1, 1], "registered twice"),
+    "dcg-remainder-output": (DCG, [([-1], 0)], [0],
+                             "DCG outputs must be L-values, got vertex 0"),
+    "dag-unknown-output": (DAG, [([0], 1)], [2], "unknown vertex 2"),
+    "duplicate-output": (DAG, [([0], 1)], [1, 1],
+                         "vertex 1 already registered as output"),
     # each check again at arity 2, in either operand position, and at arity 3
     "dag-duplicate-operand-arity-3": (DAG, [([0], 1), ([0, 1, 0], 2)], [2],
                                       "elemental 1 repeats an operand"),
@@ -482,12 +484,13 @@ def test_partials_without_elemental_rejected(tmp_path):
         load(str(p))
 
 
-def replayed(mode, n, p_l, s, d, q, outputs):
-    """The tape that ``Tape.record`` builds from the raw records of ``s``
-    and ``d`` on a fresh tape with ``n`` inputs and (DCG) ``p_l``
-    L-values, or None when recording refuses them.  ``reference_parse``
-    may misread a corrupted stream, but then the replay cannot rebuild it,
-    so only a stream that recording can write is taken."""
+def rerecorded(mode, n, p_l, s, d, q):
+    """The tape, not yet finalized and with no outputs, that
+    ``Tape.record`` builds from the raw records of ``s`` and ``d`` on a
+    fresh tape with ``n`` inputs and (DCG) ``p_l`` L-values, or None when
+    recording refuses them.  ``reference_parse`` may misread a corrupted
+    stream, but then the replay cannot rebuild it, so only a stream that
+    recording can write is taken."""
     try:
         records = reference_parse(s, d, n, q)[1]
     except (AssertionError, IndexError):
@@ -501,6 +504,18 @@ def replayed(mode, n, p_l, s, d, q, outputs):
         for preds, partials, result in records:
             tape.record(zip(preds, partials),
                         result if result < 0 else REMAINDER)
+    except TapeError:
+        return None
+    return tape
+
+
+def replayed(mode, n, p_l, s, d, q, outputs):
+    """``rerecorded`` with ``outputs`` registered and finalized, or None
+    when recording refuses the records or the outputs."""
+    tape = rerecorded(mode, n, p_l, s, d, q)
+    if tape is None:
+        return None
+    try:
         for v in outputs:
             tape.register_output(v)
     except TapeError:
@@ -551,6 +566,44 @@ def test_load_accepts_exactly_what_recording_rebuilds(tmp_path, name, mode):
             assert back.stats() == fresh.stats() and back.dump() == fresh.dump()
             accepted += 1
     assert accepted >= len(s)  # at least each entry's own value
+
+
+@pytest.mark.parametrize("mode", [DAG, DCG])
+@pytest.mark.parametrize("name", sorted(ORACLE_TAPES))
+def test_load_checks_outputs_as_register_output_does(tmp_path, name, mode):
+    """The output list replaced by each id in ``[-p_L-2, R+2]`` and by a
+    valid output twice: ``load`` refuses the file exactly when
+    ``register_output`` refuses those outputs on the rerecorded tape, with
+    its message after the path, and otherwise loads those outputs."""
+    tape = ORACLE_TAPES[name](mode)
+    stats = tape.stats()
+    s, d = tape.dump()
+    records = [(preds, result) for preds, _, result
+               in reference_parse(s, d, tape.n, tape.q)[1]]
+    p = tmp_path / "t.adtp"
+    candidates = [[v] for v in range(-stats.p_l - 2, stats.num_remainder + 3)]
+    candidates.append(tape.outputs[:1] * 2)
+    refused = 0
+    for outputs in candidates:
+        write_raw(p, mode, s[:tape.n], records, outputs, partial=d,
+                  p_l=tape.p_l)
+        fresh = rerecorded(mode, tape.n, tape.p_l, s, d, tape.q)
+        try:
+            for v in outputs:
+                fresh.register_output(v)
+        except TapeError as exc:
+            with pytest.raises(TapeError) as excinfo:
+                load(str(p))
+            assert str(excinfo.value) == f"{p}: {exc}", outputs
+            refused += 1
+            continue
+        fresh.finalize()
+        back = load(str(p))
+        assert back.outputs == outputs
+        assert back.stats() == fresh.stats() and back.dump() == fresh.dump()
+    # the two ids below -p_L and the three from R up, the repeated output,
+    # and on a DCG tape the R remainder vertices
+    assert refused == 6 + (stats.num_remainder if mode == DCG else 0)
 
 
 def test_load_never_records(tmp_path, monkeypatch):
