@@ -186,17 +186,25 @@ def propagate_lvalue(tape: Tape, seed: Sequence[float], **kwargs):
     return propagate(tape, seed, LVALUE, **kwargs)
 
 
+def max_rel_err(grad: Sequence[float], reference: Sequence[float]) -> float:
+    """The largest component error of ``grad`` against ``reference``,
+    relative where ``|grad[i]| > 1`` and absolute below that."""
+    worst = 0.0
+    for g, ref in zip(grad, reference):
+        err = abs(g - ref) / max(1.0, abs(g))
+        if err > worst:
+            worst = err
+    return worst
+
+
 def gradient_check(problem, x: Sequence[float] | None = None,
                    seed: Sequence[float] | None = None,
                    fd_step: float = 1e-6, strategy: str = FLAT,
                    tape: Tape | None = None,
                    **store_config) -> float:
-    """Compare the harvested gradient against central differences.
-
-    Returns the maximum component error, relative where the adjoint
-    component exceeds one in magnitude and absolute below that.
-    """
-    from .problems import fd_oracle
+    """``max_rel_err`` of the harvested gradient against central
+    differences (``problems.fd_gradient``)."""
+    from .problems import fd_gradient
     from .scalar import record_problem
 
     if x is None:
@@ -209,12 +217,4 @@ def gradient_check(problem, x: Sequence[float] | None = None,
     if seed is None:
         seed = [1.0] * tape.m
     grad = propagate(tape, seed, strategy)
-    worst = 0.0
-    for i in range(len(x)):
-        direction = [0.0] * len(x)
-        direction[i] = 1.0
-        fd = fd_oracle(problem, x, direction, fd_step, seed=seed)
-        err = abs(grad[i] - fd) / max(1.0, abs(grad[i]))
-        if err > worst:
-            worst = err
-    return worst
+    return max_rel_err(grad, fd_gradient(problem, x, fd_step, seed=seed))

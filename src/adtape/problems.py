@@ -333,6 +333,18 @@ def fd_oracle(problem: Problem, x: Sequence[float], direction: Sequence[float],
     return (weighted(xp) - weighted(xm)) / (2.0 * h)
 
 
+def fd_gradient(problem: Problem, x: Sequence[float], h: float,
+                seed: Sequence[float] | None = None) -> list[float]:
+    """Central differences of the seed-weighted output along each input,
+    one ``fd_oracle`` call per component."""
+    grad = []
+    for i in range(len(x)):
+        direction = [0.0] * len(x)
+        direction[i] = 1.0
+        grad.append(fd_oracle(problem, x, direction, h, seed=seed))
+    return grad
+
+
 # -- iterated evolutions, recorded with dense multivariate elementals --------
 
 def evolution_coefficients(n: int, seed: int = 1) -> list[list[float]]:

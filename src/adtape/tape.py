@@ -88,8 +88,8 @@ class Tape:
     Overloading records through ``record_unary`` and ``record_binary``,
     straight-line code for one and two operands that builds no operand list
     and runs no per-operand loop.  ``record`` takes any operand list, merges
-    repeated operands and can overwrite an L-value; it hands the list to
-    ``_append``, the loop the two straight-line writers spell out.  Each
+    repeated operands and can overwrite an L-value; its per-operand loop is
+    what the two straight-line writers spell out.  Each
     writer runs the same checks on both modes, a DAG tape being a DCG tape
     with no L-values: it checks the partials and operands, numbers the
     result from the one counter of ids ``>= 0``, writes the record into each
@@ -200,13 +200,52 @@ class Tape:
             result = None
         elif not isinstance(result, int):
             raise TapeError(f"bad result kind {result!r}")
-        return self._append(list(partials), list(partials.values()), result)
+        if self.finalized:
+            raise TapeError("tape is finalized")
+        vids, parts = list(partials), list(partials.values())
+        s_open = self._s_open
+        try:
+            for part in parts:
+                if not isfinite(part):
+                    # index finds part by identity, so a nan too
+                    vid = vids[parts.index(part)]
+                    raise TapeError(f"non-finite partial {part!r} for vertex {vid}")
+            lo, hi = -self.p_l, self._next_id
+            beta = self._width
+            for vid in vids:
+                if not lo <= vid < hi:
+                    self._check_known(vid)
+                if vid >= 0 and hi - vid > beta:
+                    beta = hi - vid
+            if result is None:
+                rid = hi
+            elif 0 < -result <= self.p_l:
+                rid = result
+            else:
+                raise TapeError(f"L-value result {result!r} not allowed on this tape")
+            n = len(vids)
+            s_open.fromlist([*vids, n, rid])
+        except (TypeError, OverflowError) as exc:
+            raise _bad_record(vids, parts, exc) from None
+        d_open = self._d_open
+        d_open.fromlist(parts)  # isfinite has converted every partial already
+
+        # the record is written: commit the counters
+        if result is None:
+            self._next_id = rid + 1
+            self._width = beta
+        self.q += 1
+        if len(s_open) >= self._s_full:
+            self._s.push_full(n + 2)
+        if len(d_open) >= self._d_full:
+            self._d.push_full(n)
+        return rid
 
     def record_unary(self, a: int, da: float, result: int | None = None) -> int:
         """Record ``result = f(a)`` with partial ``da``; ``result`` is None
         for a fresh vertex or an existing L-value id ``-k`` (DCG only).
 
-        Straight-line ``_append`` for one operand: the same checks in the
+        Straight-line ``record`` for one operand: the same checks in the
         same order, the same messages and the same all-or-nothing write."""
         if self.finalized:
             raise TapeError("tape is finalized")
@@ -247,7 +286,7 @@ class Tape:
         """Record a fresh vertex ``f(a, b)`` with partials ``da``, ``db``;
         ``a == b`` is one operand with partial ``da + db``.
 
-        Straight-line ``_append`` for two distinct operands, as
+        Straight-line ``record`` for two distinct operands, as
         ``record_unary`` is for one."""
         if a == b:
             try:  # merged as record merges a repeated operand
@@ -288,52 +327,6 @@ class Tape:
             self._s.push_full(4)
         if len(d_open) >= self._d_full:
             self._d.push_full(2)
-        return rid
-
-    def _append(self, vids: list, parts: list, result: int | None) -> int:
-        """The loop behind ``record``: check the distinct operands ``vids``
-        and their partials, number the result (None for a fresh vertex),
-        write the record into both open blocks, then commit the counters and
-        push any block that filled.  ``record_unary`` and ``record_binary``
-        are this loop written out for one and two operands."""
-        if self.finalized:
-            raise TapeError("tape is finalized")
-        s_open = self._s_open
-        try:
-            for part in parts:
-                if not isfinite(part):
-                    # index finds part by identity, so a nan too
-                    vid = vids[parts.index(part)]
-                    raise TapeError(f"non-finite partial {part!r} for vertex {vid}")
-            lo, hi = -self.p_l, self._next_id
-            beta = self._width
-            for vid in vids:
-                if not lo <= vid < hi:
-                    self._check_known(vid)
-                if vid >= 0 and hi - vid > beta:
-                    beta = hi - vid
-            if result is None:
-                rid = hi
-            elif 0 < -result <= self.p_l:
-                rid = result
-            else:
-                raise TapeError(f"L-value result {result!r} not allowed on this tape")
-            n = len(vids)
-            s_open.fromlist([*vids, n, rid])
-        except (TypeError, OverflowError) as exc:
-            raise _bad_record(vids, parts, exc) from None
-        d_open = self._d_open
-        d_open.fromlist(parts)  # isfinite has converted every partial already
-
-        # the record is written: commit the counters
-        if result is None:
-            self._next_id = rid + 1
-            self._width = beta
-        self.q += 1
-        if len(s_open) >= self._s_full:
-            self._s.push_full(n + 2)
-        if len(d_open) >= self._d_full:
-            self._d.push_full(n)
         return rid
 
     def register_output(self, vid: int) -> None:

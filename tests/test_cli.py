@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from adtape import cli
+from adtape import cli, interpret, problems, scalar
 from adtape.cli import main
+from adtape.interpret import gradient_check
 
 GOLDEN_S = "0 0 1 1 1 1 2 2 0 2 3 3 1 4 4 1 5 5 0 2 6"
 
@@ -70,10 +71,24 @@ def test_dump_save_and_reload(capsys, tmp_path):
     code, first, _ = run_cli(capsys, "dump", "--problem", "intro",
                              "--mode", "dcg", "--save-tape", path)
     assert code == 0
-    code, second, _ = run_cli(capsys, "dump", "--problem", "intro",
-                              "--tape-file", path)
+    code, second, _ = run_cli(capsys, "dump", "--tape-file", path)
     assert code == 0
     assert second == first
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--problem", "intro"), ("--mode", "dcg"), ("--length", "9"),
+    ("--paths", "3")])
+def test_dump_tape_file_refuses_recording_options(capsys, tmp_path, option,
+                                                  value):
+    path = str(tmp_path / "intro.adtp")
+    code, _, _ = run_cli(capsys, "dump", "--problem", "intro",
+                         "--save-tape", path)
+    assert code == 0
+    code, out, err = run_cli(capsys, "dump", "--tape-file", path,
+                             option, value)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and option in err
 
 
 def test_dump_tape_file_needs_no_problem(capsys, tmp_path):
@@ -163,10 +178,88 @@ def test_bench_intro_budgets(capsys):
 
 def test_bench_rejects_budget_blocks(capsys):
     # bench chooses its budgets; a given one would silently change its rows
-    code, out, err = run_cli(capsys, "bench", "--problem", "intro",
-                             "--strategy", "flat", "--budget-blocks", "2")
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--problem", "intro", "--strategy", "flat",
+              "--budget-blocks", "2"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert "--budget-blocks" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--problem", "intro", "--format", "json"),
+    ("dump", "--problem", "intro", "--format", "json"),
+    ("dump", "--problem", "intro", "--fd-step", "1e-3"),
+    ("bench", "--problem", "intro", "--fd-step", "1e-3"),
+])
+def test_verb_refuses_options_it_does_not_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert argv[-2] in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", "--problem", "intro", "--paths", "5"),
+    ("run", "--problem", "burgers", "--grid", "3x3"),
+    ("verify", "--problem", "bs_fd", "--seed", "3"),
+    ("bench", "--problem", "libor_mc", "--steps", "2"),
+    ("dump", "--problem", "bs_mc", "--length", "4"),
+])
+def test_size_option_no_selected_problem_takes_is_refused(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
-    assert err.startswith("error:") and "--budget-blocks" in err
+    assert err.startswith("error:") and argv[-2] in err
+
+
+def test_problem_all_takes_every_size_option(capsys):
+    code, out, _ = run_cli(capsys, "run", "--problem", "all", "--strategy",
+                           "lvalue", "--format", "json", "--length", "4",
+                           "--paths", "2", "--steps", "2", "--seed", "5",
+                           "--grid", "5x50", "--nx", "4", "--nt", "3",
+                           "--rates", "5")
+    assert code == 0
+    inputs = {r["problem"]: r["n"] for r in json.loads(out)["reports"]}
+    assert inputs == {"bs_fd": 2, "bs_mc": 3, "burgers": 4, "intro": 1,
+                      "libor_mc": 10}
+
+
+def counted(monkeypatch, name, *modules):
+    """Count the calls of function ``name`` through each module binding."""
+    calls = []
+    real = getattr(modules[0], name)
+
+    def count(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, count)
+    return calls
+
+
+@pytest.mark.parametrize("verb", [("verify",), ("run", "--grad-check")])
+@pytest.mark.parametrize("problem", [("intro",), ("bs_mc", "--paths", "2")])
+def test_gradient_check_records_sweeps_and_differences_once(
+        capsys, monkeypatch, verb, problem):
+    records = counted(monkeypatch, "record_problem", scalar, cli)
+    sweeps = counted(monkeypatch, "propagate", interpret, cli)
+    oracles = counted(monkeypatch, "fd_oracle", problems)
+    code, _, _ = run_cli(capsys, *verb, "--problem", *problem)
+    assert code == 0
+    n = len(problems.PROBLEMS[problem[0]]().default_point())
+    assert (len(records), len(sweeps), len(oracles)) == (2, 3, n)
+
+
+def test_run_grad_check_reports_gradient_check(capsys):
+    code, out, _ = run_cli(capsys, "run", "--problem", "bs_mc", "--paths",
+                           "2", "--format", "json", "--grad-check")
+    assert code == 0
+    p = problems.BlackScholesMC(paths=2)
+    for r in json.loads(out)["reports"]:
+        err = gradient_check(p, fd_step=p.fd_step, strategy=r["strategy"])
+        assert r["grad_check"]["max_rel_err"] == err
 
 
 def test_run_with_spill_budget(capsys, tmp_path):

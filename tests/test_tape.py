@@ -375,9 +375,9 @@ def test_straight_line_writers_match_record(mode, block_entries):
 @pytest.mark.parametrize("mode", [DAG, DCG])
 def test_overloading_never_takes_the_generic_loop(monkeypatch, mode):
     def refuse(*args):
-        raise AssertionError("overloading called Tape._append")
+        raise AssertionError("overloading called Tape.record")
 
-    monkeypatch.setattr(Tape, "_append", refuse)
+    monkeypatch.setattr(Tape, "record", refuse)
     problem = SMALL_PROBLEMS["burgers"]()
     tape = record_problem(problem, problem.default_point(), mode=mode)
     assert tape.q > 0
