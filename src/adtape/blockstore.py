@@ -29,10 +29,22 @@ iterators, ``reverse_iter`` and ``iter(store)``, chain over their blocks with
 On its first spill a store creates one ``adtape-<stream>-*.blk`` file, under
 ``spill_dir`` when one is given and under the system temp dir otherwise.
 Block ``i`` is the fixed-size record at offset ``i * (16 + 8 * block_entries)``:
-a 16-byte header (magic and block index) followed by the little-endian
-payload.  The store holds one descriptor on that file, written and read with
-positionless ``pwrite``/``pread`` so interleaved iterators can share it, until
-the store is freed; then the descriptor is closed and the file removed.
+a 16-byte header ``<4sIQ`` (the magic ``ADTB``, the ``zlib.crc32`` of the
+payload and the block index) followed by the little-endian payload.  A block
+gets its CRC when it leaves memory and the CRC is checked when it comes back
+(``_load_spilled``); a bad magic, index or CRC raises ``CorruptBlockError``,
+a ``BlockStoreError`` naming the stream, the block and the path.  A block
+that stays in memory is never checksummed.  The store holds one descriptor on
+that file, written and read with positionless ``pwrite``/``pread`` so
+interleaved iterators can share it, until the store is freed; then the
+descriptor is closed and the file removed.
+
+Version-3 tape files store each stream as a run of the same records, so
+blocks move between a tape file and a spill file without being decoded:
+``write_records`` copies a store's spilled prefix byte for byte into a tape
+file, and ``adopt_records`` copies a tape file's oldest full records into a
+new store's spill file.  Both copy with ``copy_bytes``, in bounded
+``pread``/``pwrite`` chunks.
 """
 
 from __future__ import annotations
@@ -43,18 +55,74 @@ import struct
 import sys
 import tempfile
 import weakref
+import zlib
 from itertools import chain
 
 ENTRY_BYTES = 8
 DEFAULT_BLOCK_ENTRIES = 65536
 
-_BLOCK_MAGIC = b"ADTPBLK\x00"
-_HEADER = struct.Struct("<8sQ")
+#: a block record's header: magic, CRC-32 of the payload, block index
+RECORD_HEADER = struct.Struct("<4sIQ")
+_RECORD_MAGIC = b"ADTB"
+#: the most bytes ``copy_bytes`` holds at once
+COPY_CHUNK = 256 * 1024
 _HAS_FADVISE = hasattr(os, "posix_fadvise")
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 class BlockStoreError(Exception):
     pass
+
+
+class CorruptBlockError(BlockStoreError):
+    """A spilled record that fails its check, named by stream and block."""
+
+    def __init__(self, stream: str, index: int, path: str, fault: str):
+        super().__init__(f"{stream}: corrupt block {index} at {path} ({fault})")
+        self.stream, self.index, self.fault = stream, index, fault
+
+
+def record_header(index: int, payload: bytes) -> bytes:
+    """The header of the record of block ``index``, whose little-endian
+    entries are ``payload``."""
+    return RECORD_HEADER.pack(_RECORD_MAGIC, zlib.crc32(payload), index)
+
+
+def decode(payload, typecode: str) -> array.array:
+    """The entries of a little-endian ``payload``."""
+    entries = array.array(typecode)
+    entries.frombytes(payload)
+    if _BIG_ENDIAN:
+        entries.byteswap()
+    return entries
+
+
+def checked_payload(record: bytes, index: int) -> memoryview:
+    """The payload of ``record``, checked as the record of block ``index``;
+    a bad header or CRC raises ``ValueError`` naming the fault.  The caller
+    has checked the record's length."""
+    magic, crc, stored = RECORD_HEADER.unpack_from(record)
+    payload = memoryview(record)[RECORD_HEADER.size:]
+    if magic != _RECORD_MAGIC or stored != index:
+        raise ValueError("bad record header")
+    if zlib.crc32(payload) != crc:
+        raise ValueError("CRC mismatch")
+    return payload
+
+
+def copy_bytes(src_fd: int, src_at: int, dst_fd: int, dst_at: int,
+               nbytes: int) -> None:
+    """Copy ``nbytes`` from ``src_fd`` at ``src_at`` to ``dst_fd`` at
+    ``dst_at`` with positionless ``pread``/``pwrite``, at most
+    ``COPY_CHUNK`` bytes at a time; raises ``OSError`` if the source ends
+    first."""
+    done = 0
+    while done < nbytes:
+        chunk = os.pread(src_fd, min(COPY_CHUNK, nbytes - done), src_at + done)
+        written = os.pwrite(dst_fd, chunk, dst_at + done) if chunk else 0
+        if not written:
+            raise OSError(f"copy stopped {nbytes - done} bytes short")
+        done += written
 
 
 def _discard(fd: int, path: str) -> None:
@@ -87,7 +155,7 @@ class BlockStore:
         self.block_entries = block_entries
         self.budget_blocks = budget_blocks
         self._spill_dir = spill_dir
-        self._record_bytes = _HEADER.size + block_entries * ENTRY_BYTES
+        self._record_bytes = RECORD_HEADER.size + block_entries * ENTRY_BYTES
         self._fd: int | None = None  # this store's own spill file, made on first spill
         self._path: str | None = None
         self._blocks: list[array.array | None] = []  # None once spilled
@@ -160,9 +228,8 @@ class BlockStore:
             self._spill(self._first_resident)
             self._first_resident += 1
 
-    def _spill(self, index: int) -> None:
-        block = self._blocks[index]
-        assert block is not None
+    def _spill_fd(self) -> int:
+        """This store's spill file, created on first use."""
         if self._fd is None:
             where = self._spill_dir if self._spill_dir is not None else tempfile.gettempdir()
             try:
@@ -173,9 +240,16 @@ class BlockStore:
                 raise BlockStoreError(
                     f"{self.name}: cannot create a spill file in {where}: {exc}") from exc
             weakref.finalize(self, _discard, self._fd, self._path)
-        record = _HEADER.pack(_BLOCK_MAGIC, index) + self._to_le_bytes(block)
+        return self._fd
+
+    def _spill(self, index: int) -> None:
+        block = self._blocks[index]
+        assert block is not None
+        fd = self._spill_fd()
+        payload = self._to_le_bytes(block)
+        record = record_header(index, payload) + payload
         try:
-            written = os.pwrite(self._fd, record, index * self._record_bytes)
+            written = os.pwrite(fd, record, index * self._record_bytes)
         except OSError as exc:
             raise BlockStoreError(
                 f"{self.name}: spill of block {index} to {self._path} failed: {exc}") from exc
@@ -184,6 +258,54 @@ class BlockStore:
                 f"{self.name}: short write of block {index} to {self._path}")
         self.bytes_spilled += len(block) * ENTRY_BYTES
         self._blocks[index] = None
+
+    # -- copying records ----------------------------------------------------
+
+    def adopt_records(self, src_fd: int, offset: int, count: int) -> None:
+        """Take the ``count`` full-block records at ``offset`` of ``src_fd``
+        as the oldest blocks of this empty store, spilled: they are copied
+        into its spill file unread and counted in ``blocks_written`` and
+        ``bytes_spilled`` as if each had been pushed and spilled.  Their
+        CRCs are checked when they are fetched."""
+        if len(self) or self._sealed:
+            raise BlockStoreError(f"{self.name}: records adopted by a used store")
+        if not count:
+            return
+        fd = self._spill_fd()
+        try:
+            copy_bytes(src_fd, offset, fd, 0, count * self._record_bytes)
+        except OSError as exc:
+            raise BlockStoreError(
+                f"{self.name}: copy of {count} blocks to {self._path} failed: {exc}") from exc
+        self._blocks = [None] * count
+        self._first_resident = count
+        self._pushed = count * self.block_entries
+        self.blocks_written = count
+        self.bytes_spilled = self._pushed * ENTRY_BYTES
+
+    def write_records(self, fh) -> None:
+        """Write every block to the binary file ``fh``, oldest first, as
+        the run of records the spill file holds: the spilled prefix is
+        copied from the spill file byte for byte, and only the resident
+        blocks are encoded."""
+        if not self._sealed:
+            raise BlockStoreError(f"{self.name}: write before seal")
+        spilled = self._first_resident
+        if spilled:
+            fh.flush()
+            at = fh.tell()
+            nbytes = spilled * self._record_bytes
+            try:
+                copy_bytes(self._fd, 0, fh.fileno(), at, nbytes)
+            except OSError as exc:
+                raise BlockStoreError(
+                    f"{self.name}: copy of {spilled} blocks from {self._path} "
+                    f"failed: {exc}") from exc
+            fh.seek(at + nbytes)
+        for index in range(spilled, len(self._blocks)):
+            payload = self._to_le_bytes(self._blocks[index])
+            fh.write(record_header(index, payload))
+            fh.write(payload)  # not joined: that would copy a whole block
 
     # -- reading side -------------------------------------------------------
 
@@ -214,11 +336,6 @@ class BlockStore:
     def __iter__(self):
         return chain.from_iterable(self._sealed_blocks())
 
-    def le_blocks(self):
-        """Yield every block, oldest first, as little-endian bytes."""
-        for block in self._sealed_blocks():
-            yield self._to_le_bytes(block)
-
     def _sealed_blocks(self):
         if not self._sealed:
             raise BlockStoreError(f"{self.name}: iteration before seal")
@@ -246,14 +363,11 @@ class BlockStore:
                 f"{self.name}: cannot read block {index} at {self._path}: {exc}") from exc
         if len(record) != size:  # only full blocks spill
             raise BlockStoreError(f"{self.name}: truncated block {index} at {self._path}")
-        magic, stored = _HEADER.unpack_from(record)
-        if magic != _BLOCK_MAGIC or stored != index:
-            raise BlockStoreError(f"{self.name}: corrupt block {index} at {self._path}")
-        block = array.array(self.typecode)
-        block.frombytes(memoryview(record)[_HEADER.size:])
-        if sys.byteorder == "big":
-            block.byteswap()
-        return block
+        try:
+            payload = checked_payload(record, index)
+        except ValueError as exc:
+            raise CorruptBlockError(self.name, index, self._path, str(exc)) from None
+        return decode(payload, self.typecode)
 
     # -- accounting ---------------------------------------------------------
 
@@ -275,7 +389,7 @@ class BlockStore:
 
     @staticmethod
     def _to_le_bytes(block: array.array) -> bytes:
-        if sys.byteorder == "big":
+        if _BIG_ENDIAN:
             swapped = array.array(block.typecode, block)
             swapped.byteswap()
             return swapped.tobytes()

@@ -3,7 +3,10 @@
 ``run``, ``verify`` and ``bench`` take one path, ``run_strategies``.  Each
 verb's parser offers only the options that verb reads, and a size option
 that no selected problem takes is refused, as is a recording option given
-to ``dump`` with ``--tape-file``; a refused option exits 2 and is named.
+to ``dump`` with ``--tape-file`` and an option given without the one it
+depends on: ``run --fd-step`` without ``--grad-check``, and ``--spill-dir``
+or ``--prefetch`` without ``--budget-blocks`` (``bench`` sets its own
+budgets, so it takes both).  A refused option exits 2 and is named.
 """
 
 from __future__ import annotations
@@ -114,15 +117,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def store_config(args) -> dict:
-    """The block-store options given on the command line."""
+    """The block-store options given on the command line; a verb that takes
+    ``--budget-blocks`` refuses the spill options without it, because then
+    nothing spills."""
+    if "budget_blocks" in vars(args) and args.budget_blocks is None:
+        _refuse(args, ["spill_dir", "prefetch"],
+                "a store without --budget-blocks, which never spills")
     return {key: value for key, value in vars(args).items()
             if key in _STORE_OPTIONS and value not in (None, "")}
 
 
 def _refuse(args, options, context: str) -> None:
     for option in options:
-        if getattr(args, option) is not None:
-            raise ValueError(f"--{option} does not apply to {context}")
+        value = getattr(args, option)
+        if value is not None and value is not False:  # given, or a set flag
+            raise ValueError(
+                f"--{option.replace('_', '-')} does not apply to {context}")
 
 
 def _problems(args):
@@ -179,9 +189,12 @@ def run_strategies(problem, strategies, cfg, grad_check=False, fd_step=None):
 
 
 def cmd_run(args) -> int:
+    if not args.grad_check:
+        _refuse(args, ["fd_step"], "run without --grad-check")
+    cfg = store_config(args)
     reports = []
     for problem in _problems(args):
-        reports += run_strategies(problem, _strategies(args), store_config(args),
+        reports += run_strategies(problem, _strategies(args), cfg,
                                   grad_check=args.grad_check,
                                   fd_step=args.fd_step)
     print(metrics.emit_report(reports, args.format))
@@ -189,9 +202,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    cfg = store_config(args)
     failed = False
     for problem in _problems(args):
-        reports = run_strategies(problem, STRATEGIES, store_config(args),
+        reports = run_strategies(problem, STRATEGIES, cfg,
                                  grad_check=True, fd_step=args.fd_step)
         for r in reports:
             ok = r.grad_check_max_rel_err <= problem.fd_tolerance
@@ -203,10 +217,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_dump(args) -> int:
+    cfg = store_config(args)
     if args.tape_file:
         _refuse(args, ["problem", "mode", *_SIZES],
                 "--tape-file, which loads a recorded tape")
-        tape = tapefile.load(args.tape_file, **store_config(args))
+        tape = tapefile.load(args.tape_file, **cfg)
     else:
         if args.problem is None:
             raise ValueError("dump needs --problem or --tape-file")
@@ -214,7 +229,7 @@ def cmd_dump(args) -> int:
             raise ValueError("dump records one problem, not 'all'")
         (problem,) = _problems(args)
         tape = record_problem(problem, problem.default_point(),
-                              mode=args.mode or DAG, **store_config(args))
+                              mode=args.mode or DAG, **cfg)
     s, d = tape.dump()
     print("s =", " ".join(str(v) for v in s))
     print("d =", " ".join(repr(v) for v in d))

@@ -387,13 +387,6 @@ class Tape:
         self._require_finalized()
         return self._s.tolist(), self._d.tolist()
 
-    def stream_bytes(self) -> Iterator[bytes]:
-        """The ``s`` stream, then the ``d`` stream, as little-endian bytes,
-        one block at a time."""
-        self._require_finalized()
-        yield from self._s.le_blocks()
-        yield from self._d.le_blocks()
-
     def reverse_streams(self, prefetch: bool | None = None
                         ) -> tuple[Iterator[int], Iterator[float]]:
         """``(s, d)``: a reverse iterator over each stream, newest entry

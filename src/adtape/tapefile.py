@@ -1,23 +1,41 @@
 """Binary tape files, streamed in both directions.
 
-Little-endian layout (version 2): magic ``ADTP``, version u32, mode u8
+Little-endian layout (version 3): magic ``ADTP``, version u32, mode u8
 (0 = DAG, 1 = DCG), n u64, m u64, q u64, s_len u64, d_len u64, p_L u64 (the
-L-value count, inputs included; 0 on a DAG tape), the ordered output list
-(m x i64), then the s entries (i64 each) and the d entries (f64 each).
-A version-1 header ends at d_len; such files still load, with p_L derived
-from the streams, which misses an L-value that was declared but never
-written or read.
+L-value count, inputs included; 0 on a DAG tape), block_entries u64, the
+ordered output list (m x i64) and a u32 ``zlib.crc32`` of everything before
+it.  Then come the ``s`` section and the ``d`` section, each a run of block
+records in the spill-file layout of ``blockstore``: record ``i`` sits at
+section offset ``i * (16 + 8 * block_entries)`` and is a 16-byte header
+``<4sIQ`` (magic, CRC-32 of the payload, block index) followed by the
+block's little-endian payload, i64 entries in ``s`` and f64 entries in
+``d``; the last record of a section may be short.  A damaged header, output
+list or record raises ``TapeError`` naming the path and the section
+(``header``, ``s`` or ``d``), and for a record the block.
 
-``save`` writes each stream one block at a time, and ``load`` reads it back
-in block-sized chunks straight into a new ``Tape``'s block stores, so
-neither holds a whole stream in memory and a loaded tape spills under its
-budget exactly like a recorded one.  Apart from p_L the file carries no graph
-statistics: one backward pass over the loaded streams derives the width and
-the remainder count and checks every invariant that recording enforces,
-without replaying a record; ``Tape.register_output`` checks the outputs and
-``Tape.stats`` derives the rest.
+Versions 1 and 2 still load, with no check: their streams follow the output
+list as bare entries.  A version-2 header ends at p_L, a version-1 header at
+d_len; a version-1 file's p_L is derived from the streams, which misses an
+L-value that was declared but never written or read.
 
-The pass checks both modes with one set of rules, because they number
+``save`` writes each stream one block at a time; a spilled block's record is
+already the bytes its section needs, so the spilled prefix of each stream is
+copied from its spill file byte for byte and only the resident blocks are
+encoded.  ``load`` reads the streams into a new ``Tape``'s block stores,
+never holding a whole stream in memory, so a loaded tape spills under its
+budget exactly like a recorded one.  A budgeted load whose ``block_entries``
+equal the file's copies the oldest full records of each section into the
+store's own spill file (``BlockStore.adopt_records``), undecoded, and reads
+only the newest as resident blocks; the copied records are checked as the
+sweep will read them, by the pass below and by a pass over ``d`` that checks
+the partials are finite.  Every other load appends each record, checked, or
+each block-sized chunk of an older file, to the stores.
+
+Apart from p_L the file carries no graph statistics: one backward pass over
+the loaded streams derives the width and the remainder count and checks
+every invariant that recording enforces, without replaying a record;
+``Tape.register_output`` checks the outputs and ``Tape.stats`` derives the
+rest.  The pass checks both modes with one set of rules, because they number
 vertices the same way (see ``tape``): L-values are ``-1 .. -p_L`` and the
 remainder is numbered densely in recording order.  A DAG tape is the case
 p_L = 0, whose inputs are its first remainder ids ``0 .. n-1``; on a DCG
@@ -27,23 +45,25 @@ refuses a tape whose file ``load`` would refuse.
 
 from __future__ import annotations
 
-import array
 import os
 import struct
-import sys
+import zlib
 from itertools import islice
 from math import isfinite
 
-from .blockstore import ENTRY_BYTES, BlockStore
+from .blockstore import (ENTRY_BYTES, RECORD_HEADER, BlockStore,
+                         CorruptBlockError, checked_payload, decode)
 from .tape import DAG, DCG, Tape, TapeError
 
 MAGIC = b"ADTP"
-VERSION = 2
+VERSION = 3
 
 #: the header up to d_len, which every version starts with
 _HEADER = struct.Struct("<4sIBQQQQQ")
-#: the field version 2 appends to it
-_P_L = struct.Struct("<Q")
+#: the fields each version appends to it: none, p_L, then block_entries
+_TAILS = {1: struct.Struct("<"), 2: struct.Struct("<Q"), 3: struct.Struct("<QQ")}
+#: the CRC-32 of header and outputs that ends a version-3 header
+_CRC = struct.Struct("<I")
 _MODE_BYTE = {DAG: 0, DCG: 1}
 _BYTE_MODE = {0: DAG, 1: DCG}
 
@@ -59,12 +79,15 @@ def save(tape: Tape, path: str) -> None:
             raise TapeError(f"{path}: p_L {tape.p_l} exceeds the derived p_L "
                             f"{deepest} plus s_len {tape.s_len}, so the file "
                             "would not load")
+    head = (_HEADER.pack(MAGIC, VERSION, _MODE_BYTE[tape.mode], tape.n,
+                         tape.m, tape.q, tape.s_len, tape.d_len)
+            + _TAILS[VERSION].pack(tape.p_l, tape._s.block_entries)
+            + struct.pack(f"<{tape.m}q", *tape.outputs))
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, VERSION, _MODE_BYTE[tape.mode],
-                              tape.n, tape.m, tape.q, tape.s_len, tape.d_len))
-        fh.write(_P_L.pack(tape.p_l))
-        fh.write(struct.pack(f"<{tape.m}q", *tape.outputs))
-        fh.writelines(tape.stream_bytes())
+        fh.write(head)
+        fh.write(_CRC.pack(zlib.crc32(head)))
+        tape._s.write_records(fh)
+        tape._d.write_records(fh)
 
 
 def load(path: str, prefetch: bool = False, **store_config) -> Tape:
@@ -75,41 +98,40 @@ def load(path: str, prefetch: bool = False, **store_config) -> Tape:
     version-1 file) p_L from the streams and rejects any stream that
     recording could not have produced; each output then goes through
     ``Tape.register_output``, and ``Tape.stats`` derives the rest.  Every
-    error is a ``TapeError`` naming ``path``.  Under ``budget_blocks`` the
-    loaded tape spills as it loads, just as a recorded tape does.
+    error about the file is a ``TapeError`` naming ``path``, a damaged
+    record's one naming its section and block as well.  Under
+    ``budget_blocks`` the loaded tape spills as a recorded tape does; when
+    its ``block_entries`` equal the file's, the records it would spill are
+    copied, not decoded and spilled one by one.
     """
     with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        if len(head) != _HEADER.size:
-            raise TapeError(f"{path}: truncated tape file")
-        magic, version, mode_byte, n, m, q, s_len, d_len = _HEADER.unpack(head)
-        if magic != MAGIC:
-            raise TapeError(f"{path}: not a tape file")
-        if version not in (1, VERSION):
-            raise TapeError(f"{path}: unsupported version {version}")
-        if mode_byte not in _BYTE_MODE:
-            raise TapeError(f"{path}: unknown mode byte {mode_byte}")
-        p_l = None  # version 1: derived from the streams
-        if version == VERSION:
-            field = fh.read(_P_L.size)
-            if len(field) != _P_L.size:
-                raise TapeError(f"{path}: truncated tape file")
-            (p_l,) = _P_L.unpack(field)
-        size = os.fstat(fh.fileno()).st_size
-        expected = fh.tell() + (m + s_len + d_len) * ENTRY_BYTES
-        if size != expected:
-            raise TapeError(f"{path}: size mismatch ({size} != {expected})")
-        if n < 1 or m < 1:
-            raise TapeError(f"{path}: a tape needs inputs and outputs "
-                            f"(n={n}, m={m})")
-        outputs = _read_array(fh, "q", m, path).tolist()
-        tape = Tape(_BYTE_MODE[mode_byte], prefetch=prefetch, **store_config)
-        _read_stream(fh, tape._s, s_len, path)
-        _read_stream(fh, tape._d, d_len, path)
-    tape._s.seal()
-    tape._d.seal()
-    tape._adopt(n, q, *_derive_stats(path, tape.mode, n, q, tape._s, tape._d,
-                                     p_l))
+        mode, n, q, s_len, d_len, p_l, file_entries, outputs = _read_head(fh, path)
+        tape = Tape(mode, prefetch=prefetch, **store_config)
+        s, d = tape._s, tape._d
+        copied = (file_entries is not None and s.budget_blocks is not None
+                  and s.block_entries == file_entries)
+        for store, count in ((s, s_len), (d, d_len)):
+            first = 0
+            if copied:
+                blocks = _blocks(count, file_entries)
+                first = blocks - min(blocks, s.budget_blocks)
+                at = fh.tell()
+                store.adopt_records(fh.fileno(), at, first)
+                fh.seek(at + first * (RECORD_HEADER.size
+                                      + file_entries * ENTRY_BYTES))
+            _read_stream(fh, store, count, path, file_entries, first)
+    s.seal()
+    d.seal()
+    try:
+        if copied:  # the finiteness check of the copied partials
+            for block in d.reverse_blocks():
+                _check_partials(block, path)
+        stats = _derive_stats(path, mode, n, q, s, d, p_l)
+    except CorruptBlockError as exc:
+        if not copied:  # a block of the store's own spill file
+            raise
+        raise _corrupt(path, exc.stream, exc.index, exc.fault) from None
+    tape._adopt(n, q, *stats)
     try:
         for v in outputs:
             tape.register_output(v)
@@ -119,29 +141,92 @@ def load(path: str, prefetch: bool = False, **store_config) -> Tape:
     return tape
 
 
-def _read_array(fh, typecode: str, count: int, path: str) -> array.array:
-    data = fh.read(count * ENTRY_BYTES)
-    if len(data) != count * ENTRY_BYTES:  # the file shrank under us
-        raise TapeError(f"{path}: truncated tape file")
-    entries = array.array(typecode)
-    entries.frombytes(data)
-    if sys.byteorder == "big":
-        entries.byteswap()
-    return entries
+def _read_head(fh, path: str) -> tuple:
+    """``(mode, n, q, s_len, d_len, p_l, block_entries, outputs)`` from the
+    header, checking the file's size and a version-3 header's CRC; p_l is
+    None for version 1 and block_entries None before version 3."""
+    head = _read_exact(fh, _HEADER.size, path)
+    magic, version, mode_byte, n, m, q, s_len, d_len = _HEADER.unpack(head)
+    if magic != MAGIC:
+        raise _bad(path, f"not a tape file (header magic {magic!r})")
+    if version not in _TAILS:
+        raise _bad(path, f"unsupported version {version} in header")
+    tail = _read_exact(fh, _TAILS[version].size, path)
+    extra = _TAILS[version].unpack(tail)
+    p_l = extra[0] if version > 1 else None
+    file_entries = extra[1] if version > 2 else None
+    body = (m + s_len + d_len) * ENTRY_BYTES
+    if version == 3:
+        if file_entries < 1:
+            raise _bad(path, f"block_entries {file_entries} in header")
+        body += _CRC.size + RECORD_HEADER.size * (_blocks(s_len, file_entries)
+                                                  + _blocks(d_len, file_entries))
+    size = os.fstat(fh.fileno()).st_size
+    expected = fh.tell() + body
+    if size != expected:
+        raise _bad(path, f"size mismatch: the header gives {expected} bytes, "
+                         f"the file has {size}")
+    outputs = _read_exact(fh, m * ENTRY_BYTES, path)
+    if version == 3:
+        (crc,) = _CRC.unpack(_read_exact(fh, _CRC.size, path))
+        if zlib.crc32(head + tail + outputs) != crc:
+            raise _bad(path, "corrupt header (CRC mismatch)")
+    if mode_byte not in _BYTE_MODE:
+        raise _bad(path, f"unknown mode byte {mode_byte} in header")
+    if n < 1 or m < 1:
+        raise _bad(path, f"a tape needs inputs and outputs (n={n}, m={m})")
+    return (_BYTE_MODE[mode_byte], n, q, s_len, d_len, p_l, file_entries,
+            decode(outputs, "q").tolist())
 
 
-def _read_stream(fh, store: BlockStore, count: int, path: str) -> None:
-    step = store.block_entries
+def _blocks(count: int, block_entries: int) -> int:
+    """The records of a ``count``-entry section, the last one short."""
+    return -(-count // block_entries)
+
+
+def _read_exact(fh, nbytes: int, path: str) -> bytes:
+    data = fh.read(nbytes)
+    if len(data) != nbytes:  # a short header, or the file shrank under us
+        raise _bad(path, "truncated tape file")
+    return data
+
+
+def _read_stream(fh, store: BlockStore, count: int, path: str,
+                 file_entries: int | None, first: int) -> None:
+    """Append a stream's entries from block ``first`` on to ``store``, one
+    chunk at a time: each record of a version-3 file, whose blocks hold
+    ``file_entries``, checked before it is decoded, or each
+    ``store.block_entries`` entries of an older file.  A chunk is held
+    whole, so a record's CRC is checked before any of it is appended."""
+    step = file_entries or store.block_entries
+    piece = store.block_entries * ENTRY_BYTES
     partials = store.typecode == "d"
-    for start in range(0, count, step):
-        chunk = _read_array(fh, store.typecode, min(step, count - start), path)
-        # recording never writes a non-finite partial.  An inf or nan makes
-        # the chunk's sum non-finite, so only such a chunk (or one whose
-        # finite entries overflow the sum) takes the exact per-entry scan
-        if partials and not isfinite(sum(chunk)) and not all(map(isfinite, chunk)):
-            bad = next(x for x in chunk if not isfinite(x))
-            raise TapeError(f"{path}: non-finite partial {bad!r}")
-        store.append(chunk)
+    for index, start in enumerate(range(first * step, count, step), first):
+        nbytes = min(step, count - start) * ENTRY_BYTES
+        if file_entries is None:
+            payload = memoryview(_read_exact(fh, nbytes, path))
+        else:
+            record = _read_exact(fh, RECORD_HEADER.size + nbytes, path)
+            try:
+                payload = checked_payload(record, index)
+            except ValueError as exc:
+                raise _corrupt(path, store.name, index, str(exc)) from None
+        # a store block at a time: one longer append would cut each block
+        # off the front of all the entries behind it
+        for at in range(0, nbytes, piece):
+            chunk = decode(payload[at:at + piece], store.typecode)
+            if partials:
+                _check_partials(chunk, path)
+            store.append(chunk)
+
+
+def _check_partials(chunk, path: str) -> None:
+    # recording never writes a non-finite partial.  An inf or nan makes the
+    # chunk's sum non-finite, so only such a chunk (or one whose finite
+    # entries overflow the sum) takes the exact per-entry scan
+    if not isfinite(sum(chunk)) and not all(map(isfinite, chunk)):
+        bad = next(x for x in chunk if not isfinite(x))
+        raise _bad(path, f"non-finite partial {bad!r}")
 
 
 def _derive_stats(path: str, mode: str, n: int, q: int, s: BlockStore,
@@ -161,8 +246,7 @@ def _derive_stats(path: str, mode: str, n: int, q: int, s: BlockStore,
     p_L = 0, whose inputs are its first remainder ids, so ``first`` is ``n``
     and the L-value bound 0; on a DCG tape ``first`` is 0 and the bound is
     ``stored_p_l`` (None for a file that does not store p_L).
-    ``_read_stream`` has already checked that the partials are finite, as
-    they arrived.
+    ``load`` has already checked that the partials are finite.
 
     As in ``interpret.propagate``, records are read with the builtin
     ``next()`` from ``body``, an ``islice`` that stops where the input ids
@@ -280,6 +364,10 @@ def _derive_stats(path: str, mode: str, n: int, q: int, s: BlockStore,
 
 def _bad(path: str, what: str) -> TapeError:
     return TapeError(f"{path}: {what}")
+
+
+def _corrupt(path: str, section: str, index: int, fault: str) -> TapeError:
+    return _bad(path, f"corrupt {section} block {index} ({fault})")
 
 
 def _unrecorded(path: str, v: int) -> TapeError:

@@ -253,6 +253,29 @@ def test_corrupt_block_detected(tmp_path, prefetch, damage):
         list(store.reverse_iter(prefetch=prefetch))
 
 
+@pytest.mark.parametrize("typecode, name", [("q", "s"), ("d", "d")])
+def test_every_flipped_bit_of_a_spilled_record_raises(tmp_path, typecode, name):
+    store = BlockStore(typecode, name=name, block_entries=4, budget_blocks=1,
+                       spill_dir=str(tmp_path))
+    data = list(range(12)) if typecode == "q" else [k / 3 for k in range(12)]
+    store.append(data)
+    store.seal()
+    (victim,) = tmp_path.glob(f"adtape-{name}-*.blk")
+    blob = victim.read_bytes()
+    size = record_bytes(store)
+    assert len(blob) == 2 * size  # blocks 0 and 1 spilled, block 2 resident
+    for bit in range(8 * len(blob)):
+        flipped = bytearray(blob)
+        flipped[bit // 8] ^= 1 << bit % 8
+        victim.write_bytes(flipped)
+        expected = re.escape(f"{name}: corrupt block {bit // 8 // size} at {victim}")
+        for read in (store.reverse_iter, store.tolist):
+            with pytest.raises(BlockStoreError, match=expected):
+                list(read())
+    victim.write_bytes(blob)
+    assert store.tolist() == data
+
+
 @pytest.mark.parametrize("prefetch", [False, True])
 def test_missing_block_detected(tmp_path, prefetch):
     store = make_store(tmp_path, block_entries=4, budget_blocks=1)

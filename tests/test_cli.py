@@ -296,3 +296,46 @@ def test_run_prefetch_matches_plain_reads(capsys, monkeypatch, tmp_path,
     assert grads == plain_grads and len(grads) == 3
     # only the prefetching run hints
     assert plain_hints == 0 and hints > 0
+
+
+@pytest.mark.parametrize("argv, option, needed", [
+    (("run", "--problem", "intro", "--fd-step", "1e-3"),
+     "--fd-step", "--grad-check"),
+    (("run", "--problem", "intro", "--spill-dir", "spill"),
+     "--spill-dir", "--budget-blocks"),
+    (("run", "--problem", "intro", "--prefetch"),
+     "--prefetch", "--budget-blocks"),
+    (("verify", "--problem", "intro", "--spill-dir", "spill"),
+     "--spill-dir", "--budget-blocks"),
+    (("verify", "--problem", "intro", "--prefetch"),
+     "--prefetch", "--budget-blocks"),
+    (("dump", "--problem", "intro", "--spill-dir", "spill"),
+     "--spill-dir", "--budget-blocks"),
+    (("dump", "--problem", "intro", "--prefetch"),
+     "--prefetch", "--budget-blocks"),
+], ids=["run-fd-step", "run-spill-dir", "run-prefetch", "verify-spill-dir",
+        "verify-prefetch", "dump-spill-dir", "dump-prefetch"])
+def test_option_without_the_option_it_depends_on_is_refused(
+        capsys, tmp_path, monkeypatch, argv, option, needed):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {option} does not apply") and needed in err
+    assert list(tmp_path.iterdir()) == []  # no spill dir was made
+
+
+def test_dump_tape_file_refuses_spill_options_without_budget(capsys, tmp_path):
+    path = str(tmp_path / "intro.adtp")
+    assert run_cli(capsys, "dump", "--problem", "intro",
+                   "--save-tape", path)[0] == 0
+    code, out, err = run_cli(capsys, "dump", "--tape-file", path,
+                             "--spill-dir", str(tmp_path / "spill"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: --spill-dir does not apply")
+
+
+def test_bench_takes_spill_options(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "bench", "--problem", "intro", "--strategy",
+                           "flat", "--format", "json", "--prefetch",
+                           "--spill-dir", str(tmp_path / "spill"))
+    assert code == 0 and len(json.loads(out)["reports"]) == 3

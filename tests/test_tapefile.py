@@ -1,22 +1,22 @@
+import gc
 import math
 import os
+import re
 import struct
+import zlib
 
 import pytest
 
 from adtape import (DAG, DCG, LVALUE, REMAINDER, Tape, TapeError,
                     propagate_flat, propagate_lvalue, record_problem)
-from adtape.interpret import adjoint_slot_count
+from adtape.blockstore import BlockStore
+from adtape.interpret import STRATEGY_MODE, adjoint_slot_count, propagate
 from adtape.rng import Xorshift
 from adtape.tapefile import MAGIC, save, load
 from adtape.problems import IntroExample
 
 from helpers import (bits, random_dag_tape, reference_parse, run_child,
                      zero_arity_tape)
-
-#: offset of d_len in the header: magic, version, mode, n, m, q, s_len
-_HEADER_D_LEN = struct.calcsize("<4sIBQQQQ")
-
 
 def round_trip(tape, path):
     save(tape, str(path))
@@ -121,16 +121,46 @@ def test_size_mismatch_rejected(tmp_path):
         load(str(p))
 
 
+def write_v3(path, tape, s=None, d=None, block_entries=4):
+    """The version-3 file of ``tape``'s header fields and outputs, holding
+    the streams ``s`` and ``d`` (the tape's own by default) in records of
+    ``block_entries`` entries, every CRC valid."""
+    dumped = tape.dump()
+    s = dumped[0] if s is None else s
+    d = dumped[1] if d is None else d
+    head = struct.pack("<4sIBQQQQQQQ", MAGIC, 3, 0 if tape.mode == DAG else 1,
+                       tape.n, tape.m, tape.q, len(s), len(d), tape.p_l,
+                       block_entries)
+    head += struct.pack(f"<{tape.m}q", *tape.outputs)
+    sections = b""
+    for entries, code in ((s, "q"), (d, "d")):
+        for i in range(0, len(entries), block_entries):
+            block = entries[i:i + block_entries]
+            payload = struct.pack(f"<{len(block)}{code}", *block)
+            sections += struct.pack("<4sIQ", b"ADTB", zlib.crc32(payload),
+                                    i // block_entries) + payload
+    with open(path, "wb") as fh:
+        fh.write(head + struct.pack("<I", zlib.crc32(head)) + sections)
+
+
+@pytest.mark.parametrize("mode", [DAG, DCG])
+@pytest.mark.parametrize("block_entries", [4, 16, 65536])
+def test_save_writes_the_documented_layout(tmp_path, mode, block_entries):
+    tape = record_problem(IntroExample(length=6), [0.7], mode=mode,
+                          block_entries=block_entries)
+    saved, written = tmp_path / "saved.adtp", tmp_path / "written.adtp"
+    save(tape, str(saved))
+    write_v3(written, tape, block_entries=block_entries)
+    assert saved.read_bytes() == written.read_bytes()
+
+
 def test_malformed_stream_rejected(tmp_path):
     tape = record_problem(IntroExample(), [1.0], mode=DAG)
     p = tmp_path / "t.adtp"
-    save(tape, str(p))
-    blob = bytearray(p.read_bytes())
-    # corrupt the final count entry of the structure stream
-    count_off = len(blob) - tape.d_len * 8 - 2 * 8
-    blob[count_off:count_off + 8] = struct.pack("<q", 10 ** 6)
-    p.write_bytes(bytes(blob))
-    with pytest.raises(TapeError, match="malformed"):
+    s = tape.dump()[0]
+    s[-2] = 10 ** 6  # the final count entry of the structure stream
+    write_v3(p, tape, s)
+    with pytest.raises(TapeError, match=f"^{re.escape(str(p))}: malformed"):
         load(str(p))
 
 
@@ -138,11 +168,9 @@ def test_malformed_stream_rejected(tmp_path):
 def test_bad_input_ids_rejected(tmp_path, mode):
     tape = record_problem(IntroExample(), [1.0], mode=mode)
     p = tmp_path / "t.adtp"
-    save(tape, str(p))
-    blob = bytearray(p.read_bytes())
-    first_s = len(blob) - (tape.s_len + tape.d_len) * 8
-    blob[first_s:first_s + 8] = struct.pack("<q", 12345)
-    p.write_bytes(bytes(blob))
+    s = tape.dump()[0]
+    s[0] = 12345
+    write_v3(p, tape, s)
     with pytest.raises(TapeError, match="input ids") as excinfo:
         load(str(p))
     assert str(p) in str(excinfo.value)
@@ -476,10 +504,7 @@ def test_finite_partials_whose_sum_overflows_load(tmp_path, block_entries):
 def test_partials_without_elemental_rejected(tmp_path):
     tape = record_problem(IntroExample(), [1.0], mode=DAG)
     p = tmp_path / "t.adtp"
-    save(tape, str(p))
-    blob = bytearray(p.read_bytes())
-    blob[_HEADER_D_LEN:_HEADER_D_LEN + 8] = struct.pack("<Q", tape.d_len + 1)
-    p.write_bytes(bytes(blob) + struct.pack("<d", 0.5))
+    write_v3(p, tape, d=tape.dump()[1] + [0.5])
     with pytest.raises(TapeError, match="1 partials belong to no elemental"):
         load(str(p))
 
@@ -542,16 +567,12 @@ def test_load_accepts_exactly_what_recording_rebuilds(tmp_path, name, mode):
     tape = ORACLE_TAPES[name](mode)
     stats = tape.stats()
     p = tmp_path / "t.adtp"
-    save(tape, str(p))
-    blob = p.read_bytes()
     s, d = tape.dump()
-    s_start = len(blob) - (tape.s_len + tape.d_len) * 8
     accepted = 0
     for where in range(len(s)):
         for value in range(-stats.p_l - 2, stats.num_remainder + 3):
             bad = s[:where] + [value] + s[where + 1:]
-            at = s_start + where * 8
-            p.write_bytes(blob[:at] + struct.pack("<q", value) + blob[at + 8:])
+            write_v3(p, tape, bad)
             fresh = replayed(mode, tape.n, tape.p_l, bad, d, tape.q,
                              tape.outputs)
             rebuilt = (fresh is not None and fresh.dump()[0] == bad
@@ -681,3 +702,139 @@ def test_save_and_load_stay_out_of_core(tmp_path):
     _, small = peak_rss_of_round_trip(200, tmp_path)
     s_bytes, large = peak_rss_of_round_trip(2000, tmp_path)
     assert large - small < s_bytes, (large - small, s_bytes)
+
+
+#: a load that copies the records of a file with 4-entry blocks
+COPIED = {"block_entries": 4, "budget_blocks": 1}
+
+
+@pytest.mark.parametrize("mode", [DAG, DCG])
+def test_every_flipped_bit_of_a_tape_file_raises(tmp_path, mode):
+    """Each bit of a version-3 file flipped in turn: a plain load and a
+    load that copies the records both raise the same ``TapeError``, which
+    names the path and the damaged section, and for a record the block."""
+    tape = record_problem(IntroExample(length=2), [0.7], mode=mode,
+                          block_entries=4)
+    p = tmp_path / "t.adtp"
+    save(tape, str(p))
+    blob = p.read_bytes()
+    # the fields up to d_len, p_L and block_entries, the outputs, the CRC
+    header = 49 + 16 + 8 * tape.m + 4
+    size = 16 + 4 * 8
+    s_bytes = 16 * -(-tape.s_len // 4) + 8 * tape.s_len  # its last record short
+    for bit in range(8 * len(blob)):
+        flipped = bytearray(blob)
+        flipped[bit // 8] ^= 1 << bit % 8
+        p.write_bytes(flipped)
+        at = bit // 8 - header
+        if at < 0:
+            named = "header"
+        elif at < s_bytes:
+            named = f"corrupt s block {at // size} "
+        else:
+            named = f"corrupt d block {(at - s_bytes) // size} "
+        messages = []
+        for config in ({}, dict(COPIED, spill_dir=str(tmp_path / "spill"))):
+            with pytest.raises(TapeError) as excinfo:
+                load(str(p), **config)
+            messages.append(str(excinfo.value))
+        assert messages[0] == messages[1], bit
+        assert messages[0].startswith(f"{p}: ") and named in messages[0], bit
+    del excinfo  # its traceback holds the last tape
+    gc.collect()
+    assert list((tmp_path / "spill").iterdir()) == []
+
+
+def spilled_intro(tmp_path, mode, **store):
+    return record_problem(IntroExample(length=20), [0.7], mode=mode,
+                          spill_dir=str(tmp_path / "rec"), **store)
+
+
+def counted_calls(monkeypatch, name):
+    calls = []
+    method = getattr(BlockStore, name)
+
+    def count(store, *args):
+        calls.append(args)
+        return method(store, *args)
+
+    monkeypatch.setattr(BlockStore, name, count)
+    return calls
+
+
+@pytest.mark.parametrize("mode", [DAG, DCG])
+def test_budgeted_load_copies_the_records_it_spills(tmp_path, monkeypatch,
+                                                    mode):
+    tape = spilled_intro(tmp_path, mode, **COPIED)
+    p = str(tmp_path / "t.adtp")
+    save(tape, p)
+    spills = counted_calls(monkeypatch, "_spill")
+    back = load(p, spill_dir=str(tmp_path / "load"), **COPIED)
+    assert spills == []
+    recorded = tape.store_stats()
+    for name, stats in back.store_stats().items():
+        assert stats["bytes_spilled"] == recorded[name]["bytes_spilled"] > 0
+    # each stream's full-block records are written once into spill_dir
+    assert len(list((tmp_path / "load").iterdir())) == 2
+    assert back.dump() == tape.dump()
+    # another block size decodes and spills each block
+    load(p, spill_dir=str(tmp_path / "other"), block_entries=5,
+         budget_blocks=1)
+    assert spills
+
+
+@pytest.mark.parametrize("mode", [DAG, DCG])
+def test_save_of_a_spilled_tape_reads_no_block(tmp_path, monkeypatch, mode):
+    tape = spilled_intro(tmp_path, mode, **COPIED)
+    assert tape.store_stats()["s"]["bytes_spilled"] > 0
+    reads = counted_calls(monkeypatch, "_load_spilled")
+    p = str(tmp_path / "t.adtp")
+    save(tape, p)
+    assert reads == []
+    assert load(p).dump() == tape.dump()
+
+
+@pytest.mark.parametrize("mode", [DAG, DCG])
+def test_version_3_and_version_2_files_load_alike(tmp_path, mode):
+    """The same tape written as version 3, whose records a budgeted load
+    copies, and as version 2, which it appends: the loaded tapes are
+    bitwise equal, and so are their store counters, but for the copied
+    load's validating read of ``d``."""
+    store = {"block_entries": 16, "budget_blocks": 1}
+    tape = spilled_intro(tmp_path, mode, **store)
+    s, d = tape.dump()
+    records = [(preds, result) for preds, _, result
+               in reference_parse(s, d, tape.n, tape.q)[1]]
+    v3, v2 = tmp_path / "v3.adtp", tmp_path / "v2.adtp"
+    save(tape, str(v3))
+    write_raw(v2, mode, s[:tape.n], records, tape.outputs, partial=d,
+              p_l=tape.p_l)
+    loaded = [load(str(p), spill_dir=str(tmp_path / p.stem), **store)
+              for p in (v3, v2)]
+    counters = [back.store_stats() for back in loaded]
+    d_blocks = counters[0]["d"]["blocks_written"]
+    assert counters[0]["d"].pop("blocks_read") == d_blocks > 1
+    assert counters[1]["d"].pop("blocks_read") == 0
+    assert counters[0] == counters[1]
+    a, b = loaded
+    assert a.dump()[0] == b.dump()[0] == s
+    assert bits(a.dump()[1]) == bits(b.dump()[1]) == bits(d)
+    assert a.stats() == b.stats() == tape.stats()
+    for strategy in [k for k, m in STRATEGY_MODE.items() if m == mode]:
+        grads = [bits(propagate(t, [1.0], strategy)) for t in (tape, a, b)]
+        assert grads[0] == grads[1] == grads[2]
+
+
+def test_loaded_tape_reads_nothing_from_its_file(tmp_path):
+    tape = spilled_intro(tmp_path, DCG, **COPIED)
+    p = tmp_path / "t.adtp"
+    save(tape, str(p))
+    back = load(str(p), spill_dir=str(tmp_path / "load"), **COPIED)
+    # another valid tape written over the file in place
+    other = record_problem(IntroExample(length=20), [1.3], mode=DCG,
+                           block_entries=4)
+    save(other, str(tmp_path / "other.adtp"))
+    with open(p, "r+b") as fh:
+        fh.write((tmp_path / "other.adtp").read_bytes())
+    assert propagate_lvalue(load(str(p)), [1.0]) != propagate_lvalue(tape, [1.0])
+    assert bits(propagate_lvalue(back, [1.0])) == bits(propagate_lvalue(tape, [1.0]))
