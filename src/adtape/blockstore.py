@@ -20,11 +20,11 @@ after every write would (until seal, the open block's growth since the last
 push is not counted yet).  While reading, each fetched block counts on top
 of the resident ones; a hinted block waits in the page cache, not here.
 
-Two block generators carry all read accounting: ``reverse_blocks`` (newest
-first, with the optional hint) and ``_sealed_blocks`` (oldest first).
-Each counts ``blocks_read`` and notes the peak once per block.  The per-entry
-iterators, ``reverse_iter`` and ``iter(store)``, chain over their blocks with
-``itertools.chain``, so no Python frame is resumed per entry.
+One block generator carries all read accounting: ``reverse_blocks`` (newest
+first, with the optional hint) counts ``blocks_read`` and notes the peak once
+per block.  The per-entry iterator ``reverse_iter`` chains over its blocks
+with ``itertools.chain``, so no Python frame is resumed per entry, and
+``tolist`` drains it and reverses the list.
 
 On its first spill a store creates one ``adtape-<stream>-*.blk`` file, under
 ``spill_dir`` when one is given and under the system temp dir otherwise.
@@ -39,11 +39,11 @@ that file, written and read with positionless ``pwrite``/``pread`` so
 interleaved iterators can share it, until the store is freed; then the
 descriptor is closed and the file removed.
 
-Version-3 tape files store each stream as a run of the same records, so
-blocks move between a tape file and a spill file without being decoded:
-``write_records`` copies a store's spilled prefix byte for byte into a tape
-file, and ``adopt_records`` copies a tape file's oldest full records into a
-new store's spill file.  Both copy with ``copy_bytes``, in bounded
+Tape files store each stream as a run of the same records, so blocks move
+between a tape file and a spill file without being decoded: ``write_records``
+copies a store's spilled prefix byte for byte into a tape file, and
+``adopt_records`` copies a tape file's oldest full records into a new
+store's spill file.  Both copy with ``copy_bytes``, in bounded
 ``pread``/``pwrite`` chunks.
 """
 
@@ -333,19 +333,11 @@ class BlockStore:
             self._note_peak(self.block_entries)
             yield block
 
-    def __iter__(self):
-        return chain.from_iterable(self._sealed_blocks())
-
-    def _sealed_blocks(self):
-        if not self._sealed:
-            raise BlockStoreError(f"{self.name}: iteration before seal")
-        for i in range(len(self._blocks)):
-            block = self._fetch(i)
-            self._note_peak(self.block_entries)
-            yield block
-
     def tolist(self) -> list:
-        return list(self)
+        """Every entry, first to last."""
+        entries = list(self.reverse_iter())
+        entries.reverse()
+        return entries
 
     def _fetch(self, index: int) -> array.array:
         self.blocks_read += 1

@@ -11,25 +11,24 @@ section offset ``i * (16 + 8 * block_entries)`` and is a 16-byte header
 block's little-endian payload, i64 entries in ``s`` and f64 entries in
 ``d``; the last record of a section may be short.  A damaged header, output
 list or record raises ``TapeError`` naming the path and the section
-(``header``, ``s`` or ``d``), and for a record the block.
+(``header``, ``s`` or ``d``), and for a record the block.  Version 3 is the
+only format: a file of any other version is refused before the rest of its
+header is read, so every byte that ``load`` reads is under a CRC.
 
-Versions 1 and 2 still load, with no check: their streams follow the output
-list as bare entries.  A version-2 header ends at p_L, a version-1 header at
-d_len; a version-1 file's p_L is derived from the streams, which misses an
-L-value that was declared but never written or read.
-
-``save`` writes each stream one block at a time; a spilled block's record is
-already the bytes its section needs, so the spilled prefix of each stream is
-copied from its spill file byte for byte and only the resident blocks are
-encoded.  ``load`` reads the streams into a new ``Tape``'s block stores,
-never holding a whole stream in memory, so a loaded tape spills under its
-budget exactly like a recorded one.  A budgeted load whose ``block_entries``
+``save`` writes each stream one block at a time into a temporary file beside
+the target and renames it over the target only once the whole file is
+written, so a failed save leaves the old file as it was.  A spilled block's
+record is already the bytes its section needs, so the spilled prefix of each
+stream is copied from its spill file byte for byte and only the resident
+blocks are encoded.  ``load`` reads the streams into a new ``Tape``'s block
+stores, never holding a whole stream in memory, so a loaded tape spills
+under its budget exactly like a recorded one.  A budgeted load whose ``block_entries``
 equal the file's copies the oldest full records of each section into the
 store's own spill file (``BlockStore.adopt_records``), undecoded, and reads
 only the newest as resident blocks; the copied records are checked as the
 sweep will read them, by the pass below and by a pass over ``d`` that checks
-the partials are finite.  Every other load appends each record, checked, or
-each block-sized chunk of an older file, to the stores.
+the partials are finite.  Every other load appends each record, checked, to
+the stores.
 
 Apart from p_L the file carries no graph statistics: one backward pass over
 the loaded streams derives the width and the remainder count and checks
@@ -58,11 +57,11 @@ from .tape import DAG, DCG, Tape, TapeError
 MAGIC = b"ADTP"
 VERSION = 3
 
-#: the header up to d_len, which every version starts with
-_HEADER = struct.Struct("<4sIBQQQQQ")
-#: the fields each version appends to it: none, p_L, then block_entries
-_TAILS = {1: struct.Struct("<"), 2: struct.Struct("<Q"), 3: struct.Struct("<QQ")}
-#: the CRC-32 of header and outputs that ends a version-3 header
+#: magic, version, mode, n, m, q, s_len, d_len, p_L, block_entries
+_HEADER = struct.Struct("<4sIBQQQQQQQ")
+#: the magic and the version, which ``load`` checks before the rest
+_LEAD = 8
+#: the CRC-32 of header and outputs that ends the header
 _CRC = struct.Struct("<I")
 _MODE_BYTE = {DAG: 0, DCG: 1}
 _BYTE_MODE = {0: DAG, 1: DCG}
@@ -80,23 +79,34 @@ def save(tape: Tape, path: str) -> None:
                             f"{deepest} plus s_len {tape.s_len}, so the file "
                             "would not load")
     head = (_HEADER.pack(MAGIC, VERSION, _MODE_BYTE[tape.mode], tape.n,
-                         tape.m, tape.q, tape.s_len, tape.d_len)
-            + _TAILS[VERSION].pack(tape.p_l, tape._s.block_entries)
+                         tape.m, tape.q, tape.s_len, tape.d_len, tape.p_l,
+                         tape._s.block_entries)
             + struct.pack(f"<{tape.m}q", *tape.outputs))
-    with open(path, "wb") as fh:
-        fh.write(head)
-        fh.write(_CRC.pack(zlib.crc32(head)))
-        tape._s.write_records(fh)
-        tape._d.write_records(fh)
+    # written beside the target, so that the rename stays on one file
+    # system, and renamed over it only once complete.  open() makes the file
+    # with the permissions a plain open of the target would give it
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}."
+                                              f"{os.urandom(8).hex()}.tmp")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(head)
+            fh.write(_CRC.pack(zlib.crc32(head)))
+            tape._s.write_records(fh)
+            tape._d.write_records(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load(path: str, prefetch: bool = False, **store_config) -> Tape:
     """Load a finalized tape into ``Tape(mode, prefetch=prefetch,
     **store_config)``, reading each stream into its store a block at a time.
 
-    ``_derive_stats`` derives the width, the remainder count and (for a
-    version-1 file) p_L from the streams and rejects any stream that
-    recording could not have produced; each output then goes through
+    ``_derive_stats`` derives the width and the remainder count from the
+    streams, bounds the stored p_L and rejects any stream that recording
+    could not have produced; each output then goes through
     ``Tape.register_output``, and ``Tape.stats`` derives the rest.  Every
     error about the file is a ``TapeError`` naming ``path``, a damaged
     record's one naming its section and block as well.  Under
@@ -108,7 +118,7 @@ def load(path: str, prefetch: bool = False, **store_config) -> Tape:
         mode, n, q, s_len, d_len, p_l, file_entries, outputs = _read_head(fh, path)
         tape = Tape(mode, prefetch=prefetch, **store_config)
         s, d = tape._s, tape._d
-        copied = (file_entries is not None and s.budget_blocks is not None
+        copied = (s.budget_blocks is not None
                   and s.block_entries == file_entries)
         for store, count in ((s, s_len), (d, d_len)):
             first = 0
@@ -131,7 +141,7 @@ def load(path: str, prefetch: bool = False, **store_config) -> Tape:
         if not copied:  # a block of the store's own spill file
             raise
         raise _corrupt(path, exc.stream, exc.index, exc.fault) from None
-    tape._adopt(n, q, *stats)
+    tape._adopt(n, q, p_l, *stats)
     try:
         for v in outputs:
             tape.register_output(v)
@@ -143,34 +153,30 @@ def load(path: str, prefetch: bool = False, **store_config) -> Tape:
 
 def _read_head(fh, path: str) -> tuple:
     """``(mode, n, q, s_len, d_len, p_l, block_entries, outputs)`` from the
-    header, checking the file's size and a version-3 header's CRC; p_l is
-    None for version 1 and block_entries None before version 3."""
-    head = _read_exact(fh, _HEADER.size, path)
-    magic, version, mode_byte, n, m, q, s_len, d_len = _HEADER.unpack(head)
-    if magic != MAGIC:
-        raise _bad(path, f"not a tape file (header magic {magic!r})")
-    if version not in _TAILS:
+    header, checking the magic and the version before the rest, then the
+    file's size and the header's CRC."""
+    head = _read_exact(fh, _LEAD, path)
+    if head[:4] != MAGIC:
+        raise _bad(path, f"not a tape file (header magic {head[:4]!r})")
+    version = int.from_bytes(head[4:], "little")
+    if version != VERSION:
         raise _bad(path, f"unsupported version {version} in header")
-    tail = _read_exact(fh, _TAILS[version].size, path)
-    extra = _TAILS[version].unpack(tail)
-    p_l = extra[0] if version > 1 else None
-    file_entries = extra[1] if version > 2 else None
-    body = (m + s_len + d_len) * ENTRY_BYTES
-    if version == 3:
-        if file_entries < 1:
-            raise _bad(path, f"block_entries {file_entries} in header")
-        body += _CRC.size + RECORD_HEADER.size * (_blocks(s_len, file_entries)
-                                                  + _blocks(d_len, file_entries))
+    head += _read_exact(fh, _HEADER.size - _LEAD, path)
+    (_, _, mode_byte, n, m, q, s_len, d_len, p_l,
+     file_entries) = _HEADER.unpack(head)
+    if file_entries < 1:
+        raise _bad(path, f"block_entries {file_entries} in header")
     size = os.fstat(fh.fileno()).st_size
-    expected = fh.tell() + body
+    expected = (_HEADER.size + _CRC.size + (m + s_len + d_len) * ENTRY_BYTES
+                + RECORD_HEADER.size * (_blocks(s_len, file_entries)
+                                        + _blocks(d_len, file_entries)))
     if size != expected:
         raise _bad(path, f"size mismatch: the header gives {expected} bytes, "
                          f"the file has {size}")
     outputs = _read_exact(fh, m * ENTRY_BYTES, path)
-    if version == 3:
-        (crc,) = _CRC.unpack(_read_exact(fh, _CRC.size, path))
-        if zlib.crc32(head + tail + outputs) != crc:
-            raise _bad(path, "corrupt header (CRC mismatch)")
+    (crc,) = _CRC.unpack(_read_exact(fh, _CRC.size, path))
+    if zlib.crc32(head + outputs) != crc:
+        raise _bad(path, "corrupt header (CRC mismatch)")
     if mode_byte not in _BYTE_MODE:
         raise _bad(path, f"unknown mode byte {mode_byte} in header")
     if n < 1 or m < 1:
@@ -192,25 +198,20 @@ def _read_exact(fh, nbytes: int, path: str) -> bytes:
 
 
 def _read_stream(fh, store: BlockStore, count: int, path: str,
-                 file_entries: int | None, first: int) -> None:
-    """Append a stream's entries from block ``first`` on to ``store``, one
-    chunk at a time: each record of a version-3 file, whose blocks hold
-    ``file_entries``, checked before it is decoded, or each
-    ``store.block_entries`` entries of an older file.  A chunk is held
-    whole, so a record's CRC is checked before any of it is appended."""
-    step = file_entries or store.block_entries
+                 file_entries: int, first: int) -> None:
+    """Append a stream's entries from record ``first`` on to ``store``, one
+    record of ``file_entries`` entries at a time.  A record is held whole,
+    so its CRC is checked before any of it is appended."""
     piece = store.block_entries * ENTRY_BYTES
     partials = store.typecode == "d"
-    for index, start in enumerate(range(first * step, count, step), first):
-        nbytes = min(step, count - start) * ENTRY_BYTES
-        if file_entries is None:
-            payload = memoryview(_read_exact(fh, nbytes, path))
-        else:
-            record = _read_exact(fh, RECORD_HEADER.size + nbytes, path)
-            try:
-                payload = checked_payload(record, index)
-            except ValueError as exc:
-                raise _corrupt(path, store.name, index, str(exc)) from None
+    for index, start in enumerate(range(first * file_entries, count,
+                                        file_entries), first):
+        nbytes = min(file_entries, count - start) * ENTRY_BYTES
+        record = _read_exact(fh, RECORD_HEADER.size + nbytes, path)
+        try:
+            payload = checked_payload(record, index)
+        except ValueError as exc:
+            raise _corrupt(path, store.name, index, str(exc)) from None
         # a store block at a time: one longer append would cut each block
         # off the front of all the entries behind it
         for at in range(0, nbytes, piece):
@@ -230,23 +231,22 @@ def _check_partials(chunk, path: str) -> None:
 
 
 def _derive_stats(path: str, mode: str, n: int, q: int, s: BlockStore,
-                  d: BlockStore, stored_p_l: int | None
-                  ) -> tuple[int, int, int]:
-    """``(p_l, num_remainder, width)`` of the sealed streams, for
-    ``Tape._adopt``; ``load`` checks the outputs through ``register_output``.
+                  d: BlockStore, p_l: int) -> tuple[int, int]:
+    """``(num_remainder, width)`` of the sealed streams, for
+    ``Tape._adopt`` beside the stored ``p_l``; ``load`` checks the outputs
+    through ``register_output``.
 
     Walk the records backwards, as the sweep does, checking them as
     recording numbers them on either mode: each operand count fits the
     streams, the remainder results are the dense ids ``first, first+1,
     ...`` in order, every operand is defined before it is read and appears
     once, and every partial belongs to an elemental; then that the ``n``
-    input ids come first, that no L-value lies beyond the bound and that a
-    stored p_L exceeds the deepest L-value by at most ``len(s)``.  Only the
+    input ids come first, that no L-value lies beyond ``p_l`` and that
+    ``p_l`` exceeds the deepest L-value by at most ``len(s)``.  Only the
     values set before the loop tell the modes apart: a DAG tape is the case
-    p_L = 0, whose inputs are its first remainder ids, so ``first`` is ``n``
-    and the L-value bound 0; on a DCG tape ``first`` is 0 and the bound is
-    ``stored_p_l`` (None for a file that does not store p_L).
-    ``load`` has already checked that the partials are finite.
+    p_L = 0, whose inputs are its first remainder ids, so ``first`` is
+    ``n``; on a DCG tape ``first`` is 0.  ``load`` has already checked that
+    the partials are finite.
 
     As in ``interpret.propagate``, records are read with the builtin
     ``next()`` from ``body``, an ``islice`` that stops where the input ids
@@ -256,14 +256,14 @@ def _derive_stats(path: str, mode: str, n: int, q: int, s: BlockStore,
     entries = s.reverse_iter()
     body = islice(entries, max(len(s) - n, 0))
     d_left = len(d)
-    # first: the first remainder id; low: the deepest L-value id read, -p_L
-    # once the walk ends, the inputs included
+    # first: the first remainder id; low: the deepest L-value id read, the
+    # inputs included
     if mode == DAG:
-        if stored_p_l:
-            raise _bad(path, f"p_L is {stored_p_l} on a DAG tape")
-        first, bound, low = n, 0, 0
+        if p_l:
+            raise _bad(path, f"p_L is {p_l} on a DAG tape")
+        first, low = n, 0
     else:
-        first, bound, low = 0, stored_p_l, -n
+        first, low = 0, -n
     width = 0
     youngest = None  # the last remainder result
     trailing = -1    # the highest remainder id read after youngest
@@ -348,18 +348,15 @@ def _derive_stats(path: str, mode: str, n: int, q: int, s: BlockStore,
         youngest = first - 1
     elif oldest != first:
         raise _bad(path, f"remainder ids start at {oldest}, not {first}")
-    p_l = -low
-    if bound is not None:
-        if p_l > bound:
-            raise _bad(path, f"L-value {low} lies beyond p_L {bound}")
-        # declared L-values that no record touches cost adjoint slots and
-        # no stream entry: at most one per entry of s keeps their slots
-        # within the file's own structure bytes
-        if bound > p_l + len(s):
-            raise _bad(path, f"stored p_L {bound} exceeds the derived "
-                             f"p_L {p_l} plus s_len {len(s)}")
-        p_l = bound
-    return p_l, youngest + 1, width
+    if -low > p_l:
+        raise _bad(path, f"L-value {low} lies beyond p_L {p_l}")
+    # declared L-values that no record touches cost adjoint slots and no
+    # stream entry: at most one per entry of s keeps their slots within the
+    # file's own structure bytes
+    if p_l > len(s) - low:
+        raise _bad(path, f"stored p_L {p_l} exceeds the derived p_L {-low} "
+                         f"plus s_len {len(s)}")
+    return youngest + 1, width
 
 
 def _bad(path: str, what: str) -> TapeError:

@@ -72,6 +72,17 @@ def test_blocks_read_matches_written_after_sweep(tmp_path):
     assert store.blocks_read == store.blocks_written == 3
 
 
+def test_tolist_counts_as_a_reverse_drain(tmp_path):
+    stores = [make_store(tmp_path, block_entries=8, budget_blocks=1)
+              for _ in range(2)]
+    for store in stores:
+        store.append(range(21))
+        store.seal()
+    assert stores[0].tolist() == list(range(21))
+    list(stores[1].reverse_iter())
+    assert stores[0].stats() == stores[1].stats()
+
+
 def test_single_entry_reverse(tmp_path):
     store = make_store(tmp_path, block_entries=8)
     store.append([42])

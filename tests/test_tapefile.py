@@ -9,7 +9,7 @@ import pytest
 
 from adtape import (DAG, DCG, LVALUE, REMAINDER, Tape, TapeError,
                     propagate_flat, propagate_lvalue, record_problem)
-from adtape.blockstore import BlockStore
+from adtape.blockstore import BlockStore, BlockStoreError
 from adtape.interpret import STRATEGY_MODE, adjoint_slot_count, propagate
 from adtape.rng import Xorshift
 from adtape.tapefile import MAGIC, save, load
@@ -101,15 +101,24 @@ def test_truncated_header_rejected(tmp_path):
         load(str(p))
 
 
-def test_unsupported_version_rejected(tmp_path):
+@pytest.mark.parametrize("version", [1, 2, 9])
+def test_unsupported_version_rejected(tmp_path, version):
+    """A file in the layout of the unchecked versions 1 and 2, whose
+    streams follow the outputs as bare entries (a version-2 header ends
+    with p_L), is refused by its version, and so is its header alone."""
     tape = record_problem(IntroExample(), [1.0], mode=DAG)
+    s, d = tape.dump()
+    head = struct.pack("<4sIBQQQQQ", MAGIC, version, 0, tape.n, tape.m,
+                       tape.q, len(s), len(d))
+    if version > 1:
+        head += struct.pack("<Q", tape.p_l)
     p = tmp_path / "t.adtp"
-    save(tape, str(p))
-    blob = bytearray(p.read_bytes())
-    blob[4:8] = struct.pack("<I", 9)
-    p.write_bytes(bytes(blob))
-    with pytest.raises(TapeError, match="version 9"):
-        load(str(p))
+    message = f"^{re.escape(str(p))}: unsupported version {version} in header$"
+    for blob in (head + struct.pack(f"<{tape.m}q{len(s)}q{len(d)}d",
+                                    *tape.outputs, *s, *d), head):
+        p.write_bytes(blob)
+        with pytest.raises(TapeError, match=message):
+            load(str(p))
 
 
 def test_size_mismatch_rejected(tmp_path):
@@ -123,15 +132,19 @@ def test_size_mismatch_rejected(tmp_path):
 
 def write_v3(path, tape, s=None, d=None, block_entries=4):
     """The version-3 file of ``tape``'s header fields and outputs, holding
-    the streams ``s`` and ``d`` (the tape's own by default) in records of
-    ``block_entries`` entries, every CRC valid."""
+    the streams ``s`` and ``d`` (the tape's own by default)."""
     dumped = tape.dump()
-    s = dumped[0] if s is None else s
-    d = dumped[1] if d is None else d
-    head = struct.pack("<4sIBQQQQQQQ", MAGIC, 3, 0 if tape.mode == DAG else 1,
-                       tape.n, tape.m, tape.q, len(s), len(d), tape.p_l,
-                       block_entries)
-    head += struct.pack(f"<{tape.m}q", *tape.outputs)
+    encode_v3(path, tape.mode, tape.n, tape.q, tape.p_l, tape.outputs,
+              dumped[0] if s is None else s, dumped[1] if d is None else d,
+              block_entries)
+
+
+def encode_v3(path, mode, n, q, p_l, outputs, s, d, block_entries):
+    """The version-3 file of the given header fields, outputs and streams,
+    in records of ``block_entries`` entries, every CRC valid."""
+    head = struct.pack("<4sIBQQQQQQQ", MAGIC, 3, 0 if mode == DAG else 1, n,
+                       len(outputs), q, len(s), len(d), p_l, block_entries)
+    head += struct.pack(f"<{len(outputs)}q", *outputs)
     sections = b""
     for entries, code in ((s, "q"), (d, "d")):
         for i in range(0, len(entries), block_entries):
@@ -179,24 +192,20 @@ def test_bad_input_ids_rejected(tmp_path, mode):
 def write_raw(path, mode, inputs, records, outputs, partial=0.5, p_l=None):
     """A tape file holding exactly the given records, each an (operands,
     result) pair, or an (operands, result, count) triple that writes
-    ``count`` as the operand count: version 1, or version 2 storing ``p_l``
-    if it is given.  ``partial`` is the partial of every counted operand,
-    or the list of all the partials in stream order."""
-    s, counted = list(inputs), 0
+    ``count`` as the operand count, and storing ``p_l``: by default the
+    deepest L-value among the inputs, operands and results (0 on a DAG
+    tape).  ``partial`` is the partial of every counted operand, or the
+    list of all the partials in stream order."""
+    s, counted, deepest = list(inputs), 0, -min(inputs)
     for ops, result, *count in records:
         count = count[0] if count else len(ops)
         s += [*ops, count, result]
         counted += max(count, 0)
+        deepest = max(deepest, -result, *(-v for v in ops))
     d = partial if isinstance(partial, list) else [partial] * counted
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sIBQQQQQ", MAGIC, 1 if p_l is None else 2,
-                             0 if mode == DAG else 1, len(inputs), len(outputs),
-                             len(records), len(s), len(d)))
-        if p_l is not None:
-            fh.write(struct.pack("<Q", p_l))
-        fh.write(struct.pack(f"<{len(outputs)}q", *outputs))
-        fh.write(struct.pack(f"<{len(s)}q", *s))
-        fh.write(struct.pack(f"<{len(d)}d", *d))
+    if p_l is None:
+        p_l = 0 if mode == DAG else deepest
+    encode_v3(path, mode, len(inputs), len(records), p_l, outputs, s, d, 4)
 
 
 #: (mode, inputs, records, outputs, p_l) of valid hand-written tapes
@@ -220,15 +229,6 @@ def test_hand_written_tape_loads(tmp_path, case):
     tape = load(str(p))
     assert tape.q == len(records) and tape.outputs == outputs
     assert tape.stats().p_l == p_l
-
-
-@pytest.mark.parametrize("case", sorted(HAND_WRITTEN))
-def test_hand_written_version_2_tape_loads(tmp_path, case):
-    mode, inputs, records, outputs, p_l = HAND_WRITTEN[case]
-    v1, v2 = tmp_path / "v1.adtp", tmp_path / "v2.adtp"
-    write_raw(v1, mode, inputs, records, outputs)
-    write_raw(v2, mode, inputs, records, outputs, p_l=p_l)
-    assert load(str(v2)).stats() == load(str(v1)).stats()
 
 
 def unused_lvalue_tape(output):
@@ -281,14 +281,6 @@ def test_save_writes_the_largest_p_l_that_loads(tmp_path):
     assert back.stats() == tape.stats() and back.stats().p_l == 6
 
 
-def test_version_1_file_derives_p_l(tmp_path):
-    """The version-1 file of ``unused_lvalue_tape(-1)`` loads with the
-    p_L its streams show."""
-    p = tmp_path / "t.adtp"
-    write_raw(p, DCG, [-1], [([-1], -1)], [-1])
-    assert load(str(p)).stats().p_l == 1
-
-
 @pytest.mark.parametrize("mode,inputs,records,outputs,p_l,message", [
     (DCG, [-1], [([-1], -3)], [-3], 2, "L-value -3 lies beyond p_L 2"),
     (DCG, [-1], [([-3], -1)], [-1], 2, "L-value -3 lies beyond p_L 2"),
@@ -315,13 +307,6 @@ def test_stored_p_l_up_to_s_len_past_the_streams_loads(tmp_path):
     p = tmp_path / "t.adtp"
     write_raw(p, DCG, [-1], [([-1], -1)], [-1], p_l=5)
     assert load(str(p)).stats().p_l == 5
-
-
-def test_truncated_version_2_header_rejected(tmp_path):
-    p = tmp_path / "short.adtp"
-    p.write_bytes(struct.pack("<4sIBQQQQQ", MAGIC, 2, 1, 1, 1, 0, 1, 0))
-    with pytest.raises(TapeError, match="truncated"):
-        load(str(p))
 
 
 MALFORMED = "malformed structure stream"
@@ -710,9 +695,10 @@ COPIED = {"block_entries": 4, "budget_blocks": 1}
 
 @pytest.mark.parametrize("mode", [DAG, DCG])
 def test_every_flipped_bit_of_a_tape_file_raises(tmp_path, mode):
-    """Each bit of a version-3 file flipped in turn: a plain load and a
-    load that copies the records both raise the same ``TapeError``, which
-    names the path and the damaged section, and for a record the block."""
+    """Each bit of a version-3 file flipped in turn: a plain load, a load
+    that copies the records and a budgeted load under another block size,
+    which appends them, all raise the same ``TapeError``, which names the
+    path and the damaged section, and for a record the block."""
     tape = record_problem(IntroExample(length=2), [0.7], mode=mode,
                           block_entries=4)
     p = tmp_path / "t.adtp"
@@ -734,11 +720,11 @@ def test_every_flipped_bit_of_a_tape_file_raises(tmp_path, mode):
         else:
             named = f"corrupt d block {(at - s_bytes) // size} "
         messages = []
-        for config in ({}, dict(COPIED, spill_dir=str(tmp_path / "spill"))):
+        for config in ({}, COPIED, {"block_entries": 3, "budget_blocks": 1}):
             with pytest.raises(TapeError) as excinfo:
-                load(str(p), **config)
+                load(str(p), spill_dir=str(tmp_path / "spill"), **config)
             messages.append(str(excinfo.value))
-        assert messages[0] == messages[1], bit
+        assert messages[0] == messages[1] == messages[2], bit
         assert messages[0].startswith(f"{p}: ") and named in messages[0], bit
     del excinfo  # its traceback holds the last tape
     gc.collect()
@@ -783,6 +769,25 @@ def test_budgeted_load_copies_the_records_it_spills(tmp_path, monkeypatch,
     assert spills
 
 
+def test_failed_save_keeps_the_file_it_would_replace(tmp_path):
+    """A save whose spill file was cut short fails, and the tape file it
+    would have replaced stays byte for byte as it was, alone in its
+    directory.  A saved file has the permissions of a plainly opened one."""
+    tape = spilled_intro(tmp_path, DCG, **COPIED)
+    out = tmp_path / "out"
+    out.mkdir()
+    p = out / "t.adtp"
+    save(tape, str(p))
+    before = p.read_bytes()
+    (tmp_path / "plain").write_bytes(b"")
+    assert p.stat().st_mode == (tmp_path / "plain").stat().st_mode
+    os.truncate(tape._s._path, 0)
+    with pytest.raises(BlockStoreError, match="copy of"):
+        save(tape, str(p))
+    assert list(out.iterdir()) == [p]
+    assert p.read_bytes() == before
+
+
 @pytest.mark.parametrize("mode", [DAG, DCG])
 def test_save_of_a_spilled_tape_reads_no_block(tmp_path, monkeypatch, mode):
     tape = spilled_intro(tmp_path, mode, **COPIED)
@@ -795,22 +800,19 @@ def test_save_of_a_spilled_tape_reads_no_block(tmp_path, monkeypatch, mode):
 
 
 @pytest.mark.parametrize("mode", [DAG, DCG])
-def test_version_3_and_version_2_files_load_alike(tmp_path, mode):
-    """The same tape written as version 3, whose records a budgeted load
-    copies, and as version 2, which it appends: the loaded tapes are
-    bitwise equal, and so are their store counters, but for the copied
-    load's validating read of ``d``."""
+def test_copied_and_appended_loads_give_the_same_tape(tmp_path, mode):
+    """The same tape saved in records of the store's 16 entries, which a
+    budgeted load copies, and written in records of 32, which it appends:
+    the loaded tapes are bitwise equal, and so are their store counters,
+    but for the copied load's validating read of ``d``."""
     store = {"block_entries": 16, "budget_blocks": 1}
     tape = spilled_intro(tmp_path, mode, **store)
     s, d = tape.dump()
-    records = [(preds, result) for preds, _, result
-               in reference_parse(s, d, tape.n, tape.q)[1]]
-    v3, v2 = tmp_path / "v3.adtp", tmp_path / "v2.adtp"
-    save(tape, str(v3))
-    write_raw(v2, mode, s[:tape.n], records, tape.outputs, partial=d,
-              p_l=tape.p_l)
+    copied, appended = tmp_path / "copied.adtp", tmp_path / "appended.adtp"
+    save(tape, str(copied))
+    write_v3(appended, tape, block_entries=32)
     loaded = [load(str(p), spill_dir=str(tmp_path / p.stem), **store)
-              for p in (v3, v2)]
+              for p in (copied, appended)]
     counters = [back.store_stats() for back in loaded]
     d_blocks = counters[0]["d"]["blocks_written"]
     assert counters[0]["d"].pop("blocks_read") == d_blocks > 1
