@@ -39,11 +39,16 @@ that file, written and read with positionless ``pwrite``/``pread`` so
 interleaved iterators can share it, until the store is freed; then the
 descriptor is closed and the file removed.
 
-Tape files store each stream as a run of the same records, so blocks move
-between a tape file and a spill file without being decoded: ``write_records``
-copies a store's spilled prefix byte for byte into a tape file, and
-``adopt_records`` copies a tape file's oldest full records into a new
-store's spill file.  Both copy with ``copy_bytes``, in bounded
+Tape files store each stream as a run of the same records, and the store
+is the only module that writes or reads one: ``write_records`` writes a
+sealed store's blocks to a tape file, copying the spilled prefix from the
+spill file byte for byte, and ``read_records`` fills an empty store from
+such a run and seals it.  Under a budget and the file's block size it copies
+the records the budget would spill into the store's own spill file unread,
+and reads, checks and appends the rest; otherwise it reads, checks and
+appends every record.  One decoder (``_checked_payload``) checks a record
+from a spill file or a tape file alike, and ``CorruptBlockError.path`` names
+the file it came from.  Both copies go through ``copy_bytes``, in bounded
 ``pread``/``pwrite`` chunks.
 """
 
@@ -75,11 +80,12 @@ class BlockStoreError(Exception):
 
 
 class CorruptBlockError(BlockStoreError):
-    """A spilled record that fails its check, named by stream and block."""
+    """A record that fails its check, named by stream, block and the file
+    it was read from."""
 
     def __init__(self, stream: str, index: int, path: str, fault: str):
         super().__init__(f"{stream}: corrupt block {index} at {path} ({fault})")
-        self.stream, self.index, self.fault = stream, index, fault
+        self.stream, self.index, self.path, self.fault = stream, index, path, fault
 
 
 def record_header(index: int, payload: bytes) -> bytes:
@@ -95,19 +101,6 @@ def decode(payload, typecode: str) -> array.array:
     if _BIG_ENDIAN:
         entries.byteswap()
     return entries
-
-
-def checked_payload(record: bytes, index: int) -> memoryview:
-    """The payload of ``record``, checked as the record of block ``index``;
-    a bad header or CRC raises ``ValueError`` naming the fault.  The caller
-    has checked the record's length."""
-    magic, crc, stored = RECORD_HEADER.unpack_from(record)
-    payload = memoryview(record)[RECORD_HEADER.size:]
-    if magic != _RECORD_MAGIC or stored != index:
-        raise ValueError("bad record header")
-    if zlib.crc32(payload) != crc:
-        raise ValueError("CRC mismatch")
-    return payload
 
 
 def copy_bytes(src_fd: int, src_at: int, dst_fd: int, dst_at: int,
@@ -259,29 +252,7 @@ class BlockStore:
         self.bytes_spilled += len(block) * ENTRY_BYTES
         self._blocks[index] = None
 
-    # -- copying records ----------------------------------------------------
-
-    def adopt_records(self, src_fd: int, offset: int, count: int) -> None:
-        """Take the ``count`` full-block records at ``offset`` of ``src_fd``
-        as the oldest blocks of this empty store, spilled: they are copied
-        into its spill file unread and counted in ``blocks_written`` and
-        ``bytes_spilled`` as if each had been pushed and spilled.  Their
-        CRCs are checked when they are fetched."""
-        if len(self) or self._sealed:
-            raise BlockStoreError(f"{self.name}: records adopted by a used store")
-        if not count:
-            return
-        fd = self._spill_fd()
-        try:
-            copy_bytes(src_fd, offset, fd, 0, count * self._record_bytes)
-        except OSError as exc:
-            raise BlockStoreError(
-                f"{self.name}: copy of {count} blocks to {self._path} failed: {exc}") from exc
-        self._blocks = [None] * count
-        self._first_resident = count
-        self._pushed = count * self.block_entries
-        self.blocks_written = count
-        self.bytes_spilled = self._pushed * ENTRY_BYTES
+    # -- tape-file sections -------------------------------------------------
 
     def write_records(self, fh) -> None:
         """Write every block to the binary file ``fh``, oldest first, as
@@ -306,6 +277,62 @@ class BlockStore:
             payload = self._to_le_bytes(self._blocks[index])
             fh.write(record_header(index, payload))
             fh.write(payload)  # not joined: that would copy a whole block
+
+    def read_records(self, fh, count: int, record_entries: int) -> int:
+        """Fill this empty store with the ``count`` entries that the binary
+        file ``fh`` holds from its position on, as the run of records of
+        ``record_entries`` entries that ``write_records`` writes (the last
+        one short), and seal it.  Under a budget, when ``record_entries``
+        equal ``block_entries``, the records the budget would spill are
+        copied into this store's spill file unread and counted in
+        ``blocks_written`` and ``bytes_spilled`` as if each had been pushed
+        and spilled; their CRCs are checked when they are fetched.  Every
+        other record is read, checked and appended a store block at a time.
+        A bad or short record raises ``CorruptBlockError`` naming ``fh``'s
+        file.  Returns the number of records copied."""
+        if len(self) or self._sealed:
+            raise BlockStoreError(f"{self.name}: records read into a used store")
+        copied = 0
+        if self.budget_blocks is not None and record_entries == self.block_entries:
+            copied = max(-(-count // record_entries) - self.budget_blocks, 0)
+        if copied:
+            at, nbytes = fh.tell(), copied * self._record_bytes
+            held = os.fstat(fh.fileno()).st_size - at
+            if held < nbytes:
+                raise CorruptBlockError(self.name, held // self._record_bytes,
+                                        fh.name, "truncated record")
+            fd = self._spill_fd()
+            try:
+                copy_bytes(fh.fileno(), at, fd, 0, nbytes)
+            except OSError as exc:
+                raise BlockStoreError(
+                    f"{self.name}: copy of {copied} blocks to {self._path} "
+                    f"failed: {exc}") from exc
+            fh.seek(at + nbytes)
+            self._blocks = [None] * copied
+            self._first_resident = self.blocks_written = copied
+            self._pushed = copied * self.block_entries
+            self.bytes_spilled = self._pushed * ENTRY_BYTES
+        piece = self.block_entries * ENTRY_BYTES
+        for index, start in enumerate(range(copied * record_entries, count,
+                                            record_entries), copied):
+            size = RECORD_HEADER.size + min(record_entries, count - start) * ENTRY_BYTES
+            record = fh.read(size)
+            if len(record) != size:
+                raise CorruptBlockError(self.name, index, fh.name, "truncated record")
+            payload = self._checked_payload(record, index, fh.name)
+            # a store block at a time: one longer append would cut each
+            # block off the front of all the entries behind it
+            for at in range(0, len(payload), piece):
+                self.append(decode(payload[at:at + piece], self.typecode))
+        self.seal()
+        return copied
+
+    @staticmethod
+    def records_bytes(count: int, record_entries: int) -> int:
+        """The bytes of a run of records of ``record_entries`` entries that
+        holds ``count`` entries, the last record short."""
+        return count * ENTRY_BYTES + RECORD_HEADER.size * -(-count // record_entries)
 
     # -- reading side -------------------------------------------------------
 
@@ -355,11 +382,19 @@ class BlockStore:
                 f"{self.name}: cannot read block {index} at {self._path}: {exc}") from exc
         if len(record) != size:  # only full blocks spill
             raise BlockStoreError(f"{self.name}: truncated block {index} at {self._path}")
-        try:
-            payload = checked_payload(record, index)
-        except ValueError as exc:
-            raise CorruptBlockError(self.name, index, self._path, str(exc)) from None
-        return decode(payload, self.typecode)
+        return decode(self._checked_payload(record, index, self._path), self.typecode)
+
+    def _checked_payload(self, record: bytes, index: int, path: str) -> memoryview:
+        """The payload of ``record``, checked as the record of block
+        ``index`` read from ``path``; a bad header or CRC raises
+        ``CorruptBlockError``.  The caller has checked the record's length."""
+        magic, crc, stored = RECORD_HEADER.unpack_from(record)
+        payload = memoryview(record)[RECORD_HEADER.size:]
+        if magic != _RECORD_MAGIC or stored != index:
+            raise CorruptBlockError(self.name, index, path, "bad record header")
+        if zlib.crc32(payload) != crc:
+            raise CorruptBlockError(self.name, index, path, "CRC mismatch")
+        return payload
 
     # -- accounting ---------------------------------------------------------
 

@@ -17,18 +17,16 @@ header is read, so every byte that ``load`` reads is under a CRC.
 
 ``save`` writes each stream one block at a time into a temporary file beside
 the target and renames it over the target only once the whole file is
-written, so a failed save leaves the old file as it was.  A spilled block's
-record is already the bytes its section needs, so the spilled prefix of each
-stream is copied from its spill file byte for byte and only the resident
-blocks are encoded.  ``load`` reads the streams into a new ``Tape``'s block
-stores, never holding a whole stream in memory, so a loaded tape spills
-under its budget exactly like a recorded one.  A budgeted load whose ``block_entries``
-equal the file's copies the oldest full records of each section into the
-store's own spill file (``BlockStore.adopt_records``), undecoded, and reads
-only the newest as resident blocks; the copied records are checked as the
-sweep will read them, by the pass below and by a pass over ``d`` that checks
-the partials are finite.  Every other load appends each record, checked, to
-the stores.
+written, so a failed save leaves the old file as it was.  The block stores
+own the record: ``BlockStore.write_records`` writes each section, copying a
+spilled prefix from its spill file byte for byte, and
+``BlockStore.read_records`` reads each section into a new ``Tape``'s store,
+never holding a whole stream in memory, so a loaded tape spills under its
+budget exactly like a recorded one.  A budgeted load whose ``block_entries``
+equal the file's copies the records its stores would spill unread; every
+other record is checked and appended.  ``load`` then reads ``d`` once to
+check that the partials are finite, which also checks the CRC of every
+copied ``d`` record, and the pass below reads ``s``.
 
 Apart from p_L the file carries no graph statistics: one backward pass over
 the loaded streams derives the width and the remainder count and checks
@@ -50,8 +48,7 @@ import zlib
 from itertools import islice
 from math import isfinite
 
-from .blockstore import (ENTRY_BYTES, RECORD_HEADER, BlockStore,
-                         CorruptBlockError, checked_payload, decode)
+from .blockstore import BlockStore, CorruptBlockError
 from .tape import DAG, DCG, Tape, TapeError
 
 MAGIC = b"ADTP"
@@ -61,6 +58,8 @@ VERSION = 3
 _HEADER = struct.Struct("<4sIBQQQQQQQ")
 #: the magic and the version, which ``load`` checks before the rest
 _LEAD = 8
+#: one output id
+_OUTPUT = struct.Struct("<q")
 #: the CRC-32 of header and outputs that ends the header
 _CRC = struct.Struct("<I")
 _MODE_BYTE = {DAG: 0, DCG: 1}
@@ -102,43 +101,34 @@ def save(tape: Tape, path: str) -> None:
 
 def load(path: str, prefetch: bool = False, **store_config) -> Tape:
     """Load a finalized tape into ``Tape(mode, prefetch=prefetch,
-    **store_config)``, reading each stream into its store a block at a time.
+    **store_config)``, whose stores each read their section of the file
+    with ``BlockStore.read_records``, a block at a time.
 
-    ``_derive_stats`` derives the width and the remainder count from the
-    streams, bounds the stored p_L and rejects any stream that recording
-    could not have produced; each output then goes through
-    ``Tape.register_output``, and ``Tape.stats`` derives the rest.  Every
-    error about the file is a ``TapeError`` naming ``path``, a damaged
-    record's one naming its section and block as well.  Under
-    ``budget_blocks`` the loaded tape spills as a recorded tape does; when
-    its ``block_entries`` equal the file's, the records it would spill are
-    copied, not decoded and spilled one by one.
+    One pass over ``d`` then checks that every partial is finite, and
+    ``_derive_stats`` derives the width and the remainder count, bounds the
+    stored p_L and rejects any stream that recording could not have
+    produced; the outputs go through ``Tape.register_output``.  Every error
+    about the file, in a record copied unread into a spill file too, is a
+    ``TapeError`` naming ``path``, and for a record its section and block.
+    A block the load spilled itself and finds damaged raises
+    ``CorruptBlockError`` naming its spill file.
     """
-    with open(path, "rb") as fh:
-        mode, n, q, s_len, d_len, p_l, file_entries, outputs = _read_head(fh, path)
-        tape = Tape(mode, prefetch=prefetch, **store_config)
-        s, d = tape._s, tape._d
-        copied = (s.budget_blocks is not None
-                  and s.block_entries == file_entries)
-        for store, count in ((s, s_len), (d, d_len)):
-            first = 0
-            if copied:
-                blocks = _blocks(count, file_entries)
-                first = blocks - min(blocks, s.budget_blocks)
-                at = fh.tell()
-                store.adopt_records(fh.fileno(), at, first)
-                fh.seek(at + first * (RECORD_HEADER.size
-                                      + file_entries * ENTRY_BYTES))
-            _read_stream(fh, store, count, path, file_entries, first)
-    s.seal()
-    d.seal()
+    copied = 0
     try:
-        if copied:  # the finiteness check of the copied partials
-            for block in d.reverse_blocks():
-                _check_partials(block, path)
+        with open(path, "rb") as fh:
+            (mode, n, q, s_len, d_len, p_l, file_entries,
+             outputs) = _read_head(fh, path)
+            tape = Tape(mode, prefetch=prefetch, **store_config)
+            s, d = tape._s, tape._d
+            copied += s.read_records(fh, s_len, file_entries)
+            copied += d.read_records(fh, d_len, file_entries)
+        for block in d.reverse_blocks():
+            _check_partials(block, path)
         stats = _derive_stats(path, mode, n, q, s, d, p_l)
     except CorruptBlockError as exc:
-        if not copied:  # a block of the store's own spill file
+        # a copied record is the file's own; a load that copies nothing
+        # spills only blocks it encoded itself
+        if exc.path != path and not copied:
             raise
         raise _corrupt(path, exc.stream, exc.index, exc.fault) from None
     tape._adopt(n, q, p_l, *stats)
@@ -167,13 +157,13 @@ def _read_head(fh, path: str) -> tuple:
     if file_entries < 1:
         raise _bad(path, f"block_entries {file_entries} in header")
     size = os.fstat(fh.fileno()).st_size
-    expected = (_HEADER.size + _CRC.size + (m + s_len + d_len) * ENTRY_BYTES
-                + RECORD_HEADER.size * (_blocks(s_len, file_entries)
-                                        + _blocks(d_len, file_entries)))
+    expected = (_HEADER.size + m * _OUTPUT.size + _CRC.size
+                + BlockStore.records_bytes(s_len, file_entries)
+                + BlockStore.records_bytes(d_len, file_entries))
     if size != expected:
         raise _bad(path, f"size mismatch: the header gives {expected} bytes, "
                          f"the file has {size}")
-    outputs = _read_exact(fh, m * ENTRY_BYTES, path)
+    outputs = _read_exact(fh, m * _OUTPUT.size, path)
     (crc,) = _CRC.unpack(_read_exact(fh, _CRC.size, path))
     if zlib.crc32(head + outputs) != crc:
         raise _bad(path, "corrupt header (CRC mismatch)")
@@ -182,12 +172,7 @@ def _read_head(fh, path: str) -> tuple:
     if n < 1 or m < 1:
         raise _bad(path, f"a tape needs inputs and outputs (n={n}, m={m})")
     return (_BYTE_MODE[mode_byte], n, q, s_len, d_len, p_l, file_entries,
-            decode(outputs, "q").tolist())
-
-
-def _blocks(count: int, block_entries: int) -> int:
-    """The records of a ``count``-entry section, the last one short."""
-    return -(-count // block_entries)
+            struct.unpack(f"<{m}q", outputs))
 
 
 def _read_exact(fh, nbytes: int, path: str) -> bytes:
@@ -195,30 +180,6 @@ def _read_exact(fh, nbytes: int, path: str) -> bytes:
     if len(data) != nbytes:  # a short header, or the file shrank under us
         raise _bad(path, "truncated tape file")
     return data
-
-
-def _read_stream(fh, store: BlockStore, count: int, path: str,
-                 file_entries: int, first: int) -> None:
-    """Append a stream's entries from record ``first`` on to ``store``, one
-    record of ``file_entries`` entries at a time.  A record is held whole,
-    so its CRC is checked before any of it is appended."""
-    piece = store.block_entries * ENTRY_BYTES
-    partials = store.typecode == "d"
-    for index, start in enumerate(range(first * file_entries, count,
-                                        file_entries), first):
-        nbytes = min(file_entries, count - start) * ENTRY_BYTES
-        record = _read_exact(fh, RECORD_HEADER.size + nbytes, path)
-        try:
-            payload = checked_payload(record, index)
-        except ValueError as exc:
-            raise _corrupt(path, store.name, index, str(exc)) from None
-        # a store block at a time: one longer append would cut each block
-        # off the front of all the entries behind it
-        for at in range(0, nbytes, piece):
-            chunk = decode(payload[at:at + piece], store.typecode)
-            if partials:
-                _check_partials(chunk, path)
-            store.append(chunk)
 
 
 def _check_partials(chunk, path: str) -> None:

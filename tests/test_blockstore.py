@@ -1,4 +1,6 @@
+import array
 import gc
+import math
 import os
 import re
 import tempfile
@@ -9,7 +11,8 @@ from itertools import islice
 import pytest
 
 from adtape import DAG, blockstore, propagate_flat, record_problem
-from adtape.blockstore import ENTRY_BYTES, BlockStore, BlockStoreError
+from adtape.blockstore import (ENTRY_BYTES, BlockStore, BlockStoreError,
+                               CorruptBlockError)
 from adtape.problems import IntroExample
 from adtape.rng import Xorshift
 
@@ -379,3 +382,78 @@ def test_float_store_round_trip(tmp_path):
     store.append(data)
     store.seal()
     assert list(store.reverse_iter()) == data[::-1]
+
+
+def section_of(tmp_path, data, block_entries):
+    """A file holding ``data`` as the run of records that ``write_records``
+    writes from a spilled float store of ``block_entries``-entry blocks."""
+    store = BlockStore("d", name="d", block_entries=block_entries,
+                       budget_blocks=1, spill_dir=str(tmp_path))
+    store.append(data)
+    store.seal()
+    path = tmp_path / "section"
+    with open(path, "wb") as fh:
+        store.write_records(fh)
+    assert path.stat().st_size == BlockStore.records_bytes(len(data), block_entries)
+    return path
+
+
+def float_bits(values):
+    return array.array("d", values).tobytes()
+
+
+@pytest.mark.parametrize("config, spills", [
+    ({"block_entries": 8, "budget_blocks": 1}, False),  # copies the records
+    ({"block_entries": 4, "budget_blocks": 1}, True),
+    ({"block_entries": 8}, False),
+], ids=["same-block-size", "other-block-size", "no-budget"])
+def test_read_records_reads_what_write_records_writes(tmp_path, monkeypatch,
+                                                      config, spills):
+    """A section read into a bare store holds the written entries bitwise,
+    and the store's counters, once both are read back, are those of a store
+    that appended the same entries."""
+    data = [(-1) ** k * math.ldexp(k + 0.1, -k) for k in range(83)] + [-0.0]
+    path = section_of(tmp_path, data, block_entries=8)
+    appended = BlockStore("d", name="d", spill_dir=str(tmp_path), **config)
+    appended.append(data)
+    appended.seal()
+    spilled = []
+    spill = BlockStore._spill
+    monkeypatch.setattr(BlockStore, "_spill",
+                        lambda store, i: spilled.append(i) or spill(store, i))
+    read = BlockStore("d", name="d", spill_dir=str(tmp_path), **config)
+    with open(path, "rb") as fh:
+        read.read_records(fh, len(data), 8)
+        assert fh.tell() == path.stat().st_size
+    assert bool(spilled) == spills
+    assert float_bits(read.tolist()) == float_bits(appended.tolist()) == float_bits(data)
+    assert read.stats() == appended.stats()
+
+
+def test_read_records_needs_an_empty_store(tmp_path):
+    path = section_of(tmp_path, [k / 3 for k in range(20)], block_entries=8)
+    used = BlockStore("d", name="d")
+    used.append([1.0])
+    sealed = BlockStore("d", name="d")
+    sealed.seal()
+    for store in (used, sealed):
+        with open(path, "rb") as fh, pytest.raises(BlockStoreError,
+                                                   match="used store"):
+            store.read_records(fh, 20, 8)
+
+
+@pytest.mark.parametrize("config", [{}, {"block_entries": 8, "budget_blocks": 1}])
+@pytest.mark.parametrize("cut, block", [(ENTRY_BYTES, 2), (16 + 4 * 8, 2),
+                                        (16 + 5 * 8, 1), (16 + 19 * 8, 0)])
+def test_short_section_names_the_block(tmp_path, config, cut, block):
+    """20 entries in records of 8, the last record holding 4: a section
+    that ends early raises ``CorruptBlockError`` naming the first record it
+    does not hold whole, whether that record is read or, under a budget,
+    copied."""
+    path = section_of(tmp_path, [k / 3 for k in range(20)], block_entries=8)
+    os.truncate(path, path.stat().st_size - cut)
+    store = BlockStore("d", name="d", spill_dir=str(tmp_path), **config)
+    with open(path, "rb") as fh, pytest.raises(CorruptBlockError) as excinfo:
+        store.read_records(fh, 20, 8)
+    assert str(excinfo.value) == f"d: corrupt block {block} at {path} (truncated record)"
+    assert excinfo.value.path == str(path)
