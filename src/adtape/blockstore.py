@@ -17,14 +17,16 @@ a chunk of any size.  ``peak_resident_bytes`` is noted by ``push_full``,
 just before it pushes, and at seal, not on every write: resident entries
 only grow between pushes, so those notes give the same maximum as noting
 after every write would (until seal, the open block's growth since the last
-push is not counted yet).  While reading, each fetched block counts on top
-of the resident ones; a hinted block waits in the page cache, not here.
+push is not counted yet).  While reading, a block read back from disk
+counts on top of the resident ones, at its own length; a resident block is
+already counted, and a hinted block waits in the page cache, not here.
 
 One block generator carries all read accounting: ``reverse_blocks`` (newest
-first, with the optional hint) counts ``blocks_read`` and notes the peak once
-per block.  The per-entry iterator ``reverse_iter`` chains over its blocks
-with ``itertools.chain``, so no Python frame is resumed per entry, and
-``tolist`` drains it and reverses the list.
+first, with the optional hint) counts ``blocks_read`` once per block and
+notes the peak once per block read from disk.  The per-entry iterator
+``reverse_iter`` chains over its blocks with ``itertools.chain``, so no
+Python frame is resumed per entry, and ``tolist`` drains it and reverses
+the list.
 
 On its first spill a store creates one ``adtape-<stream>-*.blk`` file, under
 ``spill_dir`` when one is given and under the system temp dir otherwise.
@@ -341,23 +343,28 @@ class BlockStore:
         return chain.from_iterable(map(reversed, self.reverse_blocks(prefetch)))
 
     def reverse_blocks(self, prefetch: bool = False):
-        """Yield every block, newest first, counting each in ``blocks_read``
-        and noting the peak as it is fetched.  With ``prefetch``, each fetch
-        is followed by a ``POSIX_FADV_WILLNEED`` hint for the next-older
-        block when it is on disk, so the kernel reads it into the page cache
-        while this block is consumed; without ``os.posix_fadvise`` (macOS)
-        the blocks are read plainly.  Spilled blocks are read with
-        ``os.pread``, so spilling needs POSIX."""
+        """Yield every block, newest first, counting each in ``blocks_read``.
+        A block read from disk is held on top of the resident ones, so the
+        peak is noted with it at its own length; a resident block adds
+        nothing.  With ``prefetch``, each fetch is followed by a
+        ``POSIX_FADV_WILLNEED`` hint for the next-older block when it is on
+        disk, so the kernel reads it into the page cache while this block is
+        consumed; without ``os.posix_fadvise`` (macOS) the blocks are read
+        plainly.  Spilled blocks are read with ``os.pread``, so spilling
+        needs POSIX."""
         if not self._sealed:
             raise BlockStoreError(f"{self.name}: reverse_iter before seal")
         hint = prefetch and _HAS_FADVISE
         size = self._record_bytes
         for i in range(len(self._blocks) - 1, -1, -1):
-            block = self._fetch(i)
+            self.blocks_read += 1
+            block = self._blocks[i]
+            if block is None:
+                block = self._load_spilled(i)
+                self._note_peak(len(block))
             if hint and i > 0 and self._blocks[i - 1] is None:
                 os.posix_fadvise(self._fd, (i - 1) * size, size,
                                  os.POSIX_FADV_WILLNEED)
-            self._note_peak(self.block_entries)
             yield block
 
     def tolist(self) -> list:
@@ -365,13 +372,6 @@ class BlockStore:
         entries = list(self.reverse_iter())
         entries.reverse()
         return entries
-
-    def _fetch(self, index: int) -> array.array:
-        self.blocks_read += 1
-        block = self._blocks[index]
-        if block is not None:
-            return block
-        return self._load_spilled(index)
 
     def _load_spilled(self, index: int) -> array.array:
         size = self._record_bytes

@@ -3,14 +3,16 @@ dedicated-L-value strategies, plus the finite-difference gradient check.
 
 The three strategies share one sweep, ``propagate(tape, seed, strategy)``,
 which reads the record layout of the structure and partials streams itself,
-newest record first, from the two iterators of ``Tape.reverse_streams``:
-the record loop runs over ``islice`` of the structure iterator, every other
-entry is read with the builtin ``next()``, and no object is built per
-record.  The strategies differ only in the pair (p_L, W) of the slot
-map: L-value ``-k`` lives in slot ``k-1`` and vertex ``v >= 0`` in slot
-``p_L + v % W``.  The record loop is written twice, split on p_L: a DAG
-tape is the case p_L = 0 with no negative id, so its loop maps vertex ``v``
-to slot ``v % W`` alone, and the DCG loop keeps the sign test.
+newest record first, from the two iterators of ``Tape.reverse_streams``.
+It reads them in pairs: the record loop runs over ``zip(s, s)`` for each
+record's ``(result, count)``, and every ``(operand, partial)`` is one step
+of ``zip(s, d)``, so no object is built per record.  ``on_step`` is called
+by a generator wrapped around the records, outside the loop.  The
+strategies differ only in the pair (p_L, W) of the slot map: L-value ``-k``
+lives in slot ``k-1`` and vertex ``v >= 0`` in slot ``p_L + v % W``.  The
+record loop is written twice, split on p_L: a DAG tape is the case p_L = 0
+with no negative id, so its loop maps vertex ``v`` to slot ``v % W`` alone,
+and the DCG loop keeps the sign test.
 
 * flat: (0, |V|), one slot per vertex;
 * bandwidth: (0, max(beta, n, m)), slots reused modulo the bandwidth;
@@ -24,7 +26,7 @@ which is what makes slot reuse safe in the modulo strategies.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .tape import DAG, DCG, Tape, TapeStats, TapeError
 
@@ -86,6 +88,10 @@ def propagate(tape: Tape, seed: Sequence[float], strategy: str,
     than silently corrupting adjoints.  Only under the bandwidth strategy
     can an output share its slot with another vertex, so only its tapes
     collide.
+
+    ``on_step`` is called as the sweep asks for each next record, from a
+    generator, so a ``StopIteration`` it raises surfaces as ``RuntimeError``
+    (PEP 479); any other exception propagates as raised.
     """
     stats = tape.stats()
     p_l, width = _slot_map(stats, strategy)
@@ -103,16 +109,21 @@ def propagate(tape: Tape, seed: Sequence[float], strategy: str,
         live[slot] = j
         vbar[slot] = ybar
     # each record reads back as result, operand count, then the operands
-    # (from s) with their partials (from d) in reverse operand order.  The
-    # builtin next() and islice read at C speed, where the iterators'
-    # bound __next__ would not be specialised; and no name read in the
-    # record loops may become a closure cell (tests/test_interpret.py)
+    # (from s) with their partials (from d) in reverse operand order.  One
+    # C-level zip step reads each (result, count) and each (operand,
+    # partial), where the builtin next() would take two, and zip reuses its
+    # tuple.  zip(s, d) pulls s first, so pairs is stepped only when an
+    # operand is due.  No name read in the record loops may become a closure
+    # cell (tests/test_interpret.py)
+    records = islice(zip(s, s), tape.q)
+    pairs = zip(s, d)
+    if on_step is not None:
+        records = _stepped(records, vbar, on_step)
     if p_l == 0:
         # p_L = 0 (every DAG tape): no id is negative, since the writers and
         # tapefile.load reject an operand or result below -p_L, so the slot
         # of v is v % W and the sign test of the DCG loop below is dropped
-        for result in islice(s, tape.q):
-            count = next(s)
+        for result, count in records:
             slot = result % width
             if live and slot in live:
                 if live[slot] == result:
@@ -126,21 +137,18 @@ def propagate(tape: Tape, seed: Sequence[float], strategy: str,
             # straight-line paths for the arities overloading records; the
             # loop takes zero-arity overwrites and hand-recorded n-ary records
             if count == 1:
-                i = next(s)
-                vbar[i % width] += w * next(d)
+                i, p = next(pairs)
+                vbar[i % width] += w * p
             elif count == 2:
-                i = next(s)
-                vbar[i % width] += w * next(d)
-                i = next(s)
-                vbar[i % width] += w * next(d)
+                i, p = next(pairs)
+                vbar[i % width] += w * p
+                i, p = next(pairs)
+                vbar[i % width] += w * p
             else:
-                for i in islice(s, count):
-                    vbar[i % width] += w * next(d)
-            if on_step is not None:
-                on_step(list(vbar))
+                for i, p in islice(pairs, count):
+                    vbar[i % width] += w * p
     else:
-        for result in islice(s, tape.q):
-            count = next(s)
+        for result, count in records:
             slot = p_l + result % width if result >= 0 else ~result
             if live and slot in live:
                 if live[slot] == result:
@@ -152,22 +160,30 @@ def propagate(tape: Tape, seed: Sequence[float], strategy: str,
             w = vbar[slot]
             vbar[slot] = 0.0
             if count == 1:
-                i = next(s)
-                vbar[p_l + i % width if i >= 0 else ~i] += w * next(d)
+                i, p = next(pairs)
+                vbar[p_l + i % width if i >= 0 else ~i] += w * p
             elif count == 2:
-                i = next(s)
-                vbar[p_l + i % width if i >= 0 else ~i] += w * next(d)
-                i = next(s)
-                vbar[p_l + i % width if i >= 0 else ~i] += w * next(d)
+                i, p = next(pairs)
+                vbar[p_l + i % width if i >= 0 else ~i] += w * p
+                i, p = next(pairs)
+                vbar[p_l + i % width if i >= 0 else ~i] += w * p
             else:
-                for i in islice(s, count):
-                    vbar[p_l + i % width if i >= 0 else ~i] += w * next(d)
-            if on_step is not None:
-                on_step(list(vbar))
+                for i, p in islice(pairs, count):
+                    vbar[p_l + i % width if i >= 0 else ~i] += w * p
     grad = []  # a loop: a comprehension would turn p_l, width, vbar into cells
     for i in tape.inputs:
         grad.append(vbar[p_l + i % width if i >= 0 else ~i])
     return (grad, vbar) if return_slots else grad
+
+
+def _stepped(records: Iterator[tuple[int, int]], vbar: list[float],
+             on_step: Callable[[list[float]], None]
+             ) -> Iterator[tuple[int, int]]:
+    """``records``, calling ``on_step(list(vbar))`` once the sweep has
+    applied each record (when it asks for the next one)."""
+    for record in records:
+        yield record
+        on_step(list(vbar))
 
 
 def propagate_flat(tape: Tape, seed: Sequence[float], **kwargs):

@@ -6,10 +6,11 @@ of ``s`` is: the input vertex ids first, then for every recorded elemental
 its predecessor ids in operand order, the predecessor count, and the result
 id.  ``d`` carries one local partial derivative per predecessor entry of
 ``s``, in the same order.  ``Tape.reverse_streams`` returns an iterator
-over each stream, newest entry first, to be read with the builtin
-``next()`` and ``itertools.islice``, which run at C speed.  The adjoint
-sweep ``interpret.propagate(tape, seed, strategy)`` reads this record
-layout itself through them, with no object per record;
+over each stream, newest entry first, to be read in pairs at C speed:
+``zip(s, s)`` yields each record's ``(result, count)`` and ``zip(s, d)``
+each ``(operand, partial)``.  The adjoint sweep
+``interpret.propagate(tape, seed, strategy)`` reads this record layout
+itself through them, with no object per record;
 ``Tape.reverse_elementals`` turns each record into ``(result, preds)`` for
 ``Tape.parse``, ``Tape.visit_sequence`` and the DOT rendering.  The sweep
 puts the adjoint of L-value ``-k`` in slot ``k-1`` and of vertex
@@ -83,7 +84,8 @@ class Tape:
     ``spill_dir`` (the system temp dir when none is given).  A spilling
     stream holds one descriptor on its file until the tape is freed; then the
     file is removed.  Each stream notes its ``peak_resident_bytes`` just
-    before it pushes full blocks and at seal, not on every record.
+    before it pushes full blocks and at seal, not on every record, and
+    while reading only for a block read back from disk.
 
     Overloading records through ``record_unary`` and ``record_binary``,
     straight-line code for one and two operands that builds no operand list
@@ -397,10 +399,13 @@ class Tape:
         Each record reads back as its result id, its operand count, then
         that many operand ids from ``s`` each paired with its partial from
         ``d``, in reverse operand order; the ``n`` input ids remain at the
-        end of ``s``.  The adjoint sweep and ``reverse_elementals`` read the
-        records with the builtin ``next(s)``, ``next(d)`` and ``islice``,
-        never through a bound ``__next__``, which CPython 3.11 does not
-        specialise.
+        end of ``s``.  The adjoint sweep and ``reverse_elementals`` read
+        them in pairs: ``islice(zip(s, s), q)`` yields each record's
+        ``(result, count)``, and ``zip(s, d)`` each ``(operand, partial)``,
+        stepped with the builtin ``next()`` or ``islice``, never through a
+        bound ``__next__``, which CPython 3.11 does not specialise.
+        ``zip(s, d)`` pulls from ``s`` before ``d``, so a reader steps it
+        only when an operand is due: one step too many loses an id of ``s``.
         """
         self._require_finalized()
         if prefetch is None:
@@ -419,16 +424,16 @@ class Tape:
         from ``reverse_streams``.
         """
         s, d = self.reverse_streams(prefetch)
-        for result in islice(s, self.q):
-            count = next(s)
+        pairs = zip(s, d)
+        for result, count in islice(zip(s, s), self.q):
             # direct paths for the arities overloading records; the rest
-            # (zero-arity overwrites, hand-recorded n-ary) zip two slices
+            # (zero-arity overwrites, hand-recorded n-ary) slice the pairs
             if count == 1:
-                yield result, ((next(s), next(d)),)
+                yield result, (next(pairs),)
             elif count == 2:
-                yield result, ((next(s), next(d)), (next(s), next(d)))
+                yield result, (next(pairs), next(pairs))
             else:
-                yield result, tuple(zip(islice(s, count), islice(d, count)))
+                yield result, tuple(islice(pairs, count))
 
     def parse(self) -> tuple[list[int], list[Elemental]]:
         """Forward-order view: (input ids, elementals with operand order)."""

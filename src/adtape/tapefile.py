@@ -209,13 +209,15 @@ def _derive_stats(path: str, mode: str, n: int, q: int, s: BlockStore,
     ``n``; on a DCG tape ``first`` is 0.  ``load`` has already checked that
     the partials are finite.
 
-    As in ``interpret.propagate``, records are read with the builtin
-    ``next()`` from ``body``, an ``islice`` that stops where the input ids
-    begin; arity-1 and arity-2 records take straight-line paths on their
-    lower and higher operand, and no local of the record loop is a closure
-    cell."""
+    As in ``interpret.propagate``, records are read in pairs from ``body``,
+    an ``islice`` that stops where the input ids begin: each record's
+    ``(result, count)`` is one ``next()`` of ``zip(body, body)``, and so
+    are the two operands of an arity-2 record.  Arity-1 and arity-2
+    records take straight-line paths on their lower and higher operand,
+    and no local of the record loop is a closure cell."""
     entries = s.reverse_iter()
     body = islice(entries, max(len(s) - n, 0))
+    two = zip(body, body)
     d_left = len(d)
     # first: the first remainder id; low: the deepest L-value id read, the
     # inputs included
@@ -233,14 +235,12 @@ def _derive_stats(path: str, mode: str, n: int, q: int, s: BlockStore,
     oldest = 0
     try:
         for k in range(q - 1, -1, -1):
-            result = next(body)
-            count = next(body)
+            result, count = next(two)
             d_left -= count
             if d_left < 0:  # a negative count fails in _operands
                 raise _bad(path, "malformed structure stream")
             if count == 2:
-                a = next(body)
-                b = next(body)
+                a, b = next(two)
                 if a > b:  # the more common order: a is the later operand
                     lo, hi = b, a
                 elif a < b:

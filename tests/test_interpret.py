@@ -14,6 +14,7 @@ from adtape import (
     LVALUE,
     Recorder,
     SeedError,
+    STRATEGIES,
     SlotCollisionError,
     Tape,
     TapeError,
@@ -25,11 +26,13 @@ from adtape import (
     propagate_lvalue,
     record_problem,
 )
+from adtape import scalar as ops
 from adtape.blockstore import BlockStoreError
-from adtape.problems import BlackScholesFD, IntroExample
+from adtape.interpret import STRATEGY_MODE
+from adtape.problems import BlackScholesFD, IntroExample, record_evolution
 from adtape.tapefile import _derive_stats
 
-from helpers import STORES, RandomProgram, run_child
+from helpers import STORES, RandomProgram, run_child, zero_arity_tape
 
 INTRO_GRAD = 0.4823553972640679
 
@@ -277,22 +280,47 @@ def test_sweep_reports_missing_block(tmp_path, stream, prefetch):
         propagate_flat(tape, [1.0])
 
 
+@pytest.mark.parametrize("strategy", [FLAT, BANDWIDTH, LVALUE])
 @pytest.mark.parametrize("prefetch", [False, True])
-def test_on_step_sees_one_copy_per_elemental_on_tiny_blocks(tmp_path, prefetch):
+def test_on_step_sees_one_copy_per_elemental_on_tiny_blocks(tmp_path, prefetch,
+                                                            strategy):
     prog = RandomProgram(7)
     x = prog.default_point()
-    tiny = record_problem(prog, x, mode=DCG, spill_dir=str(tmp_path),
+    mode = STRATEGY_MODE[strategy]
+    tiny = record_problem(prog, x, mode=mode, spill_dir=str(tmp_path),
                           prefetch=prefetch, **STORES["tiny"])
-    plain = record_problem(prog, x, mode=DCG)
+    plain = record_problem(prog, x, mode=mode)
     assert tiny.store_stats()["d"]["bytes_spilled"] > 0
     seen, expected = [], []
-    grad, slots = propagate_lvalue(tiny, [1.0], on_step=seen.append,
-                                   return_slots=True)
-    assert propagate_lvalue(plain, [1.0], on_step=expected.append) == grad
+    grad, slots = propagate(tiny, [1.0], strategy, on_step=seen.append,
+                            return_slots=True)
+    assert propagate(plain, [1.0], strategy, on_step=expected.append) == grad
     assert len(seen) == tiny.q
     assert seen == expected
     assert seen[-1] == slots and seen[-1] is not slots
     assert len({id(state) for state in seen}) == tiny.q
+
+
+@pytest.mark.parametrize("strategy", [FLAT, BANDWIDTH, LVALUE])
+def test_on_step_error_leaves_no_reader_behind(tmp_path, strategy):
+    prog = RandomProgram(7)
+    tape = record_problem(prog, prog.default_point(),
+                          mode=STRATEGY_MODE[strategy],
+                          spill_dir=str(tmp_path), **STORES["tiny"])
+    assert tape.q > 3
+    calls = []
+
+    def third_fails(state):
+        calls.append(state)
+        if len(calls) == 3:
+            raise ValueError("third step")
+
+    with pytest.raises(ValueError, match="third step"):
+        propagate(tape, [1.0], strategy, on_step=third_fails)
+    assert len(calls) == 3
+    del tape
+    gc.collect()
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("prefetch", [False, True])
@@ -311,6 +339,61 @@ def test_collision_mid_sweep_leaves_no_reader_behind(tmp_path, prefetch):
     del tape
     gc.collect()
     assert list(tmp_path.iterdir()) == []
+
+
+class PassiveAssign:
+    """An L-value set to x * y, overwritten with a constant (a zero-arity
+    record on a DCG tape), then set to sin(x) + y."""
+
+    def run(self, ctx, x):
+        u, v = ctx.input(x[0]), ctx.input(x[1])
+        a = ctx.lvalue()
+        a = ctx.assign(a, u * v)
+        a = ctx.assign(a, 1.5)
+        a = ctx.assign(a, ops.sin(u) + v)
+        ctx.output(a)
+
+
+#: tapes holding zero-arity, unary, binary and n-ary records between them
+LOCKSTEP_TAPES = {
+    "dcg-passive-assign": lambda cfg: record_problem(
+        PassiveAssign(), [0.5, 2.0], mode=DCG, **cfg),
+    "dcg-hand": lambda cfg: zero_arity_tape(DCG, **cfg),
+    "dag-hand": lambda cfg: zero_arity_tape(DAG, **cfg),
+    "dag-intro": lambda cfg: record_problem(IntroExample(4), [1.0], mode=DAG,
+                                            **cfg),
+    "dag-evolution": lambda cfg: record_evolution(
+        [0.3, 0.7, 1.1], [[0.5, -0.2, 0.1], [0.3, 0.4, -0.6],
+                          [-0.1, 0.2, 0.9]], 4, **cfg),
+}
+
+
+@pytest.mark.parametrize("store", [{}, {"block_entries": 4, "budget_blocks": 1}],
+                         ids=["inmem", "spilled"])
+@pytest.mark.parametrize("name", list(LOCKSTEP_TAPES))
+def test_reverse_passes_leave_exactly_the_inputs(tmp_path, monkeypatch, name,
+                                                 store):
+    """Every reverse pass reads the two streams in lockstep: once it has
+    read the last record, ``s`` holds exactly the input ids, newest first,
+    and ``d`` nothing, so no pass pulls one pair too many."""
+    tape = LOCKSTEP_TAPES[name](dict(store, spill_dir=str(tmp_path)))
+    handed = []
+    real = Tape.reverse_streams
+
+    def keep(self, *args, **kwargs):
+        streams = real(self, *args, **kwargs)
+        handed.append(streams)
+        return streams
+
+    monkeypatch.setattr(Tape, "reverse_streams", keep)
+    strategies = [s for s in STRATEGIES if STRATEGY_MODE[s] == tape.mode]
+    for strategy in strategies:
+        propagate(tape, [1.0] * tape.m, strategy)
+    assert sum(1 for _ in tape.reverse_elementals()) == tape.q
+    assert len(handed) == len(strategies) + 1
+    for s, d in handed:
+        assert list(s) == list(reversed(tape.inputs))
+        assert list(d) == []
 
 
 @pytest.mark.parametrize("parse", [propagate, Tape.reverse_elementals,

@@ -195,6 +195,10 @@ def test_blockstore_counts_match_census(chunks, block_entries, budget, prefetch)
         assert sum(1 for _ in store.reverse_iter(prefetch=prefetch)) == total
         assert len(store) == total
         assert store.resident_entries() == resident_census()
+        # a drain holds at most one block read back from disk (always a
+        # full one) on top of the resident ones; a resident block adds none
+        spilled = block_entries if store.bytes_spilled else 0
+        assert store.peak_resident_bytes == 8 * max(peak, resident_census() + spilled)
 
 
 @settings(max_examples=60, deadline=None)
