@@ -180,8 +180,9 @@ def run_strategies(problem, strategies, cfg, grad_check=False, fd_step=None):
             grad_check_max_rel_err=err, fd_step=step if grad_check else None))
     items = list(grads.items())
     for (sa, ga), (sb, gb) in zip(items, items[1:]):
-        for i, (a, b) in enumerate(zip(ga, gb)):
-            if abs(a - b) > CROSS_CHECK_RTOL * max(1.0, abs(a), abs(b)):
+        for i, (a, b) in enumerate(zip(ga, gb, strict=True)):
+            # not a > test: a nan component agrees with nothing
+            if not abs(a - b) <= CROSS_CHECK_RTOL * max(1.0, abs(a), abs(b)):
                 raise TapeError(
                     f"{problem.name}: strategies {sa} and {sb} disagree on "
                     f"gradient component {i}: {a} vs {b}")

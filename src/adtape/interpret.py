@@ -2,30 +2,28 @@
 dedicated-L-value strategies, plus the finite-difference gradient check.
 
 The three strategies share one sweep, ``propagate(tape, seed, strategy)``,
-which reads the record layout of the structure and partials streams itself,
-newest record first, from the two iterators of ``Tape.reverse_streams``.
-It reads them in pairs: the record loop runs over ``zip(s, s)`` for each
-record's ``(result, count)``, and every ``(operand, partial)`` is one step
-of ``zip(s, d)``, so no object is built per record.  ``on_step`` is called
-by a generator wrapped around the records, outside the loop.  The
-strategies differ only in the pair (p_L, W) of the slot map: L-value ``-k``
-lives in slot ``k-1`` and vertex ``v >= 0`` in slot ``p_L + v % W``.  The
-record loop is written twice, split on p_L: a DAG tape is the case p_L = 0
-with no negative id, so its loop maps vertex ``v`` to slot ``v % W`` alone,
-and the DCG loop keeps the sign test.
+which reads the records of ``Tape.reverse_streams`` itself, newest first
+and in pairs, and differs between strategies only in the pair (p_L, W) of
+the slot map: L-value ``-k`` lives in slot ``k-1`` and vertex ``v >= 0`` in
+slot ``p_L + v % W``.  Its record loop, written once for a DAG tape (p_L = 0,
+slot ``v % W``) and once with the sign test for a DCG tape, is parse plus
+slot arithmetic only.
 
 * flat: (0, |V|), one slot per vertex;
 * bandwidth: (0, max(beta, n, m)), slots reused modulo the bandwidth;
 * lvalue: (p_L, max(beta_R, 1)), dedicated L-value slots plus the
   remainder modulo the remainder bandwidth.
 
-Every slot is zeroed immediately after it is read (reset-after-read),
-which is what makes slot reuse safe in the modulo strategies.
+Every slot is zeroed immediately after it is read (reset-after-read), which
+makes slot reuse safe unless a seeded output is overwritten before its own
+result is reached.  That follows from the outputs and the slot map alone,
+so ``_check_collisions`` decides it before the sweep reads any block.
 """
 
 from __future__ import annotations
 
 from itertools import islice
+from math import inf, isfinite
 from typing import Callable, Iterator, Sequence
 
 from .tape import DAG, DCG, Tape, TapeStats, TapeError
@@ -71,6 +69,27 @@ def adjoint_slot_count(stats: TapeStats, strategy: str) -> int:
     return p_l + width if stats.num_remainder else p_l
 
 
+def _check_collisions(outputs: Sequence[int], width: int,
+                      num_vertices: int) -> None:
+    """Raise SlotCollisionError where a DAG sweep with slots ``v % width``
+    would overwrite a seeded output: where two outputs seed one slot, else
+    at the largest clobbering vertex, the first the sweep reaches.  The
+    results are ``n .. |V|-1`` and ``width >= n``, so the last vertex in
+    the slot of output ``j`` clobbers it unless it is ``j``."""
+    seeded: dict[int, int] = {}  # slot -> output
+    for j in outputs:
+        if j % width in seeded:
+            raise SlotCollisionError(
+                f"outputs {seeded[j % width]} and {j} both seed slot {j % width}")
+        seeded[j % width] = j
+    clobbers = [(j + (num_vertices - 1 - j) // width * width, j)
+                for j in outputs if j + width < num_vertices]
+    if clobbers:
+        v, j = max(clobbers)
+        raise SlotCollisionError(f"result vertex {v} clobbers live seeded "
+                                 f"output {j} in slot {v % width}")
+
+
 def _require_mode(obj, mode: str, what: str) -> None:
     if obj.mode != mode:
         raise TapeError(f"{what} requires a {mode.upper()} tape, got {obj.mode.upper()}")
@@ -85,9 +104,10 @@ def propagate(tape: Tape, seed: Sequence[float], strategy: str,
     ``return_slots`` also returns the final slot vector.  A seeded output
     whose slot is seeded again, or taken by another vertex's result before
     the output's own result is reached, raises SlotCollisionError rather
-    than silently corrupting adjoints.  Only under the bandwidth strategy
-    can an output share its slot with another vertex, so only its tapes
-    collide.
+    than silently corrupting adjoints.  Only the bandwidth strategy shares
+    slots, so only its sweeps collide; they are refused from the outputs
+    and the slot map before any block is read, and ``on_step`` sees no
+    record of a refused sweep.
 
     ``on_step`` is called as the sweep asks for each next record, from a
     generator, so a ``StopIteration`` it raises surfaces as ``RuntimeError``
@@ -98,40 +118,27 @@ def propagate(tape: Tape, seed: Sequence[float], strategy: str,
     s, d = tape.reverse_streams()
     if len(seed) != tape.m:
         raise SeedError(f"seed length {len(seed)} != {tape.m} outputs")
+    if p_l == 0:
+        _check_collisions(tape.outputs, width, stats.num_vertices)
     vbar = [0.0] * adjoint_slot_count(stats, strategy)
-    live: dict[int, int] = {}  # slot -> seeded output vertex not yet consumed
     for ybar, j in zip(seed, tape.outputs):
         # ~v == -v - 1 puts L-value -k in slot k-1
-        slot = p_l + j % width if j >= 0 else ~j
-        if slot in live:
-            raise SlotCollisionError(
-                f"outputs {live[slot]} and {j} both seed slot {slot}")
-        live[slot] = j
-        vbar[slot] = ybar
+        vbar[p_l + j % width if j >= 0 else ~j] = ybar
     # each record reads back as result, operand count, then the operands
-    # (from s) with their partials (from d) in reverse operand order.  One
-    # C-level zip step reads each (result, count) and each (operand,
-    # partial), where the builtin next() would take two, and zip reuses its
-    # tuple.  zip(s, d) pulls s first, so pairs is stepped only when an
-    # operand is due.  No name read in the record loops may become a closure
-    # cell (tests/test_interpret.py)
+    # (from s) with their partials (from d) in reverse operand order, one
+    # C-level zip step per (result, count) and per (operand, partial), and
+    # zip reuses its tuple.  zip(s, d) pulls s first, so pairs is stepped
+    # only when an operand is due.  No name read in the record loops may
+    # become a closure cell (tests/test_interpret.py)
     records = islice(zip(s, s), tape.q)
     pairs = zip(s, d)
     if on_step is not None:
         records = _stepped(records, vbar, on_step)
     if p_l == 0:
-        # p_L = 0 (every DAG tape): no id is negative, since the writers and
-        # tapefile.load reject an operand or result below -p_L, so the slot
-        # of v is v % W and the sign test of the DCG loop below is dropped
+        # p_L = 0 (every DAG tape): the writers and tapefile.load refuse a
+        # negative id, so the slot of v is v % W, with no sign test
         for result, count in records:
             slot = result % width
-            if live and slot in live:
-                if live[slot] == result:
-                    del live[slot]
-                else:
-                    raise SlotCollisionError(
-                        f"result vertex {result} clobbers live seeded output "
-                        f"{live[slot]} in slot {slot}")
             w = vbar[slot]
             vbar[slot] = 0.0
             # straight-line paths for the arities overloading records; the
@@ -150,13 +157,6 @@ def propagate(tape: Tape, seed: Sequence[float], strategy: str,
     else:
         for result, count in records:
             slot = p_l + result % width if result >= 0 else ~result
-            if live and slot in live:
-                if live[slot] == result:
-                    del live[slot]
-                else:
-                    raise SlotCollisionError(
-                        f"result vertex {result} clobbers live seeded output "
-                        f"{live[slot]} in slot {slot}")
             w = vbar[slot]
             vbar[slot] = 0.0
             if count == 1:
@@ -204,10 +204,16 @@ def propagate_lvalue(tape: Tape, seed: Sequence[float], **kwargs):
 
 def max_rel_err(grad: Sequence[float], reference: Sequence[float]) -> float:
     """The largest component error of ``grad`` against ``reference``,
-    relative where ``|grad[i]| > 1`` and absolute below that."""
+    relative where ``|grad[i]| > 1`` and absolute below that.
+
+    A component error that is not finite (a nan or inf in either vector,
+    or a difference that overflows) makes the error ``math.inf``, so no
+    tolerance passes it; vectors of different lengths raise ValueError."""
     worst = 0.0
-    for g, ref in zip(grad, reference):
+    for g, ref in zip(grad, reference, strict=True):
         err = abs(g - ref) / max(1.0, abs(g))
+        if not isfinite(err):
+            return inf
         if err > worst:
             worst = err
     return worst

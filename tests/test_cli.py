@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -260,6 +261,22 @@ def test_run_grad_check_reports_gradient_check(capsys):
     for r in json.loads(out)["reports"]:
         err = gradient_check(p, fd_step=p.fd_step, strategy=r["strategy"])
         assert r["grad_check"]["max_rel_err"] == err
+
+
+@pytest.mark.parametrize("strategy", interpret.STRATEGIES)
+def test_run_nan_gradient_agrees_with_no_strategy(capsys, monkeypatch,
+                                                  strategy):
+    real = cli.propagate
+
+    def nan_for_one(tape, seed, swept):
+        grad = real(tape, seed, swept)
+        return [math.nan] * len(grad) if swept == strategy else grad
+
+    monkeypatch.setattr(cli, "propagate", nan_for_one)
+    code, _, err = run_cli(capsys, "run", "--problem", "intro")
+    assert code == 2
+    assert "disagree on gradient component 0" in err
+    assert "nan" in err
 
 
 def test_run_with_spill_budget(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import gc
+import math
 import os
 import re
 import threading
@@ -28,8 +29,9 @@ from adtape import (
 )
 from adtape import scalar as ops
 from adtape.blockstore import BlockStoreError
-from adtape.interpret import STRATEGY_MODE
-from adtape.problems import BlackScholesFD, IntroExample, record_evolution
+from adtape.interpret import STRATEGY_MODE, max_rel_err
+from adtape.problems import (BlackScholesFD, Burgers, IntroExample,
+                             record_evolution)
 from adtape.tapefile import _derive_stats
 
 from helpers import STORES, RandomProgram, run_child, zero_arity_tape
@@ -235,6 +237,36 @@ def test_gradient_check_reuses_supplied_tape(intro_dag):
     assert err < 1e-9
 
 
+@pytest.mark.parametrize("grad, reference", [([math.nan], [1.0]),
+                                             ([math.inf], [1.0]),
+                                             ([1.0], [math.nan])])
+def test_max_rel_err_fails_non_finite_components(grad, reference):
+    assert max_rel_err(grad, reference) == math.inf
+    assert max_rel_err([0.5, *grad], [0.5, *reference]) == math.inf
+
+
+def test_max_rel_err_refuses_vectors_of_different_lengths():
+    with pytest.raises(ValueError, match="zip"):
+        max_rel_err([1.0, 2.0], [1.0])
+    # a Burgers tape has 6 inputs, the intro example 1
+    burgers = Burgers(nx=6, nt=8)
+    tape = record_problem(burgers, burgers.default_point(), mode=DAG)
+    with pytest.raises(ValueError, match="zip"):
+        gradient_check(IntroExample(), tape=tape)
+
+
+def test_max_rel_err_fails_an_overflowed_gradient():
+    # every partial is finite, their product is not
+    t = Tape(DAG)
+    x = t.register_input()
+    y = t.record([(x, 1e308)])
+    t.register_output(t.record([(y, 1e308)]))
+    t.finalize()
+    grad = propagate_flat(t, [1.0])
+    assert grad == [math.inf]
+    assert max_rel_err(grad, grad) == math.inf
+
+
 def spilled_chain(tmp_path, length, prefetch, outputs=(-1,), edge=None):
     """x -> v1 -> ... -> v_length on a DAG tape of 4-entry blocks with one
     resident, so nearly every block of both streams is on disk; ``edge``
@@ -330,9 +362,14 @@ def test_collision_mid_sweep_leaves_no_reader_behind(tmp_path, prefetch):
     # blocks are still on disk
     tape = spilled_chain(tmp_path, 42, prefetch, outputs=(1, -1), edge=(1, 22))
     threads = set(threading.enumerate())
+    read = tape._s.blocks_read, tape._d.blocks_read
+    steps = []
     with pytest.raises(SlotCollisionError, match="vertex 22 clobbers"):
-        propagate_bandwidth(tape, [1.0, 1.0])
+        propagate_bandwidth(tape, [1.0, 1.0], on_step=steps.append)
     assert tape._s.blocks_read < tape._s.blocks_written
+    # the collision is decided before the sweep reads a block or a record
+    assert (tape._s.blocks_read, tape._d.blocks_read) == read
+    assert steps == []
     for thread in set(threading.enumerate()) - threads:
         thread.join(timeout=10)
         assert not thread.is_alive()

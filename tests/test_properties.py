@@ -15,8 +15,10 @@ from adtape import (
     DAG,
     DCG,
     FLAT,
+    LVALUE,
     REMAINDER,
     Recorder,
+    SlotCollisionError,
     Tape,
     TapeError,
     gradient_check,
@@ -267,9 +269,10 @@ def test_record_path_matches_a_census_through_append(mode, ninputs, records,
         assert tape.store_stats() == {k: store.stats() for k, store in ref.items()}
 
 
-def replay_through_record(tape, **cfg):
+def replay_through_record(tape, outputs=None, **cfg):
     """A fresh tape with the inputs and declared L-values of ``tape`` and
-    every elemental of ``tape.parse()`` recorded through ``Tape.record``."""
+    every elemental of ``tape.parse()`` recorded through ``Tape.record``;
+    its outputs are ``outputs``, those of ``tape`` when None."""
     fresh = Tape(tape.mode, **cfg)
     for _ in tape.inputs:
         fresh.register_input()
@@ -278,7 +281,7 @@ def replay_through_record(tape, **cfg):
     for elem in tape.parse()[1]:
         result = elem.result if elem.result < 0 else REMAINDER
         assert fresh.record(elem.preds, result=result) == elem.result
-    for vid in tape.outputs:
+    for vid in tape.outputs if outputs is None else outputs:
         fresh.register_output(vid)
     fresh.finalize()
     return fresh
@@ -479,6 +482,77 @@ def test_dag_sweep_slots_match_reference(strategy):
         seed = [0.5 + k for k in range(tape.m)]
         _, slots = propagate(tape, seed, strategy, return_slots=True)
         assert bits(slots) == bits(reference_sweep(tape, seed, strategy)[1])
+
+
+def reference_collision(tape, strategy):
+    """The message of the SlotCollisionError a sweep of ``tape`` raises, or
+    None, by the per-record rule: a map of seeded slots, each live until the
+    sweep reaches its output's result, and every result of
+    ``reference_parse``, newest first, tested against it."""
+    p_l, width = _slot_map(tape.stats(), strategy)
+
+    def slot(v):
+        return p_l + v % width if v >= 0 else -v - 1
+
+    live = {}
+    for j in tape.outputs:
+        if slot(j) in live:
+            return f"outputs {live[slot(j)]} and {j} both seed slot {slot(j)}"
+        live[slot(j)] = j
+    _, records = reference_parse(*tape.dump(), tape.n, tape.q)
+    for _, _, result in reversed(records):
+        owner = live.get(slot(result))
+        if owner == result:
+            del live[slot(result)]
+        elif owner is not None:
+            return (f"result vertex {result} clobbers live seeded output "
+                    f"{owner} in slot {slot(result)}")
+    return None
+
+
+def assert_sweep_matches_collision_rule(tape, strategy):
+    """``propagate`` refuses the tape with ``reference_collision``'s
+    message when there is one, and otherwise sweeps it bitwise like
+    ``reference_sweep``."""
+    rng = Xorshift(tape.q + tape.m)
+    seed = [2.0 * rng.uniform() - 1.0 for _ in range(tape.m)]
+    expected = reference_collision(tape, strategy)
+    try:
+        grad = propagate(tape, seed, strategy)
+    except SlotCollisionError as exc:
+        assert str(exc) == expected
+        return
+    assert expected is None
+    assert bits(grad) == bits(reference_sweep(tape, seed, strategy)[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32),
+       st.lists(st.integers(min_value=0), min_size=1, max_size=8),
+       st.sampled_from([FLAT, BANDWIDTH]))
+def test_dag_collisions_match_the_per_record_rule(seed, picks, strategy):
+    """Outputs drawn from every vertex, inputs and early results included:
+    the collisions ``propagate`` decides before its sweep are those the
+    per-record rule meets during it, with the same message."""
+    base = random_dag_tape(Xorshift(seed), max_elementals=12)
+    vertices = base.stats().num_vertices
+    outputs = list(dict.fromkeys(k % vertices for k in picks))
+    assert_sweep_matches_collision_rule(
+        replay_through_record(base, outputs), strategy)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32),
+       st.lists(st.integers(min_value=0), min_size=1, max_size=6))
+def test_lvalue_sweeps_never_collide(seed, picks):
+    """Any set of L-values, reassigned ones included, seeds dedicated slots
+    that no other result reaches."""
+    prog = RandomProgram(seed)
+    base = record_problem(prog, prog.default_point(), mode=DCG)
+    outputs = list(dict.fromkeys(-1 - k % base.p_l for k in picks))
+    tape = replay_through_record(base, outputs)
+    assert reference_collision(tape, LVALUE) is None
+    assert_sweep_matches_collision_rule(tape, LVALUE)
 
 
 DOUBLES = st.floats(allow_nan=False, allow_infinity=False)
