@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from math import isfinite
 
 from . import metrics, tapefile
 from .blockstore import BlockStoreError
@@ -199,7 +200,12 @@ def cmd_run(args) -> int:
                                   grad_check=args.grad_check,
                                   fd_step=args.fd_step)
     print(metrics.emit_report(reports, args.format))
-    return 0
+    failed = [r for r in reports if r.grad_check_max_rel_err is not None
+              and not isfinite(r.grad_check_max_rel_err)]
+    for r in failed:
+        print(f"error: {r.problem} {r.strategy}: non-finite gradient check "
+              f"error", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def cmd_verify(args) -> int:

@@ -2,17 +2,22 @@
 dedicated-L-value strategies, plus the finite-difference gradient check.
 
 The three strategies share one sweep, ``propagate(tape, seed, strategy)``,
-which reads the records of ``Tape.reverse_streams`` itself, newest first
-and in pairs, and differs between strategies only in the pair (p_L, W) of
-the slot map: L-value ``-k`` lives in slot ``k-1`` and vertex ``v >= 0`` in
-slot ``p_L + v % W``.  Its record loop, written once for a DAG tape (p_L = 0,
-slot ``v % W``) and once with the sign test for a DCG tape, is parse plus
-slot arithmetic only.
+which reads the records of ``Tape.reverse_streams`` newest first and in
+pairs, and differs between strategies only in the pair (p_L, W) of the slot
+map: L-value ``-k`` lives in slot ``k-1`` and vertex ``v >= 0`` in slot
+``p_L + v % W``.
 
 * flat: (0, |V|), one slot per vertex;
 * bandwidth: (0, max(beta, n, m)), slots reused modulo the bandwidth;
 * lvalue: (p_L, max(beta_R, 1)), dedicated L-value slots plus the
   remainder modulo the remainder bandwidth.
+
+The record loop is written once, as a template (``_RECORD_LOOP``) whose one
+hole is the slot of an id, and compiled at import into three loops.  The
+slot map, not the strategy, picks one: identity (slot ``v``) when p_L = 0
+and W >= |V|, as in every flat sweep; modulo (``v % W``) for any other
+p_L = 0; split (``p_L + v % W`` or ``~v`` by the sign of ``v``) when
+p_L > 0, as in every lvalue sweep.  Each is parse plus slot arithmetic only.
 
 Every slot is zeroed immediately after it is read (reset-after-read), which
 makes slot reuse safe unless a seeded output is overwritten before its own
@@ -22,6 +27,7 @@ so ``_check_collisions`` decides it before the sweep reads any block.
 
 from __future__ import annotations
 
+import linecache
 from itertools import islice
 from math import inf, isfinite
 from typing import Callable, Iterator, Sequence
@@ -95,6 +101,60 @@ def _require_mode(obj, mode: str, what: str) -> None:
         raise TapeError(f"{what} requires a {mode.upper()} tape, got {obj.mode.upper()}")
 
 
+#: The record loop of every sweep.  Its one hole is the slot of an id,
+#: filled in for the result as ``{result_slot}`` and for each operand ``i``
+#: as ``{i_slot}``.  Every name it reads is a fast local or a global, never
+#: a closure cell (tests/test_interpret.py).
+_RECORD_LOOP = '''\
+def {name}(records, pairs, vbar, p_l, width):
+    """Apply ``records`` and their ``pairs`` to ``vbar``: the slot of id
+    ``v`` is ``{v_slot}``."""
+    for result, count in records:
+        slot = {result_slot}
+        w = vbar[slot]
+        vbar[slot] = 0.0
+        # straight-line paths for the arities overloading records; the
+        # loop takes zero-arity overwrites and hand-recorded n-ary records
+        if count == 1:
+            i, p = next(pairs)
+            vbar[{i_slot}] += w * p
+        elif count == 2:
+            i, p = next(pairs)
+            vbar[{i_slot}] += w * p
+            i, p = next(pairs)
+            vbar[{i_slot}] += w * p
+        else:
+            for i, p in islice(pairs, count):
+                vbar[{i_slot}] += w * p
+'''
+
+
+def _compile_record_loop(name: str, slot: str):
+    """``_RECORD_LOOP`` as function ``name``, with ``slot`` (an expression
+    in ``{v}``, ``p_l`` and ``width``) as the slot of each id.  Its source
+    goes into ``linecache`` under a filename of its own, as ``dataclasses``
+    and ``namedtuple`` do for the code they generate, so tracebacks and
+    ``inspect.getsource`` show its lines."""
+    source = _RECORD_LOOP.format(name=name, v_slot=slot.format(v="v"),
+                                 result_slot=slot.format(v="result"),
+                                 i_slot=slot.format(v="i"))
+    filename = f"<adtape.interpret.{name}>"
+    linecache.cache[filename] = (len(source), None,
+                                 source.splitlines(True), filename)
+    namespace = {"__name__": __name__, "islice": islice}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace[name]
+
+
+# one loop per kind of slot map (p_L, W): p_L = 0 and W >= |V| (every flat
+# sweep, and a bandwidth sweep whose W covers the tape), any other p_L = 0,
+# and p_L > 0 (every lvalue sweep)
+_sweep_identity = _compile_record_loop("_sweep_identity", "{v}")
+_sweep_modulo = _compile_record_loop("_sweep_modulo", "{v} % width")
+_sweep_split = _compile_record_loop(
+    "_sweep_split", "p_l + {v} % width if {v} >= 0 else ~{v}")
+
+
 def propagate(tape: Tape, seed: Sequence[float], strategy: str,
               on_step: Callable[[list[float]], None] | None = None,
               return_slots: bool = False):
@@ -128,48 +188,21 @@ def propagate(tape: Tape, seed: Sequence[float], strategy: str,
     # (from s) with their partials (from d) in reverse operand order, one
     # C-level zip step per (result, count) and per (operand, partial), and
     # zip reuses its tuple.  zip(s, d) pulls s first, so pairs is stepped
-    # only when an operand is due.  No name read in the record loops may
-    # become a closure cell (tests/test_interpret.py)
+    # only when an operand is due
     records = islice(zip(s, s), tape.q)
     pairs = zip(s, d)
     if on_step is not None:
         records = _stepped(records, vbar, on_step)
-    if p_l == 0:
-        # p_L = 0 (every DAG tape): the writers and tapefile.load refuse a
-        # negative id, so the slot of v is v % W, with no sign test
-        for result, count in records:
-            slot = result % width
-            w = vbar[slot]
-            vbar[slot] = 0.0
-            # straight-line paths for the arities overloading records; the
-            # loop takes zero-arity overwrites and hand-recorded n-ary records
-            if count == 1:
-                i, p = next(pairs)
-                vbar[i % width] += w * p
-            elif count == 2:
-                i, p = next(pairs)
-                vbar[i % width] += w * p
-                i, p = next(pairs)
-                vbar[i % width] += w * p
-            else:
-                for i, p in islice(pairs, count):
-                    vbar[i % width] += w * p
+    # the slot map, not the strategy, picks the loop: with p_L = 0 there is
+    # no negative id (the writers and tapefile.load refuse one), and with
+    # W >= |V| as well every id is its own slot
+    if p_l:
+        sweep = _sweep_split
+    elif width >= stats.num_vertices:
+        sweep = _sweep_identity
     else:
-        for result, count in records:
-            slot = p_l + result % width if result >= 0 else ~result
-            w = vbar[slot]
-            vbar[slot] = 0.0
-            if count == 1:
-                i, p = next(pairs)
-                vbar[p_l + i % width if i >= 0 else ~i] += w * p
-            elif count == 2:
-                i, p = next(pairs)
-                vbar[p_l + i % width if i >= 0 else ~i] += w * p
-                i, p = next(pairs)
-                vbar[p_l + i % width if i >= 0 else ~i] += w * p
-            else:
-                for i, p in islice(pairs, count):
-                    vbar[p_l + i % width if i >= 0 else ~i] += w * p
+        sweep = _sweep_modulo
+    sweep(records, pairs, vbar, p_l, width)
     grad = []  # a loop: a comprehension would turn p_l, width, vbar into cells
     for i in tape.inputs:
         grad.append(vbar[p_l + i % width if i >= 0 else ~i])

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from math import isfinite
 
 from .blockstore import ENTRY_BYTES
 from .interpret import adjoint_slot_count
@@ -44,10 +45,14 @@ class MemoryReport:
     fd_step: float | None = None
 
     def to_dict(self) -> dict:
+        """The report as a JSON document; a non-finite ``max_rel_err``
+        (``interpret.max_rel_err`` reads ``inf`` for any non-finite
+        component) is the string ``"inf"``, since JSON has no infinity."""
         doc = asdict(self)
         err, step = doc.pop("grad_check_max_rel_err"), doc.pop("fd_step")
         if err is not None:
-            doc["grad_check"] = {"max_rel_err": err, "fd_step": step}
+            doc["grad_check"] = {"max_rel_err": err if isfinite(err) else "inf",
+                                 "fd_step": step}
         return doc
 
 
@@ -71,7 +76,7 @@ def emit_json(reports: list[MemoryReport]) -> str:
     if not reports:
         raise ValueError("no reports to emit")
     doc = {"version": REPORT_VERSION, "reports": [r.to_dict() for r in reports]}
-    return json.dumps(doc, indent=2)
+    return json.dumps(doc, indent=2, allow_nan=False)
 
 
 _COLUMNS = [

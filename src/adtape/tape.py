@@ -14,9 +14,11 @@ itself through them, with no object per record;
 ``Tape.reverse_elementals`` turns each record into ``(result, preds)`` for
 ``Tape.parse``, ``Tape.visit_sequence`` and the DOT rendering.  The sweep
 puts the adjoint of L-value ``-k`` in slot ``k-1`` and of vertex
-``v >= 0`` in slot ``p_L + v % W``, with (p_L, W) fixed per strategy; on a
-DAG tape (p_L = 0, no negative id) it maps vertex ``v`` to slot ``v % W``
-with no sign test, and only its DCG loop keeps one.
+``v >= 0`` in slot ``p_L + v % W``, with (p_L, W) fixed per strategy.  Its
+one record loop is a template compiled for three slot maps: identity
+(slot ``v``) when p_L = 0 and W >= |V|, as in every flat sweep; ``v % W``
+for any other p_L = 0, which a DAG tape has, having no negative id; and
+the sign test between ``p_L + v % W`` and slot ``k-1`` when p_L > 0.
 
 Both recording modes number vertices the same way.  L-values, named
 program variables, get dedicated negative ids ``-1 .. -p_L`` that persist
@@ -26,8 +28,9 @@ declared variables as L-values.  A ``DAG`` tape is the case ``p_L = 0``:
 pure single-assignment recording, where the inputs are the first vertices
 and assignments rebind.  So one set of checks serves both: an operand is
 known when ``-p_L <= v < R`` for the next remainder id ``R``, only a
-remainder operand widens the bandwidth, and a result is fresh or an
-existing L-value.
+remainder operand widens the bandwidth, by ``R - v`` whether the result is
+fresh (then ``R`` is its id) or an existing L-value, and a result is fresh
+or an existing L-value.
 """
 
 from __future__ import annotations
@@ -98,7 +101,11 @@ class Tape:
     stream's open block with one ``array.fromlist`` (which writes all of a
     list or none of it), and only then commits that counter and the one
     width (``stats().beta`` on a DAG tape, ``beta_r`` on a DCG tape), so a
-    rejected record leaves the tape as it was.  The three write the same
+    rejected record leaves the tape as it was.  The width counts every
+    record, an L-value overwrite too: a remainder operand ``v`` stays live
+    until the next remainder id ``R``, so the record widens it to ``R - v``.
+    The sweep reads the tape through ``reverse_streams`` with one record
+    loop, compiled per slot map (``interpret``).  The three write the same
     bytes and counters for the same record and, past ``record``'s own checks
     of its pairs and result kind, raise the same errors.  A writer enters a
     store (``BlockStore.push_full``) only when that store's open block
@@ -233,9 +240,9 @@ class Tape:
         d_open.fromlist(parts)  # isfinite has converted every partial already
 
         # the record is written: commit the counters
+        self._width = beta
         if result is None:
             self._next_id = rid + 1
-            self._width = beta
         self.q += 1
         if len(s_open) >= self._s_full:
             self._s.push_full(n + 2)
@@ -274,9 +281,9 @@ class Tape:
         d_open.fromlist([da])
 
         # the record is written: commit the counters
+        self._width = beta
         if result is None:
             self._next_id = rid + 1
-            self._width = beta
         self.q += 1
         if len(s_open) >= self._s_full:
             self._s.push_full(3)

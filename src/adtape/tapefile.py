@@ -209,7 +209,12 @@ def _derive_stats(path: str, mode: str, n: int, q: int, s: BlockStore,
     ``n``; on a DCG tape ``first`` is 0.  ``load`` has already checked that
     the partials are finite.
 
-    As in ``interpret.propagate``, records are read in pairs from ``body``,
+    The width is measured as the writers measure it, from each record's
+    remainder position: its result, or for an L-value result the next
+    remainder id, which is ``oldest`` or, after the last remainder record,
+    ``youngest + 1``.
+
+    As in the sweep's record loop, records are read in pairs from ``body``,
     an ``islice`` that stops where the input ids begin: each record's
     ``(result, count)`` is one ``next()`` of ``zip(body, body)``, and so
     are the two operands of an arity-2 record.  Arity-1 and arity-2
@@ -229,7 +234,9 @@ def _derive_stats(path: str, mode: str, n: int, q: int, s: BlockStore,
         first, low = 0, -n
     width = 0
     youngest = None  # the last remainder result
-    trailing = -1    # the highest remainder id read after youngest
+    # the highest and the lowest remainder id read after youngest, by the
+    # L-value records that follow the last remainder record
+    trailing, trailing_low = -1, len(s)
     # the oldest remainder result read so far; 0 until youngest is read,
     # which sends every remainder operand to the branch that notes trailing
     oldest = 0
@@ -264,8 +271,9 @@ def _derive_stats(path: str, mode: str, n: int, q: int, s: BlockStore,
             elif result < low:
                 low = result
             # remainder ids below oldest precede the record, whatever its
-            # result; for a remainder record oldest is its result, and for
-            # an L-value result result - v is never a width
+            # result, and oldest is its remainder position: its result, or
+            # for an L-value result the next remainder id, from which the
+            # writers measure the width of every record
             if lo is None:
                 for v in ops:
                     if v < 0:
@@ -276,23 +284,29 @@ def _derive_stats(path: str, mode: str, n: int, q: int, s: BlockStore,
                             raise _unrecorded(path, v)
                         if v > trailing:
                             trailing = v
-                    elif result - v > width:
-                        width = result - v
+                        if v < trailing_low:
+                            trailing_low = v
+                    elif oldest - v > width:
+                        width = oldest - v
             elif hi >= oldest:
                 if youngest is not None:
                     raise _unrecorded(path, a if a >= oldest else b)
                 if hi > trailing:
                     trailing = hi
-                if lo < low:
-                    low = lo
+                if lo < 0:
+                    if lo < low:
+                        low = lo
+                    lo = hi
+                if lo < trailing_low:
+                    trailing_low = lo
             elif lo >= 0:
-                if result - lo > width:
-                    width = result - lo
+                if oldest - lo > width:
+                    width = oldest - lo
             else:
                 if lo < low:
                     low = lo
-                if hi >= 0 and result - hi > width:
-                    width = result - hi
+                if hi >= 0 and oldest - hi > width:
+                    width = oldest - hi
     except StopIteration:  # the records ran into the input ids
         raise _bad(path, "malformed structure stream") from None
     s_left = len(s) - 2 * q - (len(d) - d_left)
@@ -309,6 +323,10 @@ def _derive_stats(path: str, mode: str, n: int, q: int, s: BlockStore,
         youngest = first - 1
     elif oldest != first:
         raise _bad(path, f"remainder ids start at {oldest}, not {first}")
+    # the records after the last remainder record sit at remainder
+    # position youngest + 1
+    if trailing >= 0 and youngest + 1 - trailing_low > width:
+        width = youngest + 1 - trailing_low
     if -low > p_l:
         raise _bad(path, f"L-value {low} lies beyond p_L {p_l}")
     # declared L-values that no record touches cost adjoint slots and no

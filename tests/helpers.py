@@ -13,7 +13,7 @@ import subprocess
 import sys
 
 import adtape
-from adtape import DAG, DCG, Recorder, Tape
+from adtape import DAG, DCG, Recorder, Tape, interpret
 from adtape import scalar as ops
 from adtape.problems import (BlackScholesFD, BlackScholesMC, Burgers,
                              IntroExample, LiborMC)
@@ -27,6 +27,10 @@ SMALL_PROBLEMS = {
     "burgers": lambda: Burgers(nx=6, nt=8),
     "libor_mc": lambda: LiborMC(rates=5, maturity=2, paths=3),
 }
+
+#: the sweep's record loop, compiled once per kind of slot map
+RECORD_LOOPS = {name: getattr(interpret, f"_sweep_{name}")
+                for name in ("identity", "modulo", "split")}
 
 #: tape store configurations: in memory, spilling all but one block, and
 #: blocks so small that one record's entries can fill more than one
@@ -64,17 +68,23 @@ def reference_parse(s, d, n, q):
 
 
 def reference_bandwidth(s, d, n, q, remainder_only=False):
-    """Max edge length over the dumped tape, recomputed from scratch."""
+    """Max edge length over the dumped tape, recomputed from scratch.
+
+    With ``remainder_only`` (beta_R of a DCG tape) only remainder operands
+    count, and each edge is measured from the record's remainder position:
+    its result, or for an L-value result the next remainder id."""
     _, records = reference_parse(s, d, n, q)
     best = 0
+    next_id = 0  # of a DCG tape, whose remainder ids start at 0
     for preds, _, result in records:
+        at = result if result >= 0 else next_id
+        if result >= 0:
+            next_id = result + 1
         for p in preds:
-            if remainder_only and (p < 0 or result < 0):
-                continue
             if not remainder_only:
                 best = max(best, result - p)
-            elif result - p > best:
-                best = result - p
+            elif p >= 0 and at - p > best:
+                best = at - p
     return best
 
 
@@ -90,6 +100,47 @@ def random_dag_tape(rng: Xorshift, max_elementals=30, max_arity=3, **cfg):
                  for _ in range(arity)]
         ids.append(tape.record(preds))
     tape.register_output(ids[-1])
+    tape.finalize()
+    return tape
+
+
+def random_dcg_tape(rng: Xorshift, max_elementals=30, max_arity=3, **cfg):
+    """A random but well-formed DCG tape: records of arity 0 to
+    ``max_arity`` through ``Tape.record``, about a third of them
+    overwriting an L-value, with operands drawn from every vertex so far."""
+    tape = Tape(DCG, **cfg)
+    lvalues = [tape.register_input() for _ in range(1 + rng.next_u64() % 3)]
+    lvalues += [tape.declare_lvalue() for _ in range(1 + rng.next_u64() % 3)]
+    ids = list(lvalues)
+    for _ in range(1 + rng.next_u64() % max_elementals):
+        preds = [(ids[rng.next_u64() % len(ids)], 2.0 * rng.uniform() - 1.0)
+                 for _ in range(rng.next_u64() % (max_arity + 1))]
+        if rng.next_u64() % 3 == 0:
+            tape.record(preds, result=lvalues[rng.next_u64() % len(lvalues)])
+        else:
+            ids.append(tape.record(preds))
+    first = rng.next_u64() % len(lvalues)
+    for k in range(1 + rng.next_u64() % 2):
+        tape.register_output(lvalues[(first + k) % len(lvalues)])
+    tape.finalize()
+    return tape
+
+
+def copy_tape(mode, trailing, **cfg):
+    """``t = 2x; u = 3x; y = t`` and then, unless ``trailing``, ``y = y*u``:
+    dy/dx is 2 or 12 at x = 1.  On a DCG tape the copy ``y = t`` is an edge
+    from remainder vertex 0 into an L-value, two remainder ids before the
+    next one, so beta_R is 2; with ``trailing`` it follows the last
+    remainder record."""
+    tape = Tape(mode, **cfg)
+    ctx = Recorder(tape)
+    x = ctx.input(1.0)
+    y = ctx.lvalue()
+    t, u = x * 2.0, x * 3.0
+    y = ctx.assign(y, t)
+    if not trailing:
+        y = ctx.assign(y, y * u)
+    ctx.output(y)
     tape.finalize()
     return tape
 
@@ -128,28 +179,60 @@ class RandomProgram:
             return vals[k] if k < len(vals) else cells[k - len(vals)]
 
         for op, a, b, target in self.plan:
-            u = operand(a)
-            v = operand(b)
-            if op == 0:
-                w = u + v
-            elif op == 1:
-                w = u - v
-            elif op == 2:
-                w = u * v
-            elif op == 3:
-                w = u / (2.0 + v * v)
-            elif op == 4:
-                w = ops.sin(u) + 0.5 * v
-            else:
-                w = ops.exp(u * 0.25) - v
+            w = combine(op, operand(a), operand(b))
             t = target % len(cells)
             cells[t] = ctx.assign(cells[t], w)
-        total = vals[0] - vals[0]  # keeps the output active in every seed
-        for c in cells:
-            total = total + c
-        result = ctx.lvalue()
-        result = ctx.assign(result, total)
-        ctx.output(result)
+        output_sum(ctx, vals, cells)
+
+
+class OlderTemporaryProgram(RandomProgram):
+    """A RandomProgram whose steps either build a temporary from any
+    earlier value or copy an earlier temporary, up to all the program's
+    records old, into an L-value.  On a DCG tape such a copy is an edge
+    from an old remainder vertex into an L-value result."""
+
+    def __init__(self, seed: int):
+        super().__init__(seed, n_steps=8 + seed % 24)
+
+    def run(self, ctx: Recorder, x):
+        vals = [ctx.input(v) for v in x]
+        cells = [ctx.lvalue(0.1 * (i + 1)) for i in range(self.n_lvalues)]
+        temps = []
+        for op, a, b, target in self.plan:
+            if temps and target % 3 == 0:
+                t = target // 3 % len(cells)
+                cells[t] = ctx.assign(cells[t], temps[a % len(temps)])
+            else:
+                pool = vals + cells + temps
+                temps.append(combine(op, pool[a % len(pool)],
+                                     pool[b % len(pool)]))
+        output_sum(ctx, vals, cells)
+
+
+def combine(op: int, u, v):
+    """One of six binary expressions, by ``op`` from 0 to 5."""
+    if op == 0:
+        return u + v
+    if op == 1:
+        return u - v
+    if op == 2:
+        return u * v
+    if op == 3:
+        return u / (2.0 + v * v)
+    if op == 4:
+        return ops.sin(u) + 0.5 * v
+    return ops.exp(u * 0.25) - v
+
+
+def output_sum(ctx: Recorder, vals, cells) -> None:
+    """Assign the sum of ``cells`` to a fresh L-value and make it the one
+    output; ``vals[0] - vals[0]`` keeps it active whatever the cells hold."""
+    total = vals[0] - vals[0]
+    for c in cells:
+        total = total + c
+    result = ctx.lvalue()
+    result = ctx.assign(result, total)
+    ctx.output(result)
 
 
 def zero_arity_tape(mode, **cfg):

@@ -279,6 +279,39 @@ def test_run_nan_gradient_agrees_with_no_strategy(capsys, monkeypatch,
     assert "nan" in err
 
 
+def strict_json(text):
+    """``json.loads`` that refuses the tokens Infinity, -Infinity and NaN,
+    which Python writes and accepts but JSON does not define."""
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_run_non_finite_gradient_check_is_strict_json_and_fails(
+        capsys, monkeypatch, value):
+    real = cli.propagate
+
+    def non_finite(tape, seed, strategy):
+        return [value] * len(real(tape, seed, strategy))
+
+    monkeypatch.setattr(cli, "propagate", non_finite)
+    code, out, err = run_cli(capsys, "run", "--problem", "intro", "--strategy",
+                             "flat", "--grad-check", "--format", "json")
+    (rep,) = strict_json(out)["reports"]
+    assert rep["grad_check"]["max_rel_err"] == "inf"
+    assert code == 1
+    assert "intro flat: non-finite gradient check error" in err
+
+
+def test_run_finite_gradient_check_is_strict_json(capsys):
+    code, out, _ = run_cli(capsys, "run", "--problem", "intro",
+                           "--format", "json", "--grad-check")
+    assert code == 0
+    for rep in strict_json(out)["reports"]:
+        assert rep["grad_check"]["max_rel_err"] < 1e-9
+
+
 def test_run_with_spill_budget(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "run", "--problem", "intro",
                            "--block-entries", "8", "--budget-blocks", "1",

@@ -1,8 +1,10 @@
 import gc
+import inspect
 import math
 import os
 import re
 import threading
+import traceback
 from array import array
 
 import pytest
@@ -27,6 +29,7 @@ from adtape import (
     propagate_lvalue,
     record_problem,
 )
+from adtape import interpret
 from adtape import scalar as ops
 from adtape.blockstore import BlockStoreError
 from adtape.interpret import STRATEGY_MODE, max_rel_err
@@ -34,7 +37,8 @@ from adtape.problems import (BlackScholesFD, Burgers, IntroExample,
                              record_evolution)
 from adtape.tapefile import _derive_stats
 
-from helpers import STORES, RandomProgram, run_child, zero_arity_tape
+from helpers import (RECORD_LOOPS, STORES, RandomProgram, run_child,
+                     zero_arity_tape)
 
 INTRO_GRAD = 0.4823553972640679
 
@@ -433,8 +437,8 @@ def test_reverse_passes_leave_exactly_the_inputs(tmp_path, monkeypatch, name,
         assert list(d) == []
 
 
-@pytest.mark.parametrize("parse", [propagate, Tape.reverse_elementals,
-                                   _derive_stats],
+@pytest.mark.parametrize("parse", [propagate, *RECORD_LOOPS.values(),
+                                   Tape.reverse_elementals, _derive_stats],
                          ids=lambda fn: fn.__qualname__)
 def test_reverse_parses_hold_no_closure_cells(parse):
     # A local that a nested function reads, or (before Python 3.12, which
@@ -442,7 +446,60 @@ def test_reverse_parses_hold_no_closure_cells(parse):
     # of it in the record loop then goes through the cell.  On CPython 3.11
     # the three cells a trailing comprehension gave propagate cost 1.5-3%
     # of a Burgers(16, 200) sweep (min of 80 alternating in-process runs).
+    # propagate holds no record loop; it calls one of the compiled loops
     assert parse.__code__.co_cellvars == ()
+    assert parse.__code__.co_freevars == ()
+
+
+def all_outputs_tape():
+    """x and y = 2x, both outputs: W = max(beta, n, m) = 2 = |V|."""
+    tape = Tape(DAG)
+    x = tape.register_input()
+    y = tape.record_unary(x, 2.0)
+    tape.register_output(x)
+    tape.register_output(y)
+    tape.finalize()
+    return tape
+
+
+@pytest.mark.parametrize("mode, strategy, loop", [
+    (DAG, FLAT, "identity"), (DAG, BANDWIDTH, "modulo"),
+    (DCG, LVALUE, "split"), ("all outputs", BANDWIDTH, "identity")])
+def test_sweep_loop_follows_the_slot_map(monkeypatch, mode, strategy, loop):
+    """p_L > 0 takes the split loop; p_L = 0 takes the identity loop when
+    W >= |V|, whatever the strategy, and the modulo loop otherwise."""
+    called = []
+    for name, fn in RECORD_LOOPS.items():
+        def spy(*args, name=name, fn=fn):
+            called.append(name)
+            return fn(*args)
+        monkeypatch.setattr(interpret, f"_sweep_{name}", spy)
+    if mode == "all outputs":
+        tape = all_outputs_tape()
+        assert propagate(tape, [1.0, 1.0], strategy) == [3.0]
+    else:
+        problem = Burgers(nx=6, nt=8)
+        tape = record_problem(problem, problem.default_point(), mode=mode)
+        propagate(tape, [1.0] * tape.m, strategy)
+    assert called == [loop]
+
+
+def test_record_loops_show_their_source():
+    """The compiled loops' lines reach ``inspect`` and tracebacks."""
+    assert ("vbar[p_l + i % width if i >= 0 else ~i] += w * p"
+            in inspect.getsource(interpret._sweep_split))
+    assert "vbar[i % width] += w * p" in inspect.getsource(interpret._sweep_modulo)
+    assert "vbar[i] += w * p" in inspect.getsource(interpret._sweep_identity)
+    tape = record_problem(IntroExample(), [1.0], mode=DCG)
+
+    def stop(_):
+        raise KeyError("stop")
+
+    with pytest.raises(KeyError) as info:
+        propagate(tape, [1.0], LVALUE, on_step=stop)
+    frames = {f.filename: f.line for f in traceback.extract_tb(info.tb)}
+    assert frames["<adtape.interpret._sweep_split>"] == \
+        "for result, count in records:"
 
 
 SWEEP_RSS_CHILD = """

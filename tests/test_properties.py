@@ -35,8 +35,9 @@ from adtape.interpret import STRATEGY_MODE, _slot_map, adjoint_slot_count
 from adtape.rng import Xorshift
 from adtape.tapefile import load, save
 
-from helpers import (SMALL_PROBLEMS, STORES, RandomProgram, bits,
-                     random_dag_tape, reference_parse, zero_arity_tape)
+from helpers import (SMALL_PROBLEMS, STORES, OlderTemporaryProgram,
+                     RandomProgram, bits, random_dag_tape, random_dcg_tape,
+                     reference_bandwidth, reference_parse, zero_arity_tape)
 
 RTOL = 1e-12
 
@@ -80,6 +81,57 @@ def test_random_programs_primal_is_mode_independent(seed):
     x = prog.default_point()
     base = run_passive(prog, x)
     assert run_passive(prog, x) == base  # deterministic replays
+
+
+def unbounded_sweep(tape, seed):
+    """The gradient of a sweep with one adjoint per vertex id, L-values
+    included, kept in a dict: no slot is ever shared."""
+    inputs, records = reference_parse(*tape.dump(), tape.n, tape.q)
+    adjoints = dict(zip(tape.outputs, seed))
+    for preds, partials, result in reversed(records):
+        w = adjoints.pop(result, 0.0)
+        for v, d in zip(reversed(preds), reversed(partials)):
+            adjoints[v] = adjoints.get(v, 0.0) + w * d
+    return [adjoints.get(i, 0.0) for i in inputs]
+
+
+def assert_lvalue_width_holds(tape, tmp):
+    """beta_R of DCG ``tape`` is the reference width, the lvalue sweep
+    equals the unbounded one bitwise, and a loaded copy derives the same
+    statistics."""
+    stats = tape.stats()
+    assert stats.beta_r == reference_bandwidth(
+        *tape.dump(), stats.num_inputs, stats.num_elementals,
+        remainder_only=True)
+    seed = [1.0 + 0.5 * k for k in range(tape.m)]
+    assert bits(propagate_lvalue(tape, seed)) == bits(unbounded_sweep(tape, seed))
+    path = os.path.join(tmp, "t.adtp")
+    save(tape, path)
+    assert load(path).stats() == stats
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32))
+@example(seed=3)
+def test_lvalue_sweeps_programs_that_copy_older_temporaries(seed):
+    """Copies of temporaries recorded many records earlier into L-values
+    widen beta_R, so the lvalue sweep still agrees with flat."""
+    prog = OlderTemporaryProgram(seed)
+    x = prog.default_point()
+    dcg = record_problem(prog, x, mode=DCG)
+    assert close(propagate_lvalue(dcg, [1.0]),
+                 propagate_flat(record_problem(prog, x, mode=DAG), [1.0]))
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_lvalue_width_holds(dcg, tmp)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32))
+def test_lvalue_sweeps_random_dcg_tapes(seed):
+    """Zero-arity and n-ary records through ``Tape.record``, a third of
+    them overwriting an L-value with operands of any age."""
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_lvalue_width_holds(random_dcg_tape(Xorshift(seed)), tmp)
 
 
 def spill_to(store, where):

@@ -3,15 +3,15 @@ from array import array
 
 import pytest
 
-from adtape import (DAG, DCG, REMAINDER, STRATEGIES, Tape, TapeError,
-                    propagate, record_problem)
+from adtape import (DAG, DCG, FLAT, LVALUE, REMAINDER, STRATEGIES, Tape,
+                    TapeError, propagate, record_problem)
 from adtape.blockstore import BlockStore, BlockStoreError
 from adtape.dot import to_dot
 from adtape.interpret import STRATEGY_MODE
 from adtape.problems import IntroExample, LiborMC
 from adtape.tapefile import load, save
 
-from helpers import (SMALL_PROBLEMS, STORES, reference_bandwidth,
+from helpers import (SMALL_PROBLEMS, STORES, copy_tape, reference_bandwidth,
                      reference_parse, zero_arity_tape)
 
 SIN1 = math.sin(1.0)
@@ -510,6 +510,20 @@ def test_beta_matches_independent_pass(intro_dag, intro_dcg):
     assert st.beta_r == reference_bandwidth(*intro_dcg.dump(), st.num_inputs,
                                             st.num_elementals,
                                             remainder_only=True)
+
+
+@pytest.mark.parametrize("trailing", [False, True],
+                         ids=["mid-tape", "after-the-last-remainder"])
+def test_copy_into_an_lvalue_widens_beta_r(trailing):
+    """A copy of temporary t into L-value y keeps t live until the next
+    remainder id, so u, recorded after t, must not share its slot."""
+    tape = copy_tape(DCG, trailing)
+    st = tape.stats()
+    assert st.beta_r == 2 == reference_bandwidth(
+        *tape.dump(), st.num_inputs, st.num_elementals, remainder_only=True)
+    expected = [2.0] if trailing else [12.0]
+    assert propagate(copy_tape(DAG, trailing), [1.0], FLAT) == expected
+    assert propagate(tape, [1.0], LVALUE) == expected
 
 
 def test_dag_results_dominate_preds(intro_dag):

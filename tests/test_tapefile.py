@@ -15,8 +15,8 @@ from adtape.rng import Xorshift
 from adtape.tapefile import MAGIC, save, load
 from adtape.problems import IntroExample
 
-from helpers import (bits, random_dag_tape, reference_parse, run_child,
-                     zero_arity_tape)
+from helpers import (bits, copy_tape, random_dag_tape, reference_parse,
+                     run_child, zero_arity_tape)
 
 def round_trip(tape, path):
     save(tape, str(path))
@@ -38,6 +38,19 @@ def test_intro_dcg_round_trip(tmp_path):
     assert back.dump() == tape.dump()
     assert back.stats() == tape.stats()  # beta_r and p_l re-derived
     assert propagate_lvalue(back, [1.0]) == propagate_lvalue(tape, [1.0])
+
+
+@pytest.mark.parametrize("trailing", [False, True],
+                         ids=["mid-tape", "after-the-last-remainder"])
+def test_load_derives_the_width_of_copies_into_lvalues(tmp_path, trailing):
+    """The load check measures an edge into an L-value result from the
+    record's remainder position, as the writers do; after the last
+    remainder record that is the remainder count."""
+    tape = copy_tape(DCG, trailing)
+    back = round_trip(tape, tmp_path / "t.adtp")
+    assert back.stats() == tape.stats()
+    assert back.stats().beta_r == 2
+    assert propagate_lvalue(back, [1.0]) == ([2.0] if trailing else [12.0])
 
 
 def test_random_tapes_round_trip(tmp_path):
