@@ -14,22 +14,26 @@ in operand order, and its result is a fresh remainder vertex.  Only
 with no active operand records nothing and returns the plain value.
 
 An operation reaches the tape in one Python frame: the operator or math
-function itself tests its operands' activity, calls ``Tape.record_unary``
-(one active operand) or ``Tape.record_binary`` (two) directly, and builds
-its result with ``object.__new__`` and four slot stores, not through
-``ActiveScalar.__init__``.  Only the rare mixes of two ``ActiveScalar``
-operands, one of them passive or the two on different tapes, go through the
-helper ``_mixed_binary``.  ``Tape.record``, the general loop, serves only the
-zero-arity overwrite of a passive assignment.  Operands of two different
-tapes, in an operation, an assignment or an output, raise ``TapeError``.
+function itself tests its operands' activity, calls the overloading writer
+``Tape._record_unary`` (one active operand) or ``Tape._record_binary``
+(two) directly, and builds its result with ``object.__new__`` and four
+slot stores, not through ``ActiveScalar.__init__``.  Only the rare mixes of
+two ``ActiveScalar`` operands, one of them passive or the two on different
+tapes, go through the helper ``_mixed_binary``.  ``Tape.record``, the
+checked public writer, serves only the zero-arity overwrite of a passive
+assignment.  Operands of two different tapes, in an operation, an
+assignment or an output, raise ``TapeError``.  The writers test no operand
+id: ``ActiveScalar`` is where an outside id is checked.
 
-Comparison operators act on primal values and return plain booleans, so
-control flow is frozen per recording.
+Comparisons, ``==`` and truth act on primal values and return plain
+booleans, so control flow is frozen per recording as in the passive run.
 """
 
 from __future__ import annotations
 
 import math
+from numbers import Number
+from operator import attrgetter
 from typing import Sequence
 
 from .tape import DAG, DCG, Tape, TapeError
@@ -40,53 +44,62 @@ _new = object.__new__
 
 
 class ActiveScalar:
-    """A numeric value carrying a tape handle and a vertex identity."""
+    """A numeric value carrying a tape handle and a vertex identity; the
+    constructor checks the vertex against the tape, and both are read-only."""
 
-    __slots__ = ("tape", "value", "vertex", "active")
+    __slots__ = ("_tape", "value", "_vertex", "active")
 
     def __init__(self, tape: Tape, value: float, vertex: int,
                  active: bool = True):
-        self.tape = tape
+        if not isinstance(tape, Tape):
+            raise TapeError(f"{tape!r} is not a Tape")
+        if not isinstance(vertex, int):
+            raise TapeError(f"vertex {vertex!r} is not an integer")
+        tape._check_known(vertex)
+        self._tape = tape
         self.value = value
-        self.vertex = vertex
+        self._vertex = vertex
         self.active = active
+
+    tape = property(attrgetter("_tape"))
+    vertex = property(attrgetter("_vertex"))
 
     @property
     def is_lvalue(self) -> bool:
         """Whether the vertex is an L-value: a DCG input or declared
         variable, the only vertices with a negative id."""
-        return self.vertex < 0
+        return self._vertex < 0
 
     def __repr__(self):
         kind = "lvalue" if self.is_lvalue else "temp"
-        return f"ActiveScalar({self.value!r}, vertex={self.vertex}, {kind})"
+        return f"ActiveScalar({self.value!r}, vertex={self._vertex}, {kind})"
 
     # -- arithmetic ---------------------------------------------------------
     #
     # Each operator computes its value and partials, records in its own
-    # frame (an active operand and a plain number through record_unary, two
-    # active operands of one tape through record_binary) and builds its
+    # frame (an active operand and a plain number through _record_unary, two
+    # active operands of one tape through _record_binary) and builds its
     # result with _new.  The reflected operators are only called with a
     # plain number as ``other`` (Python tries the left operand's own
     # operator first), so they hand the rare ActiveScalar ``other`` to
     # _mixed_binary.
 
     def __add__(self, other):
-        tape = self.tape
+        tape = self._tape
         if isinstance(other, ActiveScalar):
             v = self.value + other.value
-            if not (self.active and other.active and other.tape is tape):
+            if not (self.active and other.active and other._tape is tape):
                 return _mixed_binary(self, other, v, 1.0, 1.0)
-            vid = tape.record_binary(self.vertex, 1.0, other.vertex, 1.0)
+            vid = tape._record_binary(self._vertex, 1.0, other._vertex, 1.0)
         else:
             v = self.value + float(other)
             if not self.active:
                 return v
-            vid = tape.record_unary(self.vertex, 1.0)
+            vid = tape._record_unary(self._vertex, 1.0)
         r = _new(ActiveScalar)
-        r.tape = tape
+        r._tape = tape
         r.value = v
-        r.vertex = vid
+        r._vertex = vid
         r.active = True
         return r
 
@@ -96,30 +109,30 @@ class ActiveScalar:
         v = float(other) + self.value
         if not self.active:
             return v
-        tape = self.tape
+        tape = self._tape
         r = _new(ActiveScalar)
-        r.tape = tape
+        r._tape = tape
         r.value = v
-        r.vertex = tape.record_unary(self.vertex, 1.0)
+        r._vertex = tape._record_unary(self._vertex, 1.0)
         r.active = True
         return r
 
     def __sub__(self, other):
-        tape = self.tape
+        tape = self._tape
         if isinstance(other, ActiveScalar):
             v = self.value - other.value
-            if not (self.active and other.active and other.tape is tape):
+            if not (self.active and other.active and other._tape is tape):
                 return _mixed_binary(self, other, v, 1.0, -1.0)
-            vid = tape.record_binary(self.vertex, 1.0, other.vertex, -1.0)
+            vid = tape._record_binary(self._vertex, 1.0, other._vertex, -1.0)
         else:
             v = self.value - float(other)
             if not self.active:
                 return v
-            vid = tape.record_unary(self.vertex, 1.0)
+            vid = tape._record_unary(self._vertex, 1.0)
         r = _new(ActiveScalar)
-        r.tape = tape
+        r._tape = tape
         r.value = v
-        r.vertex = vid
+        r._vertex = vid
         r.active = True
         return r
 
@@ -129,31 +142,31 @@ class ActiveScalar:
         v = float(other) - self.value
         if not self.active:
             return v
-        tape = self.tape
+        tape = self._tape
         r = _new(ActiveScalar)
-        r.tape = tape
+        r._tape = tape
         r.value = v
-        r.vertex = tape.record_unary(self.vertex, -1.0)
+        r._vertex = tape._record_unary(self._vertex, -1.0)
         r.active = True
         return r
 
     def __mul__(self, other):
         a = self.value
-        tape = self.tape
+        tape = self._tape
         if isinstance(other, ActiveScalar):
             b = other.value
-            if not (self.active and other.active and other.tape is tape):
+            if not (self.active and other.active and other._tape is tape):
                 return _mixed_binary(self, other, a * b, b, a)
-            vid = tape.record_binary(self.vertex, b, other.vertex, a)
+            vid = tape._record_binary(self._vertex, b, other._vertex, a)
         else:
             b = float(other)
             if not self.active:
                 return a * b
-            vid = tape.record_unary(self.vertex, b)
+            vid = tape._record_unary(self._vertex, b)
         r = _new(ActiveScalar)
-        r.tape = tape
+        r._tape = tape
         r.value = a * b
-        r.vertex = vid
+        r._vertex = vid
         r.active = True
         return r
 
@@ -165,37 +178,37 @@ class ActiveScalar:
         a = float(other)
         if not self.active:
             return a * b
-        tape = self.tape
+        tape = self._tape
         r = _new(ActiveScalar)
-        r.tape = tape
+        r._tape = tape
         r.value = a * b
-        r.vertex = tape.record_unary(self.vertex, a)
+        r._vertex = tape._record_unary(self._vertex, a)
         r.active = True
         return r
 
     # the divisor's partial is -v / b from the quotient v: -a / (b * b)
     # divides by zero once b * b underflows, though v is finite
     def __truediv__(self, other):
-        tape = self.tape
+        tape = self._tape
         if isinstance(other, ActiveScalar):
             b = other.value
             v = self.value / b
             da = 1.0 / b
             db = -v / b
-            if not (self.active and other.active and other.tape is tape):
+            if not (self.active and other.active and other._tape is tape):
                 return _mixed_binary(self, other, v, da, db)
-            vid = tape.record_binary(self.vertex, da, other.vertex, db)
+            vid = tape._record_binary(self._vertex, da, other._vertex, db)
         else:
             b = float(other)
             v = self.value / b
             da = 1.0 / b
             if not self.active:
                 return v
-            vid = tape.record_unary(self.vertex, da)
+            vid = tape._record_unary(self._vertex, da)
         r = _new(ActiveScalar)
-        r.tape = tape
+        r._tape = tape
         r.value = v
-        r.vertex = vid
+        r._vertex = vid
         r.active = True
         return r
 
@@ -208,11 +221,11 @@ class ActiveScalar:
         db = -v / b
         if not self.active:
             return v
-        tape = self.tape
+        tape = self._tape
         r = _new(ActiveScalar)
-        r.tape = tape
+        r._tape = tape
         r.value = v
-        r.vertex = tape.record_unary(self.vertex, db)
+        r._vertex = tape._record_unary(self._vertex, db)
         r.active = True
         return r
 
@@ -220,18 +233,29 @@ class ActiveScalar:
         v = -self.value
         if not self.active:
             return v
-        tape = self.tape
+        tape = self._tape
         r = _new(ActiveScalar)
-        r.tape = tape
+        r._tape = tape
         r.value = v
-        r.vertex = tape.record_unary(self.vertex, -1.0)
+        r._vertex = tape._record_unary(self._vertex, -1.0)
         r.active = True
         return r
 
     def __pos__(self):
         return self
 
-    # -- comparisons on primal values ---------------------------------------
+    # -- comparisons and truth on primal values -----------------------------
+    # (unhashable, as assign changes an L-value's value; object.__ne__
+    # inverts __eq__)
+
+    __hash__ = None
+
+    def __bool__(self):
+        return bool(self.value)
+
+    def __eq__(self, other):
+        other = other.value if isinstance(other, ActiveScalar) else other
+        return self.value == other if isinstance(other, Number) else NotImplemented
 
     def __lt__(self, other):
         return self.value < value_of(other)
@@ -263,14 +287,14 @@ def _mixed_binary(a, b, v, da, db) -> "ActiveScalar | float":
     yet assigned) or which belong to different tapes, and a reflected
     operator called directly with an ``ActiveScalar``."""
     if isinstance(a, ActiveScalar) and a.active:
-        tape = a.tape
+        tape = a._tape
         if isinstance(b, ActiveScalar) and b.active:
-            if b.tape is not tape:
+            if b._tape is not tape:
                 raise TapeError("operands belong to different tapes")
-            return ActiveScalar(tape, v, tape.record_binary(a.vertex, da, b.vertex, db))
-        return ActiveScalar(tape, v, tape.record_unary(a.vertex, da))
+            return ActiveScalar(tape, v, tape._record_binary(a._vertex, da, b._vertex, db))
+        return ActiveScalar(tape, v, tape._record_unary(a._vertex, da))
     if isinstance(b, ActiveScalar) and b.active:
-        return ActiveScalar(b.tape, v, b.tape.record_unary(b.vertex, db))
+        return ActiveScalar(b._tape, v, b._tape._record_unary(b._vertex, db))
     return v
 
 
@@ -286,11 +310,11 @@ def sin(x):
     d = math.cos(v)
     if not (scalar and x.active):
         return y
-    tape = x.tape
+    tape = x._tape
     r = _new(ActiveScalar)
-    r.tape = tape
+    r._tape = tape
     r.value = y
-    r.vertex = tape.record_unary(x.vertex, d)
+    r._vertex = tape._record_unary(x._vertex, d)
     r.active = True
     return r
 
@@ -302,11 +326,11 @@ def cos(x):
     d = -math.sin(v)
     if not (scalar and x.active):
         return y
-    tape = x.tape
+    tape = x._tape
     r = _new(ActiveScalar)
-    r.tape = tape
+    r._tape = tape
     r.value = y
-    r.vertex = tape.record_unary(x.vertex, d)
+    r._vertex = tape._record_unary(x._vertex, d)
     r.active = True
     return r
 
@@ -317,11 +341,11 @@ def exp(x):
     y = math.exp(v)
     if not (scalar and x.active):
         return y
-    tape = x.tape
+    tape = x._tape
     r = _new(ActiveScalar)
-    r.tape = tape
+    r._tape = tape
     r.value = y
-    r.vertex = tape.record_unary(x.vertex, y)
+    r._vertex = tape._record_unary(x._vertex, y)
     r.active = True
     return r
 
@@ -335,11 +359,11 @@ def ln(x):
     d = 1.0 / v
     if not (scalar and x.active):
         return y
-    tape = x.tape
+    tape = x._tape
     r = _new(ActiveScalar)
-    r.tape = tape
+    r._tape = tape
     r.value = y
-    r.vertex = tape.record_unary(x.vertex, d)
+    r._vertex = tape._record_unary(x._vertex, d)
     r.active = True
     return r
 
@@ -353,11 +377,11 @@ def sqrt(x):
     d = 0.5 / y
     if not (scalar and x.active):
         return y
-    tape = x.tape
+    tape = x._tape
     r = _new(ActiveScalar)
-    r.tape = tape
+    r._tape = tape
     r.value = y
-    r.vertex = tape.record_unary(x.vertex, d)
+    r._vertex = tape._record_unary(x._vertex, d)
     r.active = True
     return r
 
@@ -374,11 +398,11 @@ def pow_const(x, c: float):
     d = c * (y / v) if v else float(c == 1.0)
     if not (scalar and x.active):
         return y
-    tape = x.tape
+    tape = x._tape
     r = _new(ActiveScalar)
-    r.tape = tape
+    r._tape = tape
     r.value = y
-    r.vertex = tape.record_unary(x.vertex, d)
+    r._vertex = tape._record_unary(x._vertex, d)
     r.active = True
     return r
 
@@ -414,10 +438,17 @@ class Recorder:
             return float(value)
         return ActiveScalar(self.tape, float(value), self.tape.register_input())
 
-    def lvalue(self, initial: float = 0.0):
-        if self.tape is not None and self.tape.mode == DCG:
-            return declare_lvalue(self.tape, initial)
-        return float(initial)
+    def lvalue(self, initial=0.0):
+        """A variable that starts at ``initial``: on a DCG tape a declared
+        L-value, an active ``initial`` copied in; else what assign makes."""
+        tape = self.tape
+        if tape is None or tape._dag:
+            return self.assign(None, initial)
+        if not (isinstance(initial, ActiveScalar) and initial.active):
+            return declare_lvalue(tape, initial)
+        if initial._tape is not tape:
+            raise TapeError("operands belong to different tapes")
+        return self.assign(declare_lvalue(tape), initial)
 
     def assign(self, lhs, rhs):
         tape = self.tape
@@ -425,25 +456,25 @@ class Recorder:
         if tape is None:
             return rhs.value if scalar else float(rhs)
         active = scalar and rhs.active
-        if active and rhs.tape is not tape:
+        if active and rhs._tape is not tape:
             raise TapeError("operands belong to different tapes")
         if tape._dag:
             if active:
                 return rhs
             return rhs.value if scalar else float(rhs)
         # DCG: lhs must be a declared L-value of this tape
-        if not (isinstance(lhs, ActiveScalar) and lhs.vertex < 0
-                and lhs.tape is tape):
+        if not (isinstance(lhs, ActiveScalar) and lhs._vertex < 0
+                and lhs._tape is tape):
             raise TapeError("assignment target is not an L-value of this tape")
         if active:
-            tape.record_unary(rhs.vertex, 1.0, lhs.vertex)
+            tape._record_unary(rhs._vertex, 1.0, lhs._vertex)
             lhs.value = rhs.value
             lhs.active = True
         else:
             # read before the record, so a value float() rejects writes none
             value = rhs.value if scalar else float(rhs)
             # passive overwrite: zero-arity record kills the adjoint slot
-            tape.record([], result=lhs.vertex)
+            tape.record([], result=lhs._vertex)
             lhs.value = value
             lhs.active = False
         return lhs
@@ -454,10 +485,10 @@ class Recorder:
             return
         if not (isinstance(s, ActiveScalar) and s.active):
             raise TapeError("cannot register a passive value as output")
-        if s.tape is not self.tape:
+        if s._tape is not self.tape:
             # its vertex id names some other vertex of this tape
             raise TapeError("operands belong to different tapes")
-        self.tape.register_output(s.vertex)
+        self.tape.register_output(s._vertex)
 
 
 def run_passive(problem, x: Sequence[float]) -> list[float]:

@@ -30,7 +30,8 @@ and assignments rebind.  So one set of checks serves both: an operand is
 known when ``-p_L <= v < R`` for the next remainder id ``R``, only a
 remainder operand widens the bandwidth, by ``R - v`` whether the result is
 fresh (then ``R`` is its id) or an existing L-value, and a result is fresh
-or an existing L-value.
+or an existing L-value.  ``Tape.record`` runs these checks on every record;
+the overloading writers need not, as an ``ActiveScalar`` holds a known id.
 """
 
 from __future__ import annotations
@@ -90,24 +91,25 @@ class Tape:
     before it pushes full blocks and at seal, not on every record, and
     while reading only for a block read back from disk.
 
-    Overloading records through ``record_unary`` and ``record_binary``,
-    straight-line code for one and two operands that builds no operand list
-    and runs no per-operand loop.  ``record`` takes any operand list, merges
-    repeated operands and can overwrite an L-value; its per-operand loop is
-    what the two straight-line writers spell out.  Each
-    writer runs the same checks on both modes, a DAG tape being a DCG tape
-    with no L-values: it checks the partials and operands, numbers the
-    result from the one counter of ids ``>= 0``, writes the record into each
-    stream's open block with one ``array.fromlist`` (which writes all of a
-    list or none of it), and only then commits that counter and the one
-    width (``stats().beta`` on a DAG tape, ``beta_r`` on a DCG tape), so a
-    rejected record leaves the tape as it was.  The width counts every
+    ``record``, the one public writer, takes any operand list, merges
+    repeated operands, can overwrite an L-value and checks everything:
+    each pair, each operand's id and the result.  Overloading records
+    through ``_record_unary`` and ``_record_binary``, ``record`` written
+    straight for one and two operands with no operand list or loop.  They
+    keep the finalized and partial checks and the merge, but test no
+    operand or result: ``ActiveScalar`` checks an outside id and
+    ``Recorder.assign`` its target.  Every writer works the same on both
+    modes, a DAG tape being a DCG tape with no L-values: it numbers the
+    result from the one counter of ids ``>= 0``, writes the record into
+    each stream's open block with one ``array.fromlist`` (which writes all
+    of a list or none of it), and only then commits that counter and the
+    one width (``stats().beta`` on a DAG tape, ``beta_r`` on a DCG tape),
+    so a rejected record leaves the tape as it was.  The width counts every
     record, an L-value overwrite too: a remainder operand ``v`` stays live
     until the next remainder id ``R``, so the record widens it to ``R - v``.
     The sweep reads the tape through ``reverse_streams`` with one record
-    loop, compiled per slot map (``interpret``).  The three write the same
-    bytes and counters for the same record and, past ``record``'s own checks
-    of its pairs and result kind, raise the same errors.  A writer enters a
+    loop, compiled per slot map (``interpret``).  The three writers write
+    the same bytes for the same valid record.  A writer enters a
     store (``BlockStore.push_full``) only when that store's open block
     fills.  ``finalize`` closes the tape before it seals the streams, so no
     record reaches a sealed block, even when a seal fails.
@@ -130,7 +132,6 @@ class Tape:
         self._s_open, self._d_open = s.open_block, d.open_block
         self._s_full, self._d_full = s.block_entries, d.block_entries
         self.n = 0
-        self.q = 0
         self.p_l = 0
         self.outputs: list[int] = []
         self._output_set: set[int] = set()
@@ -141,6 +142,12 @@ class Tape:
     @property
     def m(self) -> int:
         return len(self.outputs)
+
+    @property
+    def q(self) -> int:
+        """The records, read off the streams: each writes its operands, its
+        count and its result to ``s`` and a partial per operand to ``d``."""
+        return (len(self._s) - self.n - len(self._d)) // 2
 
     @property
     def inputs(self) -> range:
@@ -165,7 +172,7 @@ class Tape:
 
     def register_input(self) -> int:
         self._require_recording()
-        if self.q > 0 or self.p_l > self.n:
+        if self.p_l > self.n or len(self._s) > self.n:  # past a record
             raise TapeError("inputs must be registered before the first "
                             "elemental or L-value")
         if self.mode == DAG:
@@ -194,9 +201,9 @@ class Tape:
         operands are merged with summed partials, in first-seen order.
         ``result`` is ``REMAINDER`` (the next DAG vertex or DCG remainder
         id) or an existing L-value id ``-k`` (DCG only), which the elemental
-        overwrites; any other integer is rejected as ``record_unary`` rejects
-        it.  An empty ``preds`` records a zero-arity overwrite whose reverse
-        action only zeroes the result's adjoint slot.
+        overwrites; any other integer is rejected.  An empty ``preds``
+        records a zero-arity overwrite whose reverse action only zeroes the
+        result's adjoint slot.
         """
         partials: dict[int, float] = {}
         try:
@@ -243,19 +250,19 @@ class Tape:
         self._width = beta
         if result is None:
             self._next_id = rid + 1
-        self.q += 1
         if len(s_open) >= self._s_full:
             self._s.push_full(n + 2)
         if len(d_open) >= self._d_full:
             self._d.push_full(n)
         return rid
 
-    def record_unary(self, a: int, da: float, result: int | None = None) -> int:
+    def _record_unary(self, a: int, da: float, result: int | None = None) -> int:
         """Record ``result = f(a)`` with partial ``da``; ``result`` is None
-        for a fresh vertex or an existing L-value id ``-k`` (DCG only).
+        for a fresh vertex or an L-value id ``-k`` (DCG only).
 
-        Straight-line ``record`` for one operand: the same checks in the
-        same order, the same messages and the same all-or-nothing write."""
+        ``record`` for one operand, written straight for overloading: ``a``
+        is an ``ActiveScalar``'s vertex and ``result`` an L-value that
+        ``Recorder.assign`` checked, so neither is tested again."""
         if self.finalized:
             raise TapeError("tape is finalized")
         s_open = self._s_open
@@ -263,17 +270,10 @@ class Tape:
             if not isfinite(da):
                 raise TapeError(f"non-finite partial {da!r} for vertex {a}")
             hi = self._next_id
-            if not -self.p_l <= a < hi:
-                self._check_known(a)
             beta = self._width
             if a >= 0 and hi - a > beta:
                 beta = hi - a
-            if result is None:
-                rid = hi
-            elif 0 < -result <= self.p_l:
-                rid = result
-            else:
-                raise TapeError(f"L-value result {result!r} not allowed on this tape")
+            rid = hi if result is None else result
             s_open.fromlist([a, 1, rid])
         except (TypeError, OverflowError) as exc:
             raise _bad_record([a], [da], exc) from None
@@ -284,25 +284,23 @@ class Tape:
         self._width = beta
         if result is None:
             self._next_id = rid + 1
-        self.q += 1
         if len(s_open) >= self._s_full:
             self._s.push_full(3)
         if len(d_open) >= self._d_full:
             self._d.push_full(1)
         return rid
 
-    def record_binary(self, a: int, da: float, b: int, db: float) -> int:
+    def _record_binary(self, a: int, da: float, b: int, db: float) -> int:
         """Record a fresh vertex ``f(a, b)`` with partials ``da``, ``db``;
         ``a == b`` is one operand with partial ``da + db``.
 
-        Straight-line ``record`` for two distinct operands, as
-        ``record_unary`` is for one."""
+        ``record`` for two operands, as ``_record_unary`` is for one."""
         if a == b:
             try:  # merged as record merges a repeated operand
                 da = da + db
             except (TypeError, OverflowError) as exc:
                 raise TapeError(f"bad (vertex, partial) pair: {exc}") from None
-            return self.record_unary(a, da)
+            return self._record_unary(a, da)
         if self.finalized:
             raise TapeError("tape is finalized")
         s_open = self._s_open
@@ -312,14 +310,9 @@ class Tape:
             if not isfinite(db):
                 raise TapeError(f"non-finite partial {db!r} for vertex {b}")
             rid = self._next_id
-            lo = -self.p_l
-            if not lo <= a < rid:
-                self._check_known(a)
             beta = self._width
             if a >= 0 and rid - a > beta:
                 beta = rid - a
-            if not lo <= b < rid:
-                self._check_known(b)
             if b >= 0 and rid - b > beta:
                 beta = rid - b
             s_open.fromlist([a, b, 2, rid])
@@ -331,7 +324,6 @@ class Tape:
         # the record is written: commit the counters
         self._next_id = rid + 1
         self._width = beta
-        self.q += 1
         if len(s_open) >= self._s_full:
             self._s.push_full(4)
         if len(d_open) >= self._d_full:
@@ -382,11 +374,11 @@ class Tape:
             d_len=self.d_len,
         )
 
-    def _adopt(self, n: int, q: int, p_l: int, num_remainder: int,
+    def _adopt(self, n: int, p_l: int, num_remainder: int,
                width: int) -> None:
         """Set the counters that ``tapefile.load`` derived from the streams
         it read into ``_s`` and ``_d``; nothing is recorded."""
-        self.n, self.q, self.p_l = n, q, p_l
+        self.n, self.p_l = n, p_l
         self._next_id, self._width = num_remainder, width
 
     # -- reading ------------------------------------------------------------

@@ -131,7 +131,7 @@ def load(path: str, prefetch: bool = False, **store_config) -> Tape:
         if exc.path != path and not copied:
             raise
         raise _corrupt(path, exc.stream, exc.index, exc.fault) from None
-    tape._adopt(n, q, p_l, *stats)
+    tape._adopt(n, p_l, *stats)
     try:
         for v in outputs:
             tape.register_output(v)

@@ -455,7 +455,7 @@ def all_outputs_tape():
     """x and y = 2x, both outputs: W = max(beta, n, m) = 2 = |V|."""
     tape = Tape(DAG)
     x = tape.register_input()
-    y = tape.record_unary(x, 2.0)
+    y = tape._record_unary(x, 2.0)
     tape.register_output(x)
     tape.register_output(y)
     tape.finalize()

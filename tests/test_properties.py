@@ -298,9 +298,9 @@ def test_record_path_matches_a_census_through_append(mode, ninputs, records,
             if mode == DCG and seed % 3 == 0:  # overwrite an input L-value
                 rid = tape.record(list(zip(ops, parts)), result=-1 - seed % ninputs)
             elif len(ops) == 1:
-                rid = tape.record_unary(ops[0], parts[0])
+                rid = tape._record_unary(ops[0], parts[0])
             elif len(ops) == 2:
-                rid = tape.record_binary(ops[0], parts[0], ops[1], parts[1])
+                rid = tape._record_binary(ops[0], parts[0], ops[1], parts[1])
             else:
                 rid = tape.record(list(zip(ops, parts)))
             ref["s"].append([*ops, len(ops), rid])

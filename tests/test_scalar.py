@@ -3,12 +3,16 @@ import math
 import operator
 import sys
 from array import array
+from fractions import Fraction
 
 import pytest
 
-from adtape import DAG, DCG, Recorder, Tape, TapeError
+from adtape import (DAG, DCG, STRATEGIES, Recorder, Tape, TapeError,
+                    propagate)
 from adtape import scalar as ops
-from adtape.scalar import ActiveScalar, declare_lvalue, value_of
+from adtape.interpret import STRATEGY_MODE, gradient_check
+from adtape.scalar import (ActiveScalar, declare_lvalue, record_problem,
+                           run_passive, value_of)
 
 
 def dag_ctx():
@@ -221,10 +225,50 @@ def test_overloaded_record_of_unknown_vertex_rejected(mode, op, vertex):
     ctx, u, x, y = guarded_setup(mode)
     tape = ctx.tape
     before = (tape.q, tape.s_len, tape.d_len)
-    ghost = ActiveScalar(tape, 1.0, vertex)
+    # refused where the scalar is built, so no writer sees the id
     with pytest.raises(TapeError, match="unknown"):
-        OVERLOADED[op](ctx, u, ghost, y)
+        OVERLOADED[op](ctx, u, ActiveScalar(tape, 1.0, vertex), y)
     assert (tape.q, tape.s_len, tape.d_len) == before
+
+
+def tape_state(tape):
+    return (tape.q, tape.n, tape.p_l, tape.s_len, tape.d_len, tape.stats(),
+            tape.store_stats())
+
+
+@pytest.mark.parametrize("mode", [DAG, DCG])
+def test_active_scalar_holds_only_an_id_of_its_tape(mode):
+    """The constructor is the one public way to put a vertex into a
+    scalar, so it checks the id that the overloading writers take as it
+    is; the tape is unchanged by a refusal."""
+    ctx, u, x, y = guarded_setup(mode)
+    tape = ctx.tape
+    x * y
+    kind = "L-value" if mode == DCG else "vertex"
+    before = tape_state(tape)
+    for vertex, message in ((99, "unknown vertex 99"),
+                            (-99, f"unknown {kind} -99"),
+                            (1.5, "vertex 1.5 is not an integer"),
+                            (None, "vertex None is not an integer")):
+        with pytest.raises(TapeError, match=f"^{message}$"):
+            ActiveScalar(tape, 1.0, vertex)
+    with pytest.raises(TapeError, match="is not a Tape$"):
+        ActiveScalar(Recorder(None), 1.0, 0)
+    assert tape_state(tape) == before
+    for vertex in (*tape.inputs, 0):
+        assert ActiveScalar(tape, 1.0, vertex).vertex == vertex
+
+
+def test_tape_and_vertex_are_read_only():
+    ctx = dcg_ctx()
+    x = ctx.input(1.0)
+    t = x * 2.0
+    for scalar in (x, t):
+        with pytest.raises(AttributeError):
+            scalar.tape = Tape(DCG)
+        with pytest.raises(AttributeError):
+            scalar.vertex = 99
+    assert (x.tape, x.vertex, t.tape, t.vertex) == (ctx.tape, -1, ctx.tape, 0)
 
 
 def test_comparisons_use_primal_values():
@@ -232,6 +276,60 @@ def test_comparisons_use_primal_values():
     a = ctx.input(2.0)
     assert (a > 1.5) is True and (a <= 1.5) is False
     assert ctx.tape.q == 0  # comparing records nothing
+
+
+def test_equality_and_truth_use_primal_values():
+    ctx = dcg_ctx()
+    a, b = ctx.input(2.0), ctx.input(2.0)
+    z = a - 2.0
+    q = ctx.tape.q
+    assert (a == 2.0) is True and (a == 2) is True and (a == b) is True
+    assert (a != 2.0) is False and (a != 3.0) is True and (a != z) is True
+    assert (2.0 == a) is True and (Fraction(2) == a) is True
+    assert bool(z) is False and bool(a) is True
+    assert (a == "2.0") is False and (a != "2.0") is True
+    assert a.__eq__("2.0") is NotImplemented
+    passive = ctx.lvalue(0.0)
+    assert bool(passive) is False and passive == 0.0
+    nan = ctx.lvalue(math.nan)
+    assert nan != nan and bool(nan)
+    assert ctx.tape.q == q  # comparing records nothing
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(a)
+
+
+class Branches:
+    """``y = 3a`` if the test holds at the input, else ``y = 5a``: a branch
+    on ``a == 2.0`` or on the truth of ``a - 2.0``."""
+
+    fd_step = 1e-6
+
+    def __init__(self, test):
+        self.test = test
+
+    def default_point(self):
+        return [2.0]
+
+    def run(self, ctx, x):
+        a = ctx.input(x[0])
+        if self.test == "eq":
+            y = a * 3.0 if a == 2.0 else a * 5.0
+        else:
+            y = a * 3.0 if a - 2.0 else a * 5.0
+        out = ctx.assign(ctx.lvalue(), y)
+        ctx.output(out)
+
+
+@pytest.mark.parametrize("test,slope", [("eq", 3.0), ("truth", 5.0)])
+def test_branches_follow_the_passive_run(test, slope):
+    """At a = 2 the passive run takes 3a for ``a == 2.0`` and 5a for a false
+    ``a - 2.0``; every recording takes the same branch, so its gradient is
+    that branch's slope."""
+    problem = Branches(test)
+    assert run_passive(problem, [2.0]) == [2.0 * slope]
+    for strategy in STRATEGIES:
+        tape = record_problem(problem, [2.0], mode=STRATEGY_MODE[strategy])
+        assert propagate(tape, [1.0], strategy) == [slope], strategy
 
 
 def test_dag_assign_rebinds_without_record():
@@ -259,6 +357,53 @@ def test_dcg_assign_records_copy():
     preds, partials, result = last_record(ctx.tape)
     assert (preds, partials, result) == ([0], [1.0], -2)
     assert u.vertex == -2 and u.value == pytest.approx(math.sin(1.0))
+
+
+class LvalueFromActive:
+    """``acc = lvalue(3a); acc = acc + a``: y = 4a."""
+
+    def default_point(self):
+        return [2.0]
+
+    def run(self, ctx, x):
+        a = ctx.input(x[0])
+        acc = ctx.lvalue(a * 3.0)
+        acc = ctx.assign(acc, acc + a)
+        ctx.output(acc)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_lvalue_keeps_the_dependency_of_an_active_initial(strategy):
+    """A DCG tape copies an active initial value into the new L-value (one
+    record more than the DAG tape, which takes the scalar itself)."""
+    problem = LvalueFromActive()
+    mode = STRATEGY_MODE[strategy]
+    tape = record_problem(problem, [2.0], mode=mode)
+    assert tape.q == (4 if mode == DCG else 2)
+    assert propagate(tape, [1.0], strategy) == [4.0]
+    assert gradient_check(problem, strategy=strategy) < 1e-8
+    assert run_passive(problem, [2.0]) == [8.0]
+
+
+@pytest.mark.parametrize("mode", [DAG, DCG])
+def test_lvalue_of_another_tapes_scalar_rejected(mode):
+    ca, cb = Recorder(Tape(mode)), Recorder(Tape(mode))
+    ca.input(2.0)
+    xb = cb.input(3.0) * 2.0
+    before = tape_state(ca.tape), tape_state(cb.tape)
+    with pytest.raises(TapeError, match="^operands belong to different tapes$"):
+        ca.lvalue(xb)
+    assert (tape_state(ca.tape), tape_state(cb.tape)) == before
+
+
+def test_lvalue_of_a_passive_scalar_is_its_value():
+    ctx = dcg_ctx()
+    ctx.input(1.0)
+    cell = ctx.lvalue(0.5)
+    copy = ctx.lvalue(cell)
+    assert (copy.vertex, copy.value, copy.active) == (-3, 0.5, False)
+    assert ctx.tape.q == 0
+    assert Recorder(None).lvalue(cell) == 0.5
 
 
 def test_dcg_lvalue_keeps_vertex_across_assignments():
@@ -322,7 +467,6 @@ def test_branching_on_value_rerecords():
                 out = ctx.assign(out, a * 3.0)
             ctx.output(out)
 
-    from adtape.scalar import record_problem
     pos = record_problem(Branchy(), [2.0], mode=DAG)
     neg = record_problem(Branchy(), [-2.0], mode=DAG)
     _, d_pos = pos.dump()
@@ -527,15 +671,15 @@ def python_calls(fn):
 #: an operation, called as op(ctx, x, y, lvalue), with its one adtape.scalar
 #: function and the tape writer it calls
 ONE_FRAME = {
-    "x * y": (lambda ctx, x, y, u: x * y, "__mul__", "record_binary"),
-    "2.0 * x": (lambda ctx, x, y, u: 2.0 * x, "__rmul__", "record_unary"),
-    "x + 2.0": (lambda ctx, x, y, u: x + 2.0, "__add__", "record_unary"),
-    "2.0 + x": (lambda ctx, x, y, u: 2.0 + x, "__radd__", "record_unary"),
-    "2.0 - x": (lambda ctx, x, y, u: 2.0 - x, "__rsub__", "record_unary"),
-    "x / y": (lambda ctx, x, y, u: x / y, "__truediv__", "record_binary"),
-    "-x": (lambda ctx, x, y, u: -x, "__neg__", "record_unary"),
-    "exp(x)": (lambda ctx, x, y, u: ops.exp(x), "exp", "record_unary"),
-    "assign": (lambda ctx, x, y, u: ctx.assign(u, x), "assign", "record_unary"),
+    "x * y": (lambda ctx, x, y, u: x * y, "__mul__", "_record_binary"),
+    "2.0 * x": (lambda ctx, x, y, u: 2.0 * x, "__rmul__", "_record_unary"),
+    "x + 2.0": (lambda ctx, x, y, u: x + 2.0, "__add__", "_record_unary"),
+    "2.0 + x": (lambda ctx, x, y, u: 2.0 + x, "__radd__", "_record_unary"),
+    "2.0 - x": (lambda ctx, x, y, u: 2.0 - x, "__rsub__", "_record_unary"),
+    "x / y": (lambda ctx, x, y, u: x / y, "__truediv__", "_record_binary"),
+    "-x": (lambda ctx, x, y, u: -x, "__neg__", "_record_unary"),
+    "exp(x)": (lambda ctx, x, y, u: ops.exp(x), "exp", "_record_unary"),
+    "assign": (lambda ctx, x, y, u: ctx.assign(u, x), "assign", "_record_unary"),
 }
 
 

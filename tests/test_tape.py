@@ -134,7 +134,7 @@ def test_merged_partial_that_overflows_rejected():
     with pytest.raises(TapeError, match="non-finite partial inf"):
         t.record([(0, 1e308), (0, 1e308)])
     with pytest.raises(TapeError, match="non-finite partial inf"):
-        t.record_binary(0, 1e308, 0, 1e308)
+        t._record_binary(0, 1e308, 0, 1e308)
     assert t.q == 0 and t.s_len == 1
 
 
@@ -144,7 +144,7 @@ def test_unary_result_must_be_a_declared_lvalue(result):
     x = t.register_input()
     t.declare_lvalue()
     with pytest.raises(TapeError, match="not allowed"):
-        t.record_unary(x, 1.0, result)
+        t.record([(x, 1.0)], result)
     assert t.q == 0
 
 
@@ -159,15 +159,14 @@ def test_lvalue_results_rejected_on_dag():
 def test_unknown_operand_is_named_before_a_bad_result(mode):
     """A DAG tape checks a record as a DCG tape with no L-values does: an
     unknown operand is named before an integer result that is no declared
-    L-value, by every writer.  A negative id on a DAG tape is an unknown
-    vertex, as for an output."""
+    L-value, by ``record``.  A negative id on a DAG tape is an unknown
+    vertex, as for an output.  The overloading writers test neither: an
+    ``ActiveScalar`` holds only known ids (``test_scalar``)."""
     t = Tape(mode)
     t.register_input()
     kind = "vertex" if mode == DAG else "L-value"
     for vid, message in ((7, "unknown vertex 7"), (-9, f"unknown {kind} -9")):
         for result in (0, 7, -5):
-            with pytest.raises(TapeError, match=f"^{message}$"):
-                t.record_unary(vid, 1.0, result)
             with pytest.raises(TapeError, match=f"^{message}$"):
                 t.record([(vid, 1.0)], result)
         with pytest.raises(TapeError, match=f"^{message}$"):
@@ -183,7 +182,7 @@ def test_non_integer_output_rejected(mode, vid):
     vertex is not taken: it would not save or index an adjoint slot."""
     t = Tape(mode)
     t.register_input()
-    t.record_unary(t.inputs[0], 1.0)
+    t._record_unary(t.inputs[0], 1.0)
     with pytest.raises(TapeError, match=f"^output id {vid!r} is not an "
                                         "integer$"):
         t.register_output(vid)
@@ -240,27 +239,27 @@ def recording_state(t):
 BAD_RECORDS = {
     "float-operand": lambda t, x, y, z: t.record([(x, 1.0), (0.5, 1.0)]),
     "str-operand": lambda t, x, y, z: t.record([("a", 1.0)]),
-    "none-operand": lambda t, x, y, z: t.record_unary(None, 1.0),
+    "none-operand": lambda t, x, y, z: t.record([(None, 1.0)]),
     "unhashable-operand": lambda t, x, y, z: t.record([([x], 1.0)]),
     "not-a-pair": lambda t, x, y, z: t.record([(x, 1.0), (y, 1.0, 2.0)]),
-    "float-binary-operand": lambda t, x, y, z: t.record_binary(x, 1.0, 0.5, 1.0),
+    "float-binary-operand": lambda t, x, y, z: t.record([(0.5, 1.0), (x, 1.0)]),
     "str-partial": lambda t, x, y, z: t.record([(x, 1.0), (y, "1.0")]),
-    "none-partial": lambda t, x, y, z: t.record_binary(x, 1.0, z, None),
-    "huge-int-partial": lambda t, x, y, z: t.record_unary(z, 10 ** 400),
-    "nan-partial": lambda t, x, y, z: t.record_binary(x, 1.0, y, math.nan),
+    "none-partial": lambda t, x, y, z: t._record_binary(x, 1.0, z, None),
+    "huge-int-partial": lambda t, x, y, z: t._record_unary(z, 10 ** 400),
+    "nan-partial": lambda t, x, y, z: t._record_binary(x, 1.0, y, math.nan),
     "unknown-operand": lambda t, x, y, z: t.record([(x, 1.0), (z + 5, 1.0)]),
-    "bad-result": lambda t, x, y, z: t.record_unary(x, 1.0, 7),
-    "inf-first-partial": lambda t, x, y, z: t.record_binary(x, math.inf, y, 1.0),
-    "unknown-first-operand": lambda t, x, y, z: t.record_binary(z + 5, 1.0, x, 1.0),
-    "huge-int-binary-partial": lambda t, x, y, z: t.record_binary(x, 1.0, y, 10 ** 400),
-    "float-lvalue-result": lambda t, x, y, z: t.record_unary(x, 1.0, -1.0),
+    "bad-result": lambda t, x, y, z: t.record([(x, 1.0)], 7),
+    "inf-first-partial": lambda t, x, y, z: t._record_binary(x, math.inf, y, 1.0),
+    "unknown-first-operand": lambda t, x, y, z: t.record([(z + 5, 1.0), (x, 1.0)]),
+    "huge-int-binary-partial": lambda t, x, y, z: t._record_binary(x, 1.0, y, 10 ** 400),
+    "float-lvalue-result": lambda t, x, y, z: t.record([(x, 1.0)], -1.0),
     # a repeated operand's partials are added before any other check
     "huge-int-repeated-partial": lambda t, x, y, z: t.record([(x, 10 ** 400),
                                                              (x, 1.0)]),
     "huge-int-repeated-binary-partial": (
-        lambda t, x, y, z: t.record_binary(x, 10 ** 400, x, 1.0)),
+        lambda t, x, y, z: t._record_binary(x, 10 ** 400, x, 1.0)),
     "none-repeated-binary-partial": (
-        lambda t, x, y, z: t.record_binary(x, None, x, 1.0)),
+        lambda t, x, y, z: t._record_binary(x, None, x, 1.0)),
 }
 
 
@@ -271,16 +270,16 @@ def test_rejected_record_leaves_the_tape_unchanged(mode, bad):
     def recorded(reject):
         t = Tape(mode, block_entries=3)
         x, y = t.register_input(), t.register_input()
-        z = t.record_binary(x, 0.5, y, 2.0)
+        z = t._record_binary(x, 0.5, y, 2.0)
         if reject:
             before = recording_state(t)
             with pytest.raises(TapeError):
                 BAD_RECORDS[bad](t, x, y, z)
             assert recording_state(t) == before
         # the next record is numbered and laid out as if nothing happened
-        w = t.record_binary(z, 1.5, x, -1.0)
+        w = t._record_binary(z, 1.5, x, -1.0)
         if mode == DCG:
-            t.record_unary(w, 1.0, x)
+            t._record_unary(w, 1.0, x)
         t.register_output(w if mode == DAG else x)
         t.finalize()
         return t
@@ -301,18 +300,19 @@ DIFFERENTIAL_PARTIAL_PAIRS = (
        (math.inf, 10 ** 400), (None, math.nan)])
 
 
-def differential_cases(x, y, z):
+def differential_cases(x, y, z, lvalues):
     """(operand, partial) pairs and result of arity-1 and arity-2 records
-    on a tape with inputs x, y and the elemental z: known operands, unknown
-    ones and ones of the wrong type.  A repeated operand takes every pair
-    of partials, since both writers add the two before any other check."""
-    operands = [x, z, z + 5, -9, None, 0.5, "a"]
+    on a tape with inputs x, y and the elemental z, as overloading makes
+    them: known operands, and a fresh result or one of ``lvalues``.  The
+    partials are valid, non-finite and of the wrong type.  A repeated
+    operand takes every pair of partials, since both writers add the two
+    before any other check."""
+    operands = [x, y, z]
     every_pair = [(da, db) for da in DIFFERENTIAL_PARTIALS
                   for db in DIFFERENTIAL_PARTIALS]
     for a in operands:
         for da in DIFFERENTIAL_PARTIALS:
-            # 0 and 7: integer results that are no L-value id
-            for result in (None, -1, -9, 0, 7):
+            for result in (None, *lvalues):
                 yield [(a, da)], result
         for b in operands:
             pairs = every_pair if a == b else DIFFERENTIAL_PARTIAL_PAIRS
@@ -330,23 +330,25 @@ def outcome(write):
 @pytest.mark.parametrize("block_entries", [3, 256])
 @pytest.mark.parametrize("mode", [DAG, DCG])
 def test_straight_line_writers_match_record(mode, block_entries):
-    """``record_unary`` and ``record_binary`` give exactly what ``record``
-    gives for the same arity-1 or arity-2 record, valid or rejected: the
-    same result or exception, and the same streams, counters and store
-    statistics after it and after one more record.  Up to two records
-    before the tested one move it across 3-entry block boundaries."""
+    """``_record_unary`` and ``_record_binary`` give exactly what ``record``
+    gives for the same arity-1 or arity-2 record of known operands, valid
+    or rejected for its partials: the same result or exception, and the
+    same streams, counters and store statistics after it and after one
+    more record.  Up to two records before the tested one move it across
+    3-entry block boundaries.  Unknown operands and results are ``record``'s
+    alone (``BAD_RECORDS``)."""
     def tape_and_ids(prefix):
         t = Tape(mode, block_entries=block_entries)
         x, y = t.register_input(), t.register_input()
-        z = t.record_binary(x, 0.5, y, 2.0)
+        z = t._record_binary(x, 0.5, y, 2.0)
         for _ in range(prefix):
-            z = t.record_binary(z, 1.25, x, -0.5)
+            z = t._record_binary(z, 1.25, x, -0.5)
         return t, (x, y, z)
 
     def straight(t, preds, result):
         if len(preds) == 1:
-            return t.record_unary(*preds[0], result)
-        return t.record_binary(*preds[0], *preds[1])
+            return t._record_unary(*preds[0], result)
+        return t._record_binary(*preds[0], *preds[1])
 
     def generic(t, preds, result):
         return t.record(preds, REMAINDER if result is None else result)
@@ -355,7 +357,8 @@ def test_straight_line_writers_match_record(mode, block_entries):
         return (recording_state(t), t.store_stats(), t.stats())
 
     _, ids = tape_and_ids(0)
-    for i, (preds, result) in enumerate(differential_cases(*ids)):
+    lvalues = ids[:2] if mode == DCG else ()
+    for i, (preds, result) in enumerate(differential_cases(*ids, lvalues)):
         tapes, seen = [], []
         for write in (straight, generic):
             t, (x, y, z) = tape_and_ids(i % 3)
@@ -389,7 +392,7 @@ def test_failed_finalize_leaves_no_record_path(tmp_path, monkeypatch):
     t = Tape(DAG, block_entries=4, budget_blocks=1, spill_dir=str(tmp_path))
     v = t.register_input()
     for _ in range(5):
-        v = t.record_unary(v, 2.0)
+        v = t._record_unary(v, 2.0)
     t.register_output(v)
 
     def boom(index):
@@ -398,8 +401,8 @@ def test_failed_finalize_leaves_no_record_path(tmp_path, monkeypatch):
     monkeypatch.setattr(t._d, "_spill", boom)
     with pytest.raises(BlockStoreError, match="spill of block 0"):
         t.finalize()
-    for write in (lambda: t.record_unary(v, 1.0), lambda: t.record([]),
-                  lambda: t.record_binary(0, 1.0, v, 1.0), t.register_input):
+    for write in (lambda: t._record_unary(v, 1.0), lambda: t.record([]),
+                  lambda: t._record_binary(0, 1.0, v, 1.0), t.register_input):
         with pytest.raises(TapeError, match="tape is finalized"):
             write()
     # s sealed with its blocks intact, d kept its unspilled block resident

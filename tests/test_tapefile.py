@@ -71,12 +71,12 @@ def test_zero_arity_records_round_trip(tmp_path, mode):
     if mode == DAG:
         y = x
         for _ in range(3):
-            y = tape.record_unary(y, 2.0)
-        out = tape.record_binary(y, 1.0, tape.record([]), 1.0)
+            y = tape._record_unary(y, 2.0)
+        out = tape._record_binary(y, 1.0, tape.record([]), 1.0)
     else:
-        t = tape.record_binary(x, 2.0, tape.record([]), 1.0)
+        t = tape._record_binary(x, 2.0, tape.record([]), 1.0)
         tape.record([], result=x)
-        out = tape.record_unary(t, 1.0, x)
+        out = tape._record_unary(t, 1.0, x)
     tape.register_output(out)
     tape.finalize()
     back = round_trip(tape, tmp_path / "t.adtp")
@@ -645,8 +645,8 @@ def test_loaded_tape_rejects_writes(tmp_path, mode):
                       tmp_path / "t.adtp")
     before = back.dump()
     x = back.inputs[0]
-    for write in (lambda: back.record([(x, 1.0)]), lambda: back.record_unary(x, 1.0),
-                  lambda: back.record_binary(x, 1.0, x, 2.0), back.register_input):
+    for write in (lambda: back.record([(x, 1.0)]), lambda: back._record_unary(x, 1.0),
+                  lambda: back._record_binary(x, 1.0, x, 2.0), back.register_input):
         with pytest.raises(TapeError, match="tape is finalized"):
             write()
     assert back.dump() == before
