@@ -45,7 +45,9 @@ _new = object.__new__
 
 class ActiveScalar:
     """A numeric value carrying a tape handle and a vertex identity; the
-    constructor checks the vertex against the tape, and both are read-only."""
+    constructor checks the vertex against the tape and stores the value as
+    a float, and tape and vertex are read-only.  So an operator that
+    records before it computes (``__mul__``) cannot fail after its record."""
 
     __slots__ = ("_tape", "value", "_vertex", "active")
 
@@ -57,7 +59,7 @@ class ActiveScalar:
             raise TapeError(f"vertex {vertex!r} is not an integer")
         tape._check_known(vertex)
         self._tape = tape
-        self.value = value
+        self.value = float(value)
         self._vertex = vertex
         self.active = active
 
@@ -411,7 +413,7 @@ def declare_lvalue(tape: Tape, initial: float = 0.0) -> ActiveScalar:
     """Allocate a dedicated L-value id on a DCG tape; passive until the
     first assignment."""
     vid = tape.declare_lvalue()
-    return ActiveScalar(tape, float(initial), vid, active=False)
+    return ActiveScalar(tape, initial, vid, active=False)
 
 
 class Recorder:

@@ -32,9 +32,12 @@ Apart from p_L the file carries no graph statistics: one backward pass over
 the loaded streams derives the width and the remainder count and checks
 every invariant that recording enforces, without replaying a record;
 ``Tape.register_output`` checks the outputs and ``Tape.stats`` derives the
-rest.  The pass checks both modes with one set of rules, because they number
-vertices the same way (see ``tape``): L-values are ``-1 .. -p_L`` and the
-remainder is numbered densely in recording order.  A DAG tape is the case
+rest.  The pass checks each record at its remainder position, from which
+the writers measured its width; a short scan of the newest records fixes
+that position before the pass starts (see ``_derive_stats``).  The pass
+checks both modes with one set of rules, because they number vertices the
+same way (see ``tape``): L-values are ``-1 .. -p_L`` and the remainder is
+numbered densely in recording order.  A DAG tape is the case
 p_L = 0, whose inputs are its first remainder ids ``0 .. n-1``; on a DCG
 tape the inputs are L-values and the remainder starts at 0.  ``save``
 refuses a tape whose file ``load`` would refuse.
@@ -62,6 +65,8 @@ _LEAD = 8
 _OUTPUT = struct.Struct("<q")
 #: the CRC-32 of header and outputs that ends the header
 _CRC = struct.Struct("<I")
+#: above every i64 entry of ``s``
+_ABOVE_EVERY_ID = 1 << 63
 _MODE_BYTE = {DAG: 0, DCG: 1}
 _BYTE_MODE = {0: DAG, 1: DCG}
 
@@ -209,10 +214,15 @@ def _derive_stats(path: str, mode: str, n: int, q: int, s: BlockStore,
     ``n``; on a DCG tape ``first`` is 0.  ``load`` has already checked that
     the partials are finite.
 
-    The width is measured as the writers measure it, from each record's
-    remainder position: its result, or for an L-value result the next
-    remainder id, which is ``oldest`` or, after the last remainder record,
-    ``youngest + 1``.
+    Each record has one remainder position ``at``, the id from which the
+    writers measured its width: its result, or for an L-value result the
+    next remainder id.  ``_next_remainder`` fixes ``at`` before the pass
+    starts, with a scan of the newest records up to the first remainder
+    result, so the pass keeps one rule: a remainder result must be
+    ``at - 1`` and becomes ``at``, a remainder operand ``v`` must lie below
+    ``at`` and widens the width to ``at - v``, and the pass ends with
+    ``at == first``.  So a file with several faults is refused at the first
+    one that the pass meets, newest record first.
 
     As in the sweep's record loop, records are read in pairs from ``body``,
     an ``islice`` that stops where the input ids begin: each record's
@@ -233,13 +243,7 @@ def _derive_stats(path: str, mode: str, n: int, q: int, s: BlockStore,
     else:
         first, low = 0, -n
     width = 0
-    youngest = None  # the last remainder result
-    # the highest and the lowest remainder id read after youngest, by the
-    # L-value records that follow the last remainder record
-    trailing, trailing_low = -1, len(s)
-    # the oldest remainder result read so far; 0 until youngest is read,
-    # which sends every remainder operand to the branch that notes trailing
-    oldest = 0
+    num_remainder = at = _next_remainder(s, n, q, first)
     try:
         for k in range(q - 1, -1, -1):
             result, count = next(two)
@@ -260,53 +264,32 @@ def _derive_stats(path: str, mode: str, n: int, q: int, s: BlockStore,
                 ops = _operands(body, count, k, path)
                 lo = None  # the operands are checked from ops
             if result >= 0:
-                if result != oldest - 1:
-                    if youngest is not None:
-                        raise _bad(path, f"elemental {k} has result {result}, "
-                                         f"not {oldest - 1}")
-                    if trailing > result:
-                        raise _unrecorded(path, trailing)
-                    youngest = result
-                oldest = result
+                if result != at - 1:
+                    raise _bad(path, f"elemental {k} has result {result}, "
+                                     f"not {at - 1}")
+                at = result
             elif result < low:
                 low = result
-            # remainder ids below oldest precede the record, whatever its
-            # result, and oldest is its remainder position: its result, or
-            # for an L-value result the next remainder id, from which the
-            # writers measure the width of every record
+            # the remainder ids below at precede the record
             if lo is None:
                 for v in ops:
                     if v < 0:
                         if v < low:
                             low = v
-                    elif v >= oldest:
-                        if youngest is not None:
-                            raise _unrecorded(path, v)
-                        if v > trailing:
-                            trailing = v
-                        if v < trailing_low:
-                            trailing_low = v
-                    elif oldest - v > width:
-                        width = oldest - v
-            elif hi >= oldest:
-                if youngest is not None:
-                    raise _unrecorded(path, a if a >= oldest else b)
-                if hi > trailing:
-                    trailing = hi
-                if lo < 0:
-                    if lo < low:
-                        low = lo
-                    lo = hi
-                if lo < trailing_low:
-                    trailing_low = lo
+                    elif v >= at:
+                        raise _unrecorded(path, v)
+                    elif at - v > width:
+                        width = at - v
+            elif hi >= at:
+                raise _unrecorded(path, a if a >= at else b)
             elif lo >= 0:
-                if oldest - lo > width:
-                    width = oldest - lo
+                if at - lo > width:
+                    width = at - lo
             else:
                 if lo < low:
                     low = lo
-                if hi >= 0 and oldest - hi > width:
-                    width = oldest - hi
+                if hi >= 0 and at - hi > width:
+                    width = at - hi
     except StopIteration:  # the records ran into the input ids
         raise _bad(path, "malformed structure stream") from None
     s_left = len(s) - 2 * q - (len(d) - d_left)
@@ -317,16 +300,8 @@ def _derive_stats(path: str, mode: str, n: int, q: int, s: BlockStore,
     inputs = range(n) if mode == DAG else range(-1, -n - 1, -1)
     if list(islice(entries, n)) != list(reversed(inputs)):
         raise _bad(path, f"input ids are not {inputs[0]}..{inputs[-1]}")
-    if youngest is None:
-        if trailing >= first:
-            raise _unrecorded(path, trailing)
-        youngest = first - 1
-    elif oldest != first:
-        raise _bad(path, f"remainder ids start at {oldest}, not {first}")
-    # the records after the last remainder record sit at remainder
-    # position youngest + 1
-    if trailing >= 0 and youngest + 1 - trailing_low > width:
-        width = youngest + 1 - trailing_low
+    if at != first:
+        raise _bad(path, f"remainder ids start at {at}, not {first}")
     if -low > p_l:
         raise _bad(path, f"L-value {low} lies beyond p_L {p_l}")
     # declared L-values that no record touches cost adjoint slots and no
@@ -335,7 +310,27 @@ def _derive_stats(path: str, mode: str, n: int, q: int, s: BlockStore,
     if p_l > len(s) - low:
         raise _bad(path, f"stored p_L {p_l} exceeds the derived p_L {-low} "
                          f"plus s_len {len(s)}")
-    return youngest + 1, width
+    return num_remainder, width
+
+
+def _next_remainder(s: BlockStore, n: int, q: int, first: int) -> int:
+    """The remainder position of the newest records of ``s``: the newest
+    remainder result plus 1, or ``first`` if no record has one.  Reads each
+    record's ``(result, count)`` newest first and skips its operands.  At a
+    negative count, or where the records run into the input ids, it stops:
+    the pass raises at that record, and the position returned lies above
+    every id, so no remainder operand of a newer record fails first."""
+    body = islice(s.reverse_iter(), max(len(s) - n, 0))
+    two = zip(body, body)
+    for _ in range(q):
+        # (-1, -1) where the records ran into the input ids
+        result, count = next(two, (-1, -1))
+        if count < 0:
+            return _ABOVE_EVERY_ID
+        if result >= 0:
+            return result + 1
+        next(islice(body, count, count), None)  # skips the operands
+    return first
 
 
 def _bad(path: str, what: str) -> TapeError:

@@ -107,7 +107,9 @@ def random_dag_tape(rng: Xorshift, max_elementals=30, max_arity=3, **cfg):
 def random_dcg_tape(rng: Xorshift, max_elementals=30, max_arity=3, **cfg):
     """A random but well-formed DCG tape: records of arity 0 to
     ``max_arity`` through ``Tape.record``, about a third of them
-    overwriting an L-value, with operands drawn from every vertex so far."""
+    overwriting an L-value, with operands drawn from every vertex so far.
+    Half the tapes then end in a run of up to five copies into L-values and
+    zero-arity overwrites, which follow the last remainder record."""
     tape = Tape(DCG, **cfg)
     lvalues = [tape.register_input() for _ in range(1 + rng.next_u64() % 3)]
     lvalues += [tape.declare_lvalue() for _ in range(1 + rng.next_u64() % 3)]
@@ -119,6 +121,10 @@ def random_dcg_tape(rng: Xorshift, max_elementals=30, max_arity=3, **cfg):
             tape.record(preds, result=lvalues[rng.next_u64() % len(lvalues)])
         else:
             ids.append(tape.record(preds))
+    for _ in range(rng.next_u64() % 6 if rng.next_u64() % 2 else 0):
+        lhs = lvalues[rng.next_u64() % len(lvalues)]
+        copied = [(ids[rng.next_u64() % len(ids)], 1.0)]
+        tape.record(copied if rng.next_u64() % 3 else [], result=lhs)
     first = rng.next_u64() % len(lvalues)
     for k in range(1 + rng.next_u64() % 2):
         tape.register_output(lvalues[(first + k) % len(lvalues)])
@@ -141,6 +147,28 @@ def copy_tape(mode, trailing, **cfg):
     if not trailing:
         y = ctx.assign(y, y * u)
     ctx.output(y)
+    tape.finalize()
+    return tape
+
+
+def copies_tape(temporary=True, **cfg):
+    """A DCG tape whose last five records copy into L-values: ``t = 2x``
+    (with ``temporary``; else ``t`` is ``x`` itself), then ``y = t; z = y;
+    y = z; z = t; y = z``.  So every copy follows the last remainder record,
+    and without ``temporary`` no record has a remainder result.  Both
+    outputs, ``y`` and ``z``, have the derivative 2 or 1."""
+    tape = Tape(DCG, **cfg)
+    ctx = Recorder(tape)
+    x = ctx.input(1.0)
+    y, z = ctx.lvalue(), ctx.lvalue()
+    t = x * 2.0 if temporary else x
+    y = ctx.assign(y, t)
+    z = ctx.assign(z, y)
+    y = ctx.assign(y, z)
+    z = ctx.assign(z, t)
+    y = ctx.assign(y, z)
+    ctx.output(y)
+    ctx.output(z)
     tape.finalize()
     return tape
 

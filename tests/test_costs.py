@@ -1,27 +1,31 @@
 """Exact bytecode counts of the sweep's record loops, the overloading tape
-writers and whole recordings, pinned on CPython 3.11.
+writers, whole recordings and the validating pass of a tape-file load,
+pinned on CPython 3.11.
 
 ``interpret`` compiles one record loop per kind of slot map.  With the
 collector off, ``sys.settrace`` with ``f_trace_opcodes`` counts the
 bytecodes a function executes.  A loop's count is an exact integer function
 of the tape's records: it does not depend on the block size, on spilling or
-on the process.  A writer call's count is one of its path and of the blocks
-that it fills.  Bytecode differs between
-CPython minor versions, so the pins hold on 3.11 only; CI's 3.11 leg fails
-if this module reports a skip.
+on the process.  So is the count of the load's pass, and a writer call's
+count is one of its path and of the blocks that it fills.  Bytecode differs
+between CPython minor versions, so the pins hold on 3.11 only; CI's 3.11
+leg fails if this module reports a skip.
 """
 
 import gc
+import os
 import sys
+from collections import Counter
 from itertools import islice
 
 import pytest
 
-from adtape import DAG, DCG, STRATEGIES, Tape, propagate, record_problem
+from adtape import (DAG, DCG, STRATEGIES, Tape, propagate, record_problem,
+                    tapefile)
 from adtape.interpret import STRATEGY_MODE, SlotCollisionError
 from adtape.rng import Xorshift
 
-from helpers import (RECORD_LOOPS, SMALL_PROBLEMS, STORES, bits,
+from helpers import (RECORD_LOOPS, SMALL_PROBLEMS, STORES, bits, copies_tape,
                      random_dag_tape, random_dcg_tape, reference_parse,
                      zero_arity_tape)
 
@@ -90,8 +94,9 @@ def count_bytecodes(fn, functions=RECORD_LOOPS):
 
 
 def tapes(store):
-    """Every small problem in both modes, a zero-arity tape per mode and
-    random tapes of arity 0 to 4, in ``store``."""
+    """Every small problem in both modes, a zero-arity tape per mode, two
+    DCG tapes that end in five copies into L-values and random tapes of
+    arity 0 to 4, in ``store``."""
     made = {}
     for name, make in SMALL_PROBLEMS.items():
         problem = make()
@@ -100,6 +105,8 @@ def tapes(store):
                 problem, problem.default_point(), mode=mode, **store)
     for mode in (DAG, DCG):
         made[f"zero_arity-{mode}"] = zero_arity_tape(mode, **store)
+    for temporary in (True, False):
+        made[f"copies-{temporary}"] = copies_tape(temporary, **store)
     for seed in range(3):
         made[f"random-dag-{seed}"] = random_dag_tape(Xorshift(seed),
                                                      max_arity=4, **store)
@@ -154,6 +161,113 @@ def test_modulo_loop_costs_two_bytecodes_per_slot_more_than_identity():
         assert bits(identity) == bits(modulo), name
         assert (more["modulo"] - counts["identity"]
                 == 2 * (tape.q + tape.edge_count)), name
+
+
+# -- the validating pass of a tape-file load --------------------------------
+
+#: bytecodes of one load in each frame of ``tapefile``'s validating pass,
+#: per term of ``load_census``.  The pass has one fixed cost per call (2
+#: more on DCG), then per record by arity: an arity-2 record whose operand
+#: read first is the lower takes the second order test, and a record of any
+#: other arity pays per operand in the pass and once in ``_operands``.
+#: Then come the branches that data decides: an L-value result, an arity-1
+#: or arity-2 record whose lower operand is an L-value (and whose higher is
+#: not), a new deepest L-value and a new width.  The scan reads the newest
+#: records up to the first with a remainder result, and pays per L-value
+#: record it skips; on a tape with no remainder result it reads them all.
+LOAD_MODELS = {
+    "_derive_stats": {
+        "call": 137, "dcg": 2, "arity1": 65, "arity2": 67, "rising": 4,
+        "other": 54, "other_operand": 17, "other_lvalue_operand": -6,
+        "lvalue_result": -5, "lvalue_lower": 2, "remainder_higher": 6,
+        "deeper": 2, "wider": 4,
+    },
+    "_next_remainder": {"call": 53, "scanned": 30, "no_remainder": -21},
+    "_operands": {"other": 32},
+}
+
+LOAD_FUNCTIONS = {name: getattr(tapefile, name) for name in LOAD_MODELS}
+
+
+def load_census(tape):
+    """The terms of ``LOAD_MODELS`` for a load of ``tape``, from a walk of
+    its records that tracks the remainder position, the deepest L-value and
+    the width as the pass does."""
+    _, records = reference_parse(*tape.dump(), tape.n, tape.q)
+    terms = Counter(call=1, dcg=tape.mode == DCG)
+    at = tape.n if tape.mode == DAG else 0
+    for _, _, result in reversed(records):
+        if result >= 0:
+            at = result + 1
+            break
+        terms["scanned"] += 1
+    else:
+        terms["no_remainder"] += 1
+    low, width = (0 if tape.mode == DAG else -tape.n), 0
+
+    def lvalue(v):
+        nonlocal low
+        if v < low:
+            low = v
+            terms["deeper"] += 1
+
+    def remainder(v):
+        nonlocal width
+        if at - v > width:
+            width = at - v
+            terms["wider"] += 1
+
+    for preds, _, result in reversed(records):
+        if len(preds) in (1, 2):
+            terms[f"arity{len(preds)}"] += 1
+            # the pass reads the last-written operand first
+            terms["rising"] += preds[-1] < preds[0]
+        else:
+            terms["other"] += 1
+        if result >= 0:
+            at = result
+        else:
+            terms["lvalue_result"] += 1
+            lvalue(result)
+        if len(preds) not in (1, 2):
+            for v in reversed(preds):
+                terms["other_operand"] += 1
+                if v < 0:
+                    terms["other_lvalue_operand"] += 1
+                    lvalue(v)
+                else:
+                    remainder(v)
+        elif min(preds) >= 0:
+            remainder(min(preds))
+        else:
+            terms["lvalue_lower"] += 1
+            lvalue(min(preds))
+            if max(preds) >= 0:
+                terms["remainder_higher"] += 1
+                remainder(max(preds))
+    return terms
+
+
+@pytest.mark.parametrize("store", ["inmem", "spilled"])
+def test_each_load_executes_its_model(tmp_path, store):
+    """Every tape of ``tapes``, saved and loaded into the store it was
+    recorded in, executes the modelled bytecodes in each frame of the
+    pass, its scan included."""
+    cfg = dict(STORES[store], spill_dir=str(tmp_path)) if STORES[store] else {}
+    path = os.path.join(tmp_path, "t.adtp")
+    scanned = set()
+    for name, tape in tapes(cfg).items():
+        tapefile.save(tape, path)
+        back, counts = count_bytecodes(lambda: tapefile.load(path, **cfg),
+                                       LOAD_FUNCTIONS)
+        assert back.stats() == tape.stats(), name
+        terms = load_census(tape)
+        for function, model in LOAD_MODELS.items():
+            assert counts[function] == sum(
+                c * terms[t] for t, c in model.items()), (name, function)
+        scanned.add(min(terms["scanned"], 2))
+    # tapes with no, one and several records after the last remainder record
+    assert scanned == {0, 1, 2}
 
 
 # -- the overloading writers and whole recordings ----------------------------
@@ -244,11 +358,11 @@ def test_each_writer_call_executes_its_model(mode, block_entries):
 #: bytecodes that ``record_problem`` executes, over every Python frame, per
 #: small problem and mode (in memory, default blocks)
 RECORDINGS = {
-    ("intro", DAG): 2899, ("intro", DCG): 3753,
-    ("bs_mc", DAG): 13974, ("bs_mc", DCG): 17365,
-    ("bs_fd", DAG): 509304, ("bs_fd", DCG): 535294,
-    ("burgers", DAG): 73195, ("burgers", DCG): 77388,
-    ("libor_mc", DAG): 66268, ("libor_mc", DCG): 77710,
+    ("intro", DAG): 2902, ("intro", DCG): 3756,
+    ("bs_mc", DAG): 13983, ("bs_mc", DCG): 17383,
+    ("bs_fd", DAG): 509310, ("bs_fd", DCG): 535534,
+    ("burgers", DAG): 73213, ("burgers", DCG): 77409,
+    ("libor_mc", DAG): 66298, ("libor_mc", DCG): 77788,
 }
 
 

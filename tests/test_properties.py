@@ -97,8 +97,8 @@ def unbounded_sweep(tape, seed):
 
 def assert_lvalue_width_holds(tape, tmp):
     """beta_R of DCG ``tape`` is the reference width, the lvalue sweep
-    equals the unbounded one bitwise, and a loaded copy derives the same
-    statistics."""
+    equals the unbounded one bitwise, and a copy loaded in memory or into
+    3-entry blocks with one resident derives the same statistics."""
     stats = tape.stats()
     assert stats.beta_r == reference_bandwidth(
         *tape.dump(), stats.num_inputs, stats.num_elementals,
@@ -108,6 +108,7 @@ def assert_lvalue_width_holds(tape, tmp):
     path = os.path.join(tmp, "t.adtp")
     save(tape, path)
     assert load(path).stats() == stats
+    assert load(path, **spill_to(STORES["tiny"], tmp)).stats() == stats
 
 
 @settings(max_examples=40, deadline=None)
@@ -129,7 +130,9 @@ def test_lvalue_sweeps_programs_that_copy_older_temporaries(seed):
 @given(st.integers(min_value=0, max_value=2 ** 32))
 def test_lvalue_sweeps_random_dcg_tapes(seed):
     """Zero-arity and n-ary records through ``Tape.record``, a third of
-    them overwriting an L-value with operands of any age."""
+    them overwriting an L-value with operands of any age, and on half the
+    tapes a run of copies and overwrites after the last remainder
+    record."""
     with tempfile.TemporaryDirectory() as tmp:
         assert_lvalue_width_holds(random_dcg_tape(Xorshift(seed)), tmp)
 

@@ -259,6 +259,26 @@ def test_active_scalar_holds_only_an_id_of_its_tape(mode):
         assert ActiveScalar(tape, 1.0, vertex).vertex == vertex
 
 
+@pytest.mark.parametrize("mode", [DAG, DCG])
+def test_constructor_stores_a_float_so_no_operator_fails_after_its_record(
+        mode):
+    """``a * 2.0`` records before it multiplies, so the product must not
+    fail: the constructor stores ``float(value)``, which refuses a value
+    that a float cannot hold before anything is recorded, and holds an int
+    as a float."""
+    tape = Tape(mode)
+    vertex = tape.register_input()
+    with pytest.raises(OverflowError):
+        ActiveScalar(tape, 10 ** 400, vertex)
+    a = ActiveScalar(tape, 3, vertex)
+    assert type(a.value) is float
+    for op in (operator.mul, lambda u, c: c * u, operator.add,
+               operator.truediv):
+        q = tape.q
+        assert op(a, 2.0).value == op(3.0, 2.0)
+        assert tape.q == q + 1
+
+
 def test_tape_and_vertex_are_read_only():
     ctx = dcg_ctx()
     x = ctx.input(1.0)

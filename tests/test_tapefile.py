@@ -15,8 +15,8 @@ from adtape.rng import Xorshift
 from adtape.tapefile import MAGIC, save, load
 from adtape.problems import IntroExample
 
-from helpers import (bits, copy_tape, random_dag_tape, reference_parse,
-                     run_child, zero_arity_tape)
+from helpers import (bits, copies_tape, copy_tape, random_dag_tape,
+                     reference_parse, run_child, zero_arity_tape)
 
 def round_trip(tape, path):
     save(tape, str(path))
@@ -51,6 +51,31 @@ def test_load_derives_the_width_of_copies_into_lvalues(tmp_path, trailing):
     assert back.stats() == tape.stats()
     assert back.stats().beta_r == 2
     assert propagate_lvalue(back, [1.0]) == ([2.0] if trailing else [12.0])
+
+
+@pytest.mark.parametrize("temporary,blocks_read,peaks", [
+    (True, 10, (56, 48)), (False, 8, (64, 40))],
+    ids=["one-temporary", "no-temporary"])
+def test_load_checks_copies_after_the_last_remainder_across_blocks(
+        tmp_path, temporary, blocks_read, peaks):
+    """Five copies into L-values follow the last remainder record (or, with
+    no temporary, every record is a copy) over four 4-entry blocks of s,
+    loaded under one resident block.  The load derives the recorded
+    statistics and gradient.  It reads every block of s twice, in the scan
+    that fixes the copies' remainder position and in the pass, but holds
+    one block read back at a time, so the peaks are those of one pass."""
+    cfg = dict(block_entries=4, budget_blocks=1,
+               spill_dir=str(tmp_path / "spill"))
+    tape = copies_tape(temporary, **cfg)
+    save(tape, str(tmp_path / "t.adtp"))
+    back = load(str(tmp_path / "t.adtp"), **cfg)
+    assert back.stats() == tape.stats()
+    stats = back.store_stats()
+    assert stats["s"]["blocks_read"] == blocks_read
+    assert (stats["s"]["peak_resident_bytes"],
+            stats["d"]["peak_resident_bytes"]) == peaks
+    assert (bits(propagate_lvalue(back, [1.0, 1.0]))
+            == bits(propagate_lvalue(tape, [1.0, 1.0])))
 
 
 def test_random_tapes_round_trip(tmp_path):
@@ -452,6 +477,12 @@ REJECTED = {
                                 MALFORMED),
     "dcg-count-beyond-stream": (DCG, [([-1], 0), ([0, -1], -1, 50)], [-1],
                                 MALFORMED),
+    # a bad count among the L-value records after the last remainder record
+    # is named, not a newer record's remainder operand
+    "dcg-negative-count-among-trailing": (
+        DCG, [([-1], 0), ([0], -2, -1), ([0], -3)], [-3], MALFORMED),
+    "dcg-count-beyond-stream-among-trailing": (
+        DCG, [([-1], 0), ([0], -2, 50), ([0], -3)], [-3], MALFORMED),
 }
 
 
