@@ -12,6 +12,7 @@ budgets, so it takes both).  A refused option exits 2 and is named.
 from __future__ import annotations
 
 import argparse
+import struct
 import sys
 import time
 from math import isfinite
@@ -19,12 +20,16 @@ from math import isfinite
 from . import metrics, tapefile
 from .blockstore import BlockStoreError
 from .dot import to_dot
-from .interpret import STRATEGIES, STRATEGY_MODE, max_rel_err, propagate
+from .interpret import (BANDWIDTH, FLAT, STRATEGIES, STRATEGY_MODE,
+                        max_rel_err, propagate)
 from .problems import PROBLEMS, StabilityError, fd_gradient
 from .scalar import record_problem
 from .tape import DAG, DCG, TapeError
 
+#: the cross-check tolerance against lvalue; flat and bandwidth must agree
+#: bitwise
 CROSS_CHECK_RTOL = 1e-12
+_BITS = struct.Struct("<d")
 
 #: each problem's size options: ``--grid`` sets ns and nt, any other its namesake
 SIZE_OPTIONS = {
@@ -157,8 +162,9 @@ def _strategies(args) -> list[str]:
 
 def run_strategies(problem, strategies, cfg, grad_check=False, fd_step=None):
     """Record one tape per needed mode, sweep each strategy once and
-    cross-check the gradients; ``grad_check`` compares each gradient with
-    one set of central differences."""
+    cross-check the gradients, flat against bandwidth bitwise and lvalue
+    at ``CROSS_CHECK_RTOL``; ``grad_check`` compares each gradient with one
+    set of central differences."""
     reports, grads, tapes = [], {}, {}
     x = problem.default_point()
     step = fd_step or problem.fd_step
@@ -181,12 +187,20 @@ def run_strategies(problem, strategies, cfg, grad_check=False, fd_step=None):
             grad_check_max_rel_err=err, fd_step=step if grad_check else None))
     items = list(grads.items())
     for (sa, ga), (sb, gb) in zip(items, items[1:]):
+        # flat and bandwidth run the same float operations in the same
+        # order on the same DAG tape, so they must agree bitwise
+        bitwise = {sa, sb} == {FLAT, BANDWIDTH}
         for i, (a, b) in enumerate(zip(ga, gb, strict=True)):
             # not a > test: a nan component agrees with nothing
             if not abs(a - b) <= CROSS_CHECK_RTOL * max(1.0, abs(a), abs(b)):
                 raise TapeError(
                     f"{problem.name}: strategies {sa} and {sb} disagree on "
                     f"gradient component {i}: {a} vs {b}")
+            if bitwise and _BITS.pack(a) != _BITS.pack(b):
+                raise TapeError(
+                    f"{problem.name}: strategies {sa} and {sb} are not "
+                    f"bitwise equal on gradient component {i}: {a!r} vs "
+                    f"{b!r}")
     return reports
 
 

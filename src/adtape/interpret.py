@@ -14,10 +14,13 @@ map: L-value ``-k`` lives in slot ``k-1`` and vertex ``v >= 0`` in slot
 
 The record loop is written once, as a template (``_RECORD_LOOP``) whose one
 hole is the slot of an id, and compiled at import into three loops.  The
-slot map, not the strategy, picks one: identity (slot ``v``) when p_L = 0
-and W >= |V|, as in every flat sweep; modulo (``v % W``) for any other
-p_L = 0; split (``p_L + v % W`` or ``~v`` by the sign of ``v``) when
-p_L > 0, as in every lvalue sweep.  Each is parse plus slot arithmetic only.
+slot map, not the strategy, picks them.  When p_L > 0, as in every lvalue
+sweep, split (``p_L + v % W`` or ``~v`` by the sign of ``v``) takes every
+record.  When p_L = 0, modulo (``v % W``) takes the newest |V| - W records,
+whose results reach W, and identity (slot ``v``) takes the rest, in which
+every id lies below W; so a flat sweep (W = |V|) runs identity alone, and
+so does a bandwidth sweep whose W covers the tape.  Each is parse plus slot
+arithmetic only.
 
 Every slot is zeroed immediately after it is read (reset-after-read), which
 makes slot reuse safe unless a seeded output is overwritten before its own
@@ -146,9 +149,8 @@ def _compile_record_loop(name: str, slot: str):
     return namespace[name]
 
 
-# one loop per kind of slot map (p_L, W): p_L = 0 and W >= |V| (every flat
-# sweep, and a bandwidth sweep whose W covers the tape), any other p_L = 0,
-# and p_L > 0 (every lvalue sweep)
+# one loop per kind of id: below W with p_L = 0, any id with p_L = 0, and
+# any id with p_L > 0 (see propagate)
 _sweep_identity = _compile_record_loop("_sweep_identity", "{v}")
 _sweep_modulo = _compile_record_loop("_sweep_modulo", "{v} % width")
 _sweep_split = _compile_record_loop(
@@ -189,24 +191,39 @@ def propagate(tape: Tape, seed: Sequence[float], strategy: str,
     # C-level zip step per (result, count) and per (operand, partial), and
     # zip reuses its tuple.  zip(s, d) pulls s first, so pairs is stepped
     # only when an operand is due
-    records = islice(zip(s, s), tape.q)
+    rows = zip(s, s)
     pairs = zip(s, d)
-    if on_step is not None:
-        records = _stepped(records, vbar, on_step)
-    # the slot map, not the strategy, picks the loop: with p_L = 0 there is
-    # no negative id (the writers and tapefile.load refuse one), and with
-    # W >= |V| as well every id is its own slot
+    # the slot map, not the strategy, picks the loops.  With p_L = 0 there
+    # is no negative id (the writers and tapefile.load refuse one), the
+    # results are n .. |V|-1, reached newest first, and every operand lies
+    # below its record's result.  So only the newest |V| - W records read an
+    # id of W or more; once the results fall below W, v % W == v for every
+    # id and the identity loop runs the same float operations on the same
+    # slots
     if p_l:
-        sweep = _sweep_split
-    elif width >= stats.num_vertices:
-        sweep = _sweep_identity
+        _sweep_split(_span(rows, tape.q, vbar, on_step), pairs, vbar,
+                     p_l, width)
     else:
-        sweep = _sweep_modulo
-    sweep(records, pairs, vbar, p_l, width)
+        wraps = max(stats.num_vertices - width, 0)
+        if wraps:
+            _sweep_modulo(_span(rows, wraps, vbar, on_step), pairs, vbar,
+                          0, width)
+        _sweep_identity(_span(rows, tape.q - wraps, vbar, on_step), pairs,
+                        vbar, 0, width)
     grad = []  # a loop: a comprehension would turn p_l, width, vbar into cells
     for i in tape.inputs:
         grad.append(vbar[p_l + i % width if i >= 0 else ~i])
     return (grad, vbar) if return_slots else grad
+
+
+def _span(rows: Iterator[tuple[int, int]], count: int, vbar: list[float],
+          on_step: Callable[[list[float]], None] | None
+          ) -> Iterator[tuple[int, int]]:
+    """The next ``count`` records of ``rows``, stepped through ``on_step``
+    when one is given.  ``islice`` stops without pulling a record beyond
+    ``count``, so the next span starts where this one ends."""
+    records = islice(rows, count)
+    return records if on_step is None else _stepped(records, vbar, on_step)
 
 
 def _stepped(records: Iterator[tuple[int, int]], vbar: list[float],

@@ -411,9 +411,10 @@ def pow_const(x, c: float):
 
 def declare_lvalue(tape: Tape, initial: float = 0.0) -> ActiveScalar:
     """Allocate a dedicated L-value id on a DCG tape; passive until the
-    first assignment."""
-    vid = tape.declare_lvalue()
-    return ActiveScalar(tape, initial, vid, active=False)
+    first assignment.  ``initial`` is converted first, so a value that a
+    float cannot hold declares nothing."""
+    value = float(initial)
+    return ActiveScalar(tape, value, tape.declare_lvalue(), active=False)
 
 
 class Recorder:

@@ -15,10 +15,12 @@ itself through them, with no object per record;
 ``Tape.parse``, ``Tape.visit_sequence`` and the DOT rendering.  The sweep
 puts the adjoint of L-value ``-k`` in slot ``k-1`` and of vertex
 ``v >= 0`` in slot ``p_L + v % W``, with (p_L, W) fixed per strategy.  Its
-one record loop is a template compiled for three slot maps: identity
-(slot ``v``) when p_L = 0 and W >= |V|, as in every flat sweep; ``v % W``
-for any other p_L = 0, which a DAG tape has, having no negative id; and
-the sign test between ``p_L + v % W`` and slot ``k-1`` when p_L > 0.
+one record loop is a template compiled for three kinds of slot: the sign
+test between ``p_L + v % W`` and slot ``k-1`` for every record when
+p_L > 0; and when p_L = 0, which a DAG tape has, having no negative id,
+``v % W`` for the newest |V| - W records and the identity (slot ``v``)
+for the rest, whose ids all lie below W.  A flat sweep (W = |V|) runs the
+identity loop alone.
 
 Both recording modes number vertices the same way.  L-values, named
 program variables, get dedicated negative ids ``-1 .. -p_L`` that persist

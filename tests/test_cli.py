@@ -279,6 +279,27 @@ def test_run_nan_gradient_agrees_with_no_strategy(capsys, monkeypatch,
     assert "nan" in err
 
 
+@pytest.mark.parametrize("verb", ["run", "verify"])
+def test_flat_and_bandwidth_must_agree_bitwise(capsys, monkeypatch, verb):
+    """A bandwidth gradient one ulp off flat's passes the 1e-12 tolerance
+    but not the bitwise check of the two DAG strategies."""
+    real = cli.propagate
+
+    def ulp_off(tape, seed, swept):
+        grad = real(tape, seed, swept)
+        if swept == interpret.BANDWIDTH:
+            grad[0] = math.nextafter(grad[0], math.inf)
+        return grad
+
+    monkeypatch.setattr(cli, "propagate", ulp_off)
+    code, _, err = run_cli(capsys, verb, "--problem", "intro")
+    assert code == 2
+    assert ("error: intro: strategies flat and bandwidth are not bitwise "
+            "equal on gradient component 0: ") in err
+    monkeypatch.setattr(cli, "propagate", real)
+    assert run_cli(capsys, verb, "--problem", "intro")[0] == 0
+
+
 def strict_json(text):
     """``json.loads`` that refuses the tokens Infinity, -Infinity and NaN,
     which Python writes and accepts but JSON does not define."""

@@ -2,7 +2,8 @@
 writers, whole recordings and the validating pass of a tape-file load,
 pinned on CPython 3.11.
 
-``interpret`` compiles one record loop per kind of slot map.  With the
+``interpret`` compiles one record loop per kind of id, and a bandwidth
+sweep may run two of them, one after the other.  With the
 collector off, ``sys.settrace`` with ``f_trace_opcodes`` counts the
 bytecodes a function executes.  A loop's count is an exact integer function
 of the tape's records: it does not depend on the block size, on spilling or
@@ -22,7 +23,7 @@ import pytest
 
 from adtape import (DAG, DCG, STRATEGIES, Tape, propagate, record_problem,
                     tapefile)
-from adtape.interpret import STRATEGY_MODE, SlotCollisionError
+from adtape.interpret import STRATEGY_MODE, SlotCollisionError, _slot_map
 from adtape.rng import Xorshift
 
 from helpers import (RECORD_LOOPS, SMALL_PROBLEMS, STORES, bits, copies_tape,
@@ -46,10 +47,10 @@ MODELS = {
 }
 
 
-def census(tape):
+def census(records):
     """(1, q1, q2, other records, their operands, negative ids) of
-    ``tape``, the terms of ``MODELS``."""
-    _, records = reference_parse(*tape.dump(), tape.n, tape.q)
+    ``records``, parsed as by ``reference_parse``: the terms of
+    ``MODELS``."""
     terms = [1, 0, 0, 0, 0, 0]
     for preds, _, result in records:
         if len(preds) in (1, 2):
@@ -61,8 +62,26 @@ def census(tape):
     return terms
 
 
-def modelled(name, tape):
-    return sum(c * t for c, t in zip(MODELS[name], census(tape)))
+def modelled(name, records):
+    return sum(c * t for c, t in zip(MODELS[name], census(records)))
+
+
+def loop_models(tape, strategy):
+    """The bytecodes each record loop executes in a sweep of ``tape`` by
+    ``strategy``.  With p_L > 0 the split loop takes every record.  With
+    p_L = 0 the modulo loop takes the records whose result is W or more,
+    the newest |V| - W, and the identity loop the rest; the modulo loop is
+    not called when there are none."""
+    _, records = reference_parse(*tape.dump(), tape.n, tape.q)
+    p_l, width = _slot_map(tape.stats(), strategy)
+    if p_l:
+        return {"split": modelled("split", records)}
+    wraps = sum(result >= width for _, _, result in records)
+    assert all(result >= width for _, _, result in records[tape.q - wraps:])
+    models = {"identity": modelled("identity", records[:tape.q - wraps])}
+    if wraps:
+        models["modulo"] = modelled("modulo", records[tape.q - wraps:])
+    return models
 
 
 def count_bytecodes(fn, functions=RECORD_LOOPS):
@@ -118,7 +137,7 @@ def tapes(store):
 @pytest.mark.parametrize("store", ["inmem", "spilled"])
 def test_each_sweep_executes_its_loop_model(tmp_path, store):
     cfg = dict(STORES[store], spill_dir=str(tmp_path)) if STORES[store] else {}
-    ran = set()
+    ran, split = set(), False
     for name, tape in tapes(cfg).items():
         seed = [1.0 + 0.5 * k for k in range(tape.m)]
         for strategy in STRATEGIES:
@@ -129,11 +148,12 @@ def test_each_sweep_executes_its_loop_model(tmp_path, store):
                     lambda: propagate(tape, seed, strategy))
             except SlotCollisionError:
                 continue  # refused before any loop runs
-            # one loop ran (test_interpret checks which one)
-            (loop, count), = [(k, n) for k, n in counts.items() if n and k]
-            assert count == modelled(loop, tape), (name, strategy, loop)
-            ran.add(loop)
+            ran_here = {k: n for k, n in counts.items() if n and k}
+            assert ran_here == loop_models(tape, strategy), (name, strategy)
+            ran.update(ran_here)
+            split |= len(ran_here) == 2
     assert ran == set(MODELS)
+    assert split  # some bandwidth sweep ran both the modulo and identity loops
 
 
 def run_loop(loop, tape):
@@ -358,11 +378,11 @@ def test_each_writer_call_executes_its_model(mode, block_entries):
 #: bytecodes that ``record_problem`` executes, over every Python frame, per
 #: small problem and mode (in memory, default blocks)
 RECORDINGS = {
-    ("intro", DAG): 2902, ("intro", DCG): 3756,
-    ("bs_mc", DAG): 13983, ("bs_mc", DCG): 17383,
-    ("bs_fd", DAG): 509310, ("bs_fd", DCG): 535534,
-    ("burgers", DAG): 73213, ("burgers", DCG): 77409,
-    ("libor_mc", DAG): 66298, ("libor_mc", DCG): 77788,
+    ("intro", DAG): 2902, ("intro", DCG): 3768,
+    ("bs_mc", DAG): 13983, ("bs_mc", DCG): 17404,
+    ("bs_fd", DAG): 509310, ("bs_fd", DCG): 535588,
+    ("burgers", DAG): 73213, ("burgers", DCG): 77430,
+    ("libor_mc", DAG): 66298, ("libor_mc", DCG): 77821,
 }
 
 

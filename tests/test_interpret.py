@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import inspect
 import math
 import os
@@ -6,6 +7,7 @@ import re
 import threading
 import traceback
 from array import array
+from itertools import islice
 
 import pytest
 
@@ -33,11 +35,12 @@ from adtape import interpret
 from adtape import scalar as ops
 from adtape.blockstore import BlockStoreError
 from adtape.interpret import STRATEGY_MODE, max_rel_err
-from adtape.problems import (BlackScholesFD, Burgers, IntroExample,
+from adtape.problems import (BlackScholesFD, Burgers, IntroExample, LiborMC,
                              record_evolution)
+from adtape.rng import Xorshift
 from adtape.tapefile import _derive_stats
 
-from helpers import (RECORD_LOOPS, STORES, RandomProgram, run_child,
+from helpers import (RECORD_LOOPS, STORES, RandomProgram, bits, run_child,
                      zero_arity_tape)
 
 INTRO_GRAD = 0.4823553972640679
@@ -462,17 +465,22 @@ def all_outputs_tape():
     return tape
 
 
-@pytest.mark.parametrize("mode, strategy, loop", [
-    (DAG, FLAT, "identity"), (DAG, BANDWIDTH, "modulo"),
-    (DCG, LVALUE, "split"), ("all outputs", BANDWIDTH, "identity")])
-def test_sweep_loop_follows_the_slot_map(monkeypatch, mode, strategy, loop):
-    """p_L > 0 takes the split loop; p_L = 0 takes the identity loop when
-    W >= |V|, whatever the strategy, and the modulo loop otherwise."""
+@pytest.mark.parametrize("mode, strategy, loops", [
+    pytest.param(DAG, FLAT, ["identity"], id="dag-flat-identity"),
+    pytest.param(DAG, BANDWIDTH, ["modulo", "identity"],
+                 id="dag-bandwidth-modulo"),
+    pytest.param(DCG, LVALUE, ["split"], id="dcg-lvalue-split"),
+    pytest.param("all outputs", BANDWIDTH, ["identity"],
+                 id="all outputs-bandwidth-identity")])
+def test_sweep_loop_follows_the_slot_map(monkeypatch, mode, strategy, loops):
+    """p_L > 0 takes the split loop.  p_L = 0 takes the modulo loop over
+    the newest |V| - W records, when W < |V|, and then the identity loop
+    over the rest, whatever the strategy."""
     called = []
     for name, fn in RECORD_LOOPS.items():
-        def spy(*args, name=name, fn=fn):
-            called.append(name)
-            return fn(*args)
+        def spy(records, *args, name=name, fn=fn):
+            called.append([name, 0])
+            return fn(counted(records, called[-1]), *args)
         monkeypatch.setattr(interpret, f"_sweep_{name}", spy)
     if mode == "all outputs":
         tape = all_outputs_tape()
@@ -481,7 +489,114 @@ def test_sweep_loop_follows_the_slot_map(monkeypatch, mode, strategy, loop):
         problem = Burgers(nx=6, nt=8)
         tape = record_problem(problem, problem.default_point(), mode=mode)
         propagate(tape, [1.0] * tape.m, strategy)
-    assert called == [loop]
+    stats = tape.stats()
+    wraps = stats.num_vertices - stats.beta if loops[0] == "modulo" else 0
+    assert 0 < wraps < tape.q or loops[0] != "modulo"
+    counts = [wraps, tape.q - wraps] if wraps else [tape.q]
+    assert called == [list(call) for call in zip(loops, counts)]
+
+
+def counted(records, call):
+    """``records``, counting each in ``call[1]``; a list would read ahead
+    of the operands, which share the structure stream."""
+    for record in records:
+        call[1] += 1
+        yield record
+
+
+def split_tape(q, wraps, **cfg):
+    """A DAG tape of one input and ``q`` records whose bandwidth sweep runs
+    the modulo loop over exactly its newest ``wraps`` records.  Each record
+    reads the one before it, and most also read a vertex at most W back, with random partials, so that slots add up several terms.  With
+    ``wraps`` > 0 the newest record reads vertex ``wraps - 1`` as well,
+    which makes beta = W = |V| - wraps; with ``wraps`` = 0 every vertex is
+    an output, so W = m = |V|."""
+    rng = Xorshift(q + 7 * wraps)
+    tape = Tape(DAG, **cfg)
+    tape.register_input()
+    width = q + 1 - wraps if wraps else q + 1
+    for r in range(1, q + 1):
+        preds = {r - 1: 2.0 * rng.uniform() - 1.0}
+        if rng.next_u64() % 4:
+            preds[r - 1 - rng.next_u64() % min(width, r)] = \
+                2.0 * rng.uniform() - 1.0
+        if r == q and wraps:
+            preds[wraps - 1] = 2.0 * rng.uniform() - 1.0
+        tape.record(list(preds.items()))
+    for v in range(q + 1) if not wraps else [q]:
+        tape.register_output(v)
+    tape.finalize()
+    return tape
+
+
+def blocks_read(tape):
+    return tape._s.blocks_read, tape._d.blocks_read
+
+
+def digest(slots):
+    """A digest of the bits of ``slots``: a LIBOR sweep's q snapshots of
+    all W slots would take 290 MB."""
+    return hashlib.sha256(bits(slots)).digest()
+
+
+def one_modulo_sweep(tape, seed):
+    """The bandwidth sweep as one modulo loop over every record: the
+    gradient, the final slots, a digest of the slots after each record and
+    the blocks the sweep read."""
+    _, width = interpret._slot_map(tape.stats(), BANDWIDTH)
+    vbar = [0.0] * width
+    for ybar, j in zip(seed, tape.outputs):
+        vbar[j % width] = ybar
+    snapshots, before = [], blocks_read(tape)
+    s, d = tape.reverse_streams()
+    records = interpret._stepped(islice(zip(s, s), tape.q), vbar,
+                                 lambda v: snapshots.append(digest(v)))
+    interpret._sweep_modulo(records, zip(s, d), vbar, 0, width)
+    grad = [vbar[i % width] for i in tape.inputs]
+    return grad, vbar, snapshots, tuple(
+        a - b for a, b in zip(blocks_read(tape), before))
+
+
+SPLIT_TAPES = {
+    "wraps-0": lambda cfg: split_tape(60, 0, **cfg),
+    "wraps-1": lambda cfg: split_tape(60, 1, **cfg),
+    "wraps-q-1": lambda cfg: split_tape(60, 59, **cfg),
+    "wraps-q": lambda cfg: split_tape(60, 60, **cfg),
+    "libor": lambda cfg: record_problem(
+        LiborMC(rates=10, paths=12), LiborMC(rates=10, paths=12)
+        .default_point(), mode=DAG, **cfg),
+}
+
+
+@pytest.mark.parametrize("store", ["inmem", "spilled"])
+@pytest.mark.parametrize("name", SPLIT_TAPES)
+def test_bandwidth_sweep_splits_exactly_where_results_fall_below_w(
+        tmp_path, name, store):
+    """A bandwidth sweep that hands over from the modulo loop to the
+    identity loop equals one modulo loop over every record bitwise: the
+    gradient, the final slots and the slots after each of the q records;
+    it reads the same blocks."""
+    cfg = dict(STORES[store], spill_dir=str(tmp_path)) if STORES[store] else {}
+    tape = SPLIT_TAPES[name](cfg)
+    stats = tape.stats()
+    wraps = stats.num_vertices - interpret._slot_map(stats, BANDWIDTH)[1]
+    if name.startswith("wraps-"):
+        assert wraps == {"0": 0, "1": 1, "q-1": tape.q - 1,
+                         "q": tape.q}[name[6:]]
+    else:
+        assert 0 < wraps < tape.q
+    seed = [1.0 + 0.25 * k for k in range(tape.m)]
+    grad, slots, snapshots, read = one_modulo_sweep(tape, seed)
+    steps, before = [], blocks_read(tape)
+    got, got_slots = propagate(tape, seed, BANDWIDTH, return_slots=True,
+                               on_step=lambda v: steps.append(digest(v)))
+    assert tuple(a - b for a, b in zip(blocks_read(tape), before)) == read
+    assert len(steps) == len(snapshots) == tape.q
+    assert bits(got) == bits(grad)
+    assert bits(got_slots) == bits(slots)
+    assert steps == snapshots
+    if store == "spilled":
+        assert read[0] > 1
 
 
 def test_record_loops_show_their_source():

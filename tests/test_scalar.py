@@ -464,6 +464,25 @@ def test_declare_order_matches_registration():
     assert tape.p_l == 4
 
 
+@pytest.mark.parametrize("declare", ["recorder", "function"])
+def test_lvalue_that_a_float_cannot_hold_declares_nothing(declare):
+    """A failed conversion of the initial value leaves no declared L-value,
+    which would cost an adjoint slot in every lvalue sweep."""
+    ctx = dcg_ctx()
+    x = ctx.input(1.0)
+    before = tape_state(ctx.tape)
+    with pytest.raises(OverflowError):
+        if declare == "recorder":
+            ctx.lvalue(10 ** 400)
+        else:
+            declare_lvalue(ctx.tape, 10 ** 400)
+    assert tape_state(ctx.tape) == before
+    assert ctx.lvalue(0.5).vertex == -2
+    ctx.output(ctx.assign(ctx.lvalue(), x * 2.0))
+    ctx.tape.finalize()
+    assert ctx.tape.stats().p_l == 3
+
+
 def test_declare_lvalue_rejected_on_dag():
     with pytest.raises(TapeError, match="DCG"):
         declare_lvalue(Tape(DAG), 0.0)
